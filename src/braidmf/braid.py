@@ -305,12 +305,11 @@ class BraidElement:
     elements.
     """
 
-    __slots__ = ("word", "_auto", "cap")
+    __slots__ = ("word", "cap")
 
     def __init__(self, word, cap=DEFAULT_LETTER_CAP):
         object.__setattr__(self, "word", word.free_reduce())
         object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "_auto", None)
 
     def __setattr__(self, *a):
         raise AttributeError("BraidElement is immutable")
@@ -318,11 +317,6 @@ class BraidElement:
     @classmethod
     def from_signed(cls, strands, signed):
         return cls(BraidWord.from_signed(strands, signed))
-
-    def auto(self):
-        if self._auto is None:
-            object.__setattr__(self, "_auto", artin_rep(self.word, self.cap))
-        return self._auto
 
     def equal_as_braids(self, other) -> bool:
         return self.word.strands == other.word.strands and braid_equal(

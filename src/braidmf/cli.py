@@ -3,7 +3,8 @@
 One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
-error.
+error or bad input, 3 a resource limit was hit (braid letter cap,
+search node cap or group closure cap) before a verdict was reached.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .bmf import (
     SurfaceParams,
     cusp_cluster_factorization,
     distinguishable,
-    factor_census,
     generate_bmf,
     stable_profile,
     surface_counts,
@@ -29,10 +29,7 @@ from .f2sym import (
     build_cross_space,
     classify_cross,
     horizontal_obstruction,
-    omitted_vectors,
-    q_eval,
     quadratic_from_basis,
-    symplectic_basis,
 )
 from .hurwitz import Factorization, act_moves, orbit_search
 from .perm import Perm
@@ -48,231 +45,130 @@ SCHEMA = 1
 
 
 def _check(name, ok, details=""):
-    return {
-        "name": name,
-        "status": "pass" if ok else "fail",
-        "details": details,
-    }
-
-
-def _skip(name, details=""):
-    return {"name": name, "status": "skipped", "details": details}
-
-
-def _report(command, params, checks, notes=(), seed=None, trials=None):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "params": params,
-        "notes": list(notes),
-        "checks": checks,
-        "seed": seed,
-        "trials": trials,
-    }
-
-
-def _emit(report, as_json):
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"command: {report['command']}")
-        if report["params"]:
-            print(f"params: {report['params']}")
-        for note in report["notes"]:
-            print(f"note: {note}")
-        for c in report["checks"]:
-            line = f"{c['status'].upper():7s} {c['name']}"
-            if c["details"]:
-                line += f" — {c['details']}"
-            print(line)
-    failed = any(c["status"] == "fail" for c in report["checks"])
-    return 1 if failed else 0
+    return {"name": name, "status": "pass" if ok else "fail", "details": details}
 
 
 def _ints(text):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-# ---------------------------------------------------------------------------
-# verify subcommands
+def _surface(args, suffix=""):
+    return SurfaceParams(*(getattr(args, f"{n}{suffix}") for n in "abcd"))
 
 
-def cmd_verify_snake_table(args):
-    checks = []
-    rows = snake_table()
-    agree = sum(r["agree"] for r in rows)
-    checks.append(
-        _check(
-            "snake window table",
-            agree == 16,
-            f"{agree}/16 windows: direct rule == word action",
-        )
-    )
+def _print_json(doc):
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def verify_snake_table(args):
+    agree = sum(r["agree"] for r in snake_table())
+    details = f"{agree}/16 windows: direct rule == word action"
+    checks = [_check("snake window table", agree == 16, details)]
     for idx, lines in enumerate(WINDOW_DERIVATIONS, start=1):
-        replay = replay_derivation(lines[0])
-        checks.append(
-            _check(
-                f"worked derivation {idx}",
-                replay == lines,
-                "all 6 lines reproduced"
-                if replay == lines
-                else "line mismatch",
-            )
-        )
-    return _emit(_report("verify snake-table", {}, checks), args.json)
+        ok = replay_derivation(lines[0]) == lines
+        details = "all 6 lines reproduced" if ok else "line mismatch"
+        checks.append(_check(f"worked derivation {idx}", ok, details))
+    return {"checks": checks}
 
 
-def cmd_verify_nonconj(args):
+def _nonconjugacy(args):
     rep = verify_nonconjugacy(args.b, args.d, trials=args.trials, seed=args.seed)
-    checks = [
-        _check(
-            "pair-twist non-conjugacy",
-            rep["verdict"].startswith("not conjugate"),
-            f"M_left={rep['M_left']} (parities {rep['left_parities']}), "
-            f"M_right={rep['M_right']} (parity {rep['right_parity']})",
-        )
-    ]
-    rep = _report(
-        "verify nonconj",
-        {"b": args.b, "d": args.d},
-        checks,
-        notes=[rep["convention"]],
-        seed=args.seed,
-        trials=args.trials,
-    )
-    return _emit(rep, args.json)
+    return rep, rep["verdict"].startswith("not conjugate")
 
 
-def cmd_verify_s7(args):
-    checks = []
-    rows = snake_table(args.b, args.d)
-    agree = sum(r["agree"] for r in rows)
-    checks.append(
-        _check("snake window table", agree == 16, f"{agree}/16 windows")
+def verify_nonconj(args):
+    rep, ok = _nonconjugacy(args)
+    details = (
+        f"M_left={rep['M_left']} (parities {rep['left_parities']}), "
+        f"M_right={rep['M_right']} (parity {rep['right_parity']})"
     )
-    run = property_run(args.b, args.d, trials=args.trials, seed=args.seed)
-    v = run["violations"]
-    checks.append(
-        _check(
-            "orbit-superset closure",
-            v["orbit"] == 0,
-            f"{v['orbit']} violations / {args.trials} words",
-        )
+    return {
+        "checks": [_check("pair-twist non-conjugacy", ok, details)],
+        "notes": [rep["convention"]],
+    }
+
+
+def verify_s7(args):
+    agree = sum(r["agree"] for r in snake_table(args.b, args.d))
+    v = property_run(args.b, args.d, trials=args.trials, seed=args.seed)["violations"]
+    rep, ok = _nonconjugacy(args)
+    checks = [_check("snake window table", agree == 16, f"{agree}/16 windows")]
+    for name, key, tail in (
+        ("orbit-superset closure", "orbit", f" / {args.trials} words"),
+        ("change-count evenness", "evenness", ""),
+        ("M-parity conservation", "m_parity", ""),
+    ):
+        checks.append(_check(name, v[key] == 0, f"{v[key]} violations{tail}"))
+    details = (
+        f"M values {rep['M_left']}/{rep['M_right']}, "
+        f"parities {rep['left_parities']} vs {rep['right_parity']}"
     )
-    checks.append(
-        _check(
-            "change-count evenness",
-            v["evenness"] == 0,
-            f"{v['evenness']} violations",
-        )
-    )
-    checks.append(
-        _check(
-            "M-parity conservation",
-            v["m_parity"] == 0,
-            f"{v['m_parity']} violations",
-        )
-    )
-    rep = verify_nonconjugacy(args.b, args.d, trials=args.trials, seed=args.seed)
-    checks.append(
-        _check(
-            "pair-twist non-conjugacy",
-            rep["verdict"].startswith("not conjugate"),
-            f"M values {rep['M_left']}/{rep['M_right']}, "
-            f"parities {rep['left_parities']} vs {rep['right_parity']}",
-        )
-    )
-    rep = _report(
-        "verify s7",
-        {"b": args.b, "d": args.d},
-        checks,
-        notes=[rep["convention"]],
-        seed=args.seed,
-        trials=args.trials,
-    )
-    return _emit(rep, args.json)
+    checks.append(_check("pair-twist non-conjugacy", ok, details))
+    return {"checks": checks, "notes": [rep["convention"]]}
 
 
 def _exp_sum(elt):
     return sum(s for _, s in elt.word.letters)
 
 
-def cmd_verify_cluster(args):
-    checks = []
+def verify_cluster(args):
     start, target, product_word = cusp_cluster_factorization()
     stated = BraidElement(product_word)
-    checks.append(
+    exps = [_exp_sum(f) for f in target.elements]
+    res = orbit_search(start, target, max_depth=args.max_depth)
+    tang = tangent_cluster_factorization()
+    checks = [
         _check(
             "cusp-cluster target product",
             target.product().equal_as_braids(stated),
             "product of the four factors equals the stated word",
-        )
-    )
-    checks.append(
+        ),
         _check(
             "cusp-cluster start product",
             start.product().equal_as_braids(stated),
             "scrambled start has the same product",
-        )
-    )
-    exps = [_exp_sum(f) for f in target.elements]
-    checks.append(
+        ),
         _check(
             "cusp-cluster factor types",
             sorted(exps) == [1, 3, 3, 3],
             f"exponent sums {exps}: three cubes, one tangency twist",
-        )
-    )
-    res = orbit_search(start, target, max_depth=args.max_depth)
-    checks.append(
+        ),
         _check(
             "cusp-cluster search path",
             res.found,
             f"path of {len(res.moves)} moves within depth bound "
             f"{args.max_depth}; {res.visited} nodes visited",
-        )
-    )
-    tang = tangent_cluster_factorization()
-    checks.append(
+        ),
         _check(
             "tangent-cluster shape",
             tang.elements[0] == tang.elements[2]
             and tang.elements[1] == tang.elements[3]
             and all(_exp_sum(f) == 1 for f in tang.elements),
             "factors 1=3 and 2=4, all conjugated single twists",
-        )
-    )
-    return _emit(
-        _report("verify cluster", {"max_depth": args.max_depth}, checks),
-        args.json,
-    )
+        ),
+    ]
+    return {"checks": checks}
 
 
-# ---------------------------------------------------------------------------
-# bmf subcommands
-
-
-def cmd_bmf_gen(args):
-    p = SurfaceParams(args.a, args.b, args.c, args.d)
+def bmf_gen(args):
+    p = _surface(args)
     f = generate_bmf(p)
     doc = f.to_json()
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"params: {doc['params']}")
-        if p.toy:
-            print("note: outside geometric hypothesis (some parameter < 3)")
-        if p.excluded:
-            print("note: excluded parameter line for the weighted counts")
-        print(f"blocks: {len(f.blocks)}, factors: {doc['census']['length']}")
-        print(f"census: {doc['census']}")
-    return 0
+        _print_json(doc)
+        return
+    print(f"params: {doc['params']}")
+    if p.toy:
+        print("note: outside geometric hypothesis (some parameter < 3)")
+    if p.excluded:
+        print("note: excluded parameter line for the weighted counts")
+    print(f"blocks: {len(f.blocks)}, factors: {doc['census']['length']}")
+    print(f"census: {doc['census']}")
 
 
-def cmd_bmf_counts(args):
-    p = SurfaceParams(args.a, args.b, args.c, args.d)
+def bmf_counts(args):
+    p = _surface(args)
     c = surface_counts(p)
-    doc = dict(vars(c))
     checks = [
         _check(
             "holomorphic-invariant identity",
@@ -281,317 +177,230 @@ def cmd_bmf_counts(args):
         ),
         _check(
             "branch-genus expanded form",
-            c.gR
-            == 1
-            + 8 * (p.a + p.c) * (p.b + p.d)
-            - 4 * (p.a + p.b + p.c + p.d),
+            c.gR == 1 + 8 * (p.a + p.c) * (p.b + p.d) - 4 * (p.a + p.b + p.c + p.d),
             "gR matches its expanded form",
         ),
     ]
-    rep = _report(
-        "bmf counts",
-        {"a": p.a, "b": p.b, "c": p.c, "d": p.d},
-        checks,
-    )
-    rep["counts"] = doc
-    code = _emit(rep, args.json)
-    if not args.json:
-        print(f"counts: {doc}")
-    return code
+    return {"checks": checks, "counts": dict(vars(c))}
 
 
-def cmd_bmf_distinguish(args):
-    p = SurfaceParams(args.a, args.b, args.c, args.d)
-    p2 = SurfaceParams(args.a2, args.b2, args.c2, args.d2)
+def bmf_distinguish(args):
+    p, p2 = _surface(args), _surface(args, "2")
     verdict = distinguishable(p, p2)
-    rep = _report(
-        "bmf distinguish",
-        {
-            "first": [p.a, p.b, p.c, p.d],
-            "second": [p2.a, p2.b, p2.c, p2.d],
-        },
-        [_check("distinguishability", True, verdict)],
-    )
-    rep["verdict"] = verdict
-    rep["profiles"] = [stable_profile(p), stable_profile(p2)]
-    return _emit(rep, args.json)
+    return {
+        "params": {"first": [p.a, p.b, p.c, p.d], "second": [p2.a, p2.b, p2.c, p2.d]},
+        "checks": [_check("distinguishability", True, verdict)],
+        "verdict": verdict,
+        "profiles": [stable_profile(p), stable_profile(p2)],
+    }
 
 
-# ---------------------------------------------------------------------------
-# f2 subcommands
-
-
-def cmd_arf(args):
+def run_arf(args):
     space = build_cross_space(args.a, args.c)
     q = quadratic_from_basis(space)
     bit = arf(q)
     checks = [_check("arf", True, f"Arf = {bit}")]
     if space.dim <= 20:
         oracle = arf_oracle(q)
-        checks.append(
-            _check(
-                "arf oracle",
-                bit == oracle,
-                f"zero-count oracle gives {oracle}",
-            )
-        )
+        details = f"zero-count oracle gives {oracle}"
+        checks.append(_check("arf oracle", bit == oracle, details))
     else:
-        checks.append(
-            _skip("arf oracle", f"dimension {space.dim} beyond oracle cap")
-        )
+        details = f"dimension {space.dim} beyond oracle cap"
+        checks.append({"name": "arf oracle", "status": "skipped", "details": details})
     if (args.a + args.c) % 2 == 0:
-        checks.append(
-            _check(
-                "arf parity",
-                bit == args.a % 2,
-                "Arf = a mod 2 for even a+c",
-            )
-        )
-    rep = _report(
-        "arf",
-        {"a": args.a, "c": args.c, "dim": space.dim},
-        checks,
-        notes=[f"basis labels: {', '.join(space.labels)}"],
-    )
-    rep["arf"] = bit
-    return _emit(rep, args.json)
+        details = "Arf = a mod 2 for even a+c"
+        checks.append(_check("arf parity", bit == args.a % 2, details))
+    return {
+        "params": {"a": args.a, "c": args.c, "dim": space.dim},
+        "checks": checks,
+        "notes": [f"basis labels: {', '.join(space.labels)}"],
+        "arf": bit,
+    }
 
 
-def cmd_classify(args):
+def run_classify(args):
     info = classify_cross(args.a, args.c)
-    rep = _report(
-        "classify",
-        {"a": args.a, "c": args.c},
-        [_check("transvection group", True, info["verdict"])],
-        notes=["criterion-based classification (diagram shape + q values)"],
-    )
-    rep["result"] = info
-    return _emit(rep, args.json)
+    return {
+        "checks": [_check("transvection group", True, info["verdict"])],
+        "notes": ["criterion-based classification (diagram shape + q values)"],
+        "result": info,
+    }
 
 
-def cmd_obstruct(args):
+def run_obstruct(args):
     verdict = horizontal_obstruction(args.a, args.c, args.a2, args.c2)
-    rep = _report(
-        "obstruct",
-        {"a": args.a, "c": args.c, "a2": args.a2, "c2": args.c2},
-        [_check("horizontal obstruction", True, verdict["verdict"])],
-    )
-    rep["result"] = verdict
-    return _emit(rep, args.json)
+    return {
+        "checks": [_check("horizontal obstruction", True, verdict["verdict"])],
+        "result": verdict,
+    }
 
 
-# ---------------------------------------------------------------------------
-# braid / hurwitz subcommands
-
-
-def cmd_braid_eq(args):
-    w1 = BraidWord.from_signed(args.strands, _ints(args.word1))
-    w2 = BraidWord.from_signed(args.strands, _ints(args.word2))
+def braid_eq(args):
+    word1, word2 = _ints(args.word1), _ints(args.word2)
+    w1, w2 = (BraidWord.from_signed(args.strands, w) for w in (word1, word2))
     equal = braid_equal(w1, w2)
-    rep = _report(
-        "braid eq",
-        {
-            "strands": args.strands,
-            "word1": list(_ints(args.word1)),
-            "word2": list(_ints(args.word2)),
-        },
-        [
-            _check(
-                "braid equality",
-                equal,
-                "words are equal as braids"
-                if equal
-                else "words differ as braids",
-            )
-        ],
-    )
-    return _emit(rep, args.json)
+    details = "words are equal as braids" if equal else "words differ as braids"
+    return {
+        "params": {"strands": args.strands, "word1": list(word1), "word2": list(word2)},
+        "checks": [_check("braid equality", equal, details)],
+    }
+
+
+def _read_factorization_file(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level")
+    return doc
 
 
 def _load_elements(doc):
     group = doc["group"]
     if group == "s4":
-        return tuple(Perm.from_json(e) for e in doc["elements"]), group
+        return tuple(Perm.from_json(e) for e in doc["elements"])
     if group == "braid":
         n = doc["strands"]
-        return (
-            tuple(
-                BraidElement(BraidWord.from_signed(n, tuple(e)))
-                for e in doc["elements"]
-            ),
-            group,
-        )
+        return tuple(BraidElement.from_signed(n, tuple(e)) for e in doc["elements"])
     raise ValueError(f"unsupported factorization group {group!r}")
 
 
-def _dump_elements(elements, group, doc):
-    if group == "s4":
-        out = [e.to_json() for e in elements]
+def hurwitz_act(args):
+    doc = _read_factorization_file(args.file)
+    out = act_moves(Factorization(_load_elements(doc)), _ints(args.moves))
+    if doc["group"] == "s4":
+        dumped = [e.to_json() for e in out.elements]
     else:
-        out = [list(e.word.to_signed()) for e in elements]
-    result = {"group": group, "elements": out}
+        dumped = [list(e.word.to_signed()) for e in out.elements]
+    result = {"group": doc["group"], "elements": dumped}
     if "strands" in doc:
         result["strands"] = doc["strands"]
-    return result
+    _print_json(result)
 
 
-def cmd_hurwitz_act(args):
-    with open(args.file) as fh:
-        doc = json.load(fh)
-    elements, group = _load_elements(doc)
-    moves = _ints(args.moves)
-    out = act_moves(Factorization(elements), moves)
-    print(
-        json.dumps(
-            _dump_elements(out.elements, group, doc), indent=2, sort_keys=True
-        )
+def hurwitz_search(args):
+    doc = _read_factorization_file(args.file)
+    start = Factorization(_load_elements({**doc, "elements": doc["start"]}))
+    target = Factorization(_load_elements({**doc, "elements": doc["target"]}))
+    res = orbit_search(start, target, max_depth=args.max_depth)
+    details = (
+        f"moves {list(res.moves)}, visited {res.visited}, "
+        f"depth reached {res.depth_reached}"
     )
-    return 0
+    return {"checks": [_check("path search", res.found, details)]}
 
 
-def cmd_hurwitz_search(args):
-    with open(args.file) as fh:
-        doc = json.load(fh)
-    start, group = _load_elements({**doc, "elements": doc["start"]})
-    target, _ = _load_elements({**doc, "elements": doc["target"]})
-    res = orbit_search(
-        Factorization(start), Factorization(target), max_depth=args.max_depth
-    )
-    rep = _report(
-        "hurwitz search",
-        {"file": args.file, "max_depth": args.max_depth},
-        [
-            _check(
-                "path search",
-                res.found,
-                f"moves {list(res.moves)}, visited {res.visited}, "
-                f"depth reached {res.depth_reached}",
-            )
-        ],
-    )
-    return _emit(rep, args.json)
+# An option is (flag, type) when required, (flag, type, default) when not.
+# Type None keeps the raw string; type bool is an on/off switch.
+JSON = ("--json", bool, False)
+RAND = (("--trials", int, 10_000), ("--seed", int, 0))
+DEPTH = ("--max-depth", int, 6)
+BD = (("--b", int), ("--d", int))
+AC = (("--a", int), ("--c", int))
+ABCD = tuple((f"--{n}", int) for n in "abcd")
+ABCD2 = tuple((f"--{n}2", int) for n in "abcd")
 
+# (command, subcommand) -> (options, run).  A run returns the report's
+# checks plus any extra top-level keys, or None when it printed a document.
+COMMANDS = {
+    ("verify", "snake-table"): ((JSON,), verify_snake_table),
+    ("verify", "nonconj"): ((*BD, *RAND, JSON), verify_nonconj),
+    ("verify", "s7"): ((*BD, *RAND, JSON), verify_s7),
+    ("verify", "cluster"): ((DEPTH, JSON), verify_cluster),
+    ("bmf", "gen"): ((*ABCD, JSON), bmf_gen),
+    ("bmf", "counts"): ((*ABCD, JSON), bmf_counts),
+    ("bmf", "distinguish"): ((*ABCD, *ABCD2, JSON), bmf_distinguish),
+    ("arf", None): ((*AC, JSON), run_arf),
+    ("classify", None): ((*AC, JSON), run_classify),
+    ("obstruct", None): ((*AC, ("--a2", int), ("--c2", int), JSON), run_obstruct),
+    ("braid", "eq"): (
+        (("--strands", int), ("--word1", None), ("--word2", None), JSON),
+        braid_eq,
+    ),
+    ("hurwitz", "act"): ((("--file", None), ("--moves", None)), hurwitz_act),
+    ("hurwitz", "search"): ((("--file", None), DEPTH, JSON), hurwitz_search),
+}
 
-# ---------------------------------------------------------------------------
-# parser
+HELP = {
+    "verify": "verification suites",
+    "bmf": "factorization generator and counts",
+    "--json": "emit a JSON report",
+    "--word1": "comma-separated signed indices",
+    "--moves": "comma-separated signed moves",
+}
 
-
-def _add_json(p):
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-
-def _add_rand(p):
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _add_abcd(p, suffix=""):
-    for name in ("a", "b", "c", "d"):
-        p.add_argument(f"--{name}{suffix}", type=int, required=True)
+# Namespace entries that are not report params.
+_NOT_PARAMS = {"command", "subcommand", "run", "json", "trials", "seed"}
 
 
 def build_parser():
-    top = argparse.ArgumentParser(
-        prog="braidmf", description=__doc__.splitlines()[0]
-    )
+    top = argparse.ArgumentParser(prog="braidmf", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    ver = sub.add_parser("verify", help="verification suites")
-    vsub = ver.add_subparsers(dest="subcommand", required=True)
-
-    p = vsub.add_parser("snake-table")
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_snake_table)
-
-    p = vsub.add_parser("nonconj")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_rand(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_nonconj)
-
-    p = vsub.add_parser("s7")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_rand(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_s7)
-
-    p = vsub.add_parser("cluster")
-    p.add_argument("--max-depth", type=int, default=6)
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_cluster)
-
-    bmf = sub.add_parser("bmf", help="factorization generator and counts")
-    bsub = bmf.add_subparsers(dest="subcommand", required=True)
-
-    p = bsub.add_parser("gen")
-    _add_abcd(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_bmf_gen)
-
-    p = bsub.add_parser("counts")
-    _add_abcd(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_bmf_counts)
-
-    p = bsub.add_parser("distinguish")
-    _add_abcd(p)
-    _add_abcd(p, "2")
-    _add_json(p)
-    p.set_defaults(func=cmd_bmf_distinguish)
-
-    p = sub.add_parser("arf")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=cmd_arf)
-
-    p = sub.add_parser("classify")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("obstruct")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=cmd_obstruct)
-
-    braid = sub.add_parser("braid")
-    brsub = braid.add_subparsers(dest="subcommand", required=True)
-    p = brsub.add_parser("eq")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--word1", required=True, help="comma-separated signed indices")
-    p.add_argument("--word2", required=True)
-    _add_json(p)
-    p.set_defaults(func=cmd_braid_eq)
-
-    hur = sub.add_parser("hurwitz")
-    hsub = hur.add_subparsers(dest="subcommand", required=True)
-    p = hsub.add_parser("act")
-    p.add_argument("--file", required=True)
-    p.add_argument("--moves", required=True, help="comma-separated signed moves")
-    p.set_defaults(func=cmd_hurwitz_act)
-    p = hsub.add_parser("search")
-    p.add_argument("--file", required=True)
-    p.add_argument("--max-depth", type=int, default=6)
-    _add_json(p)
-    p.set_defaults(func=cmd_hurwitz_search)
-
+    groups = {}
+    for (command, subcommand), (options, run) in COMMANDS.items():
+        # a help= argument, even None, lists the subcommand under --help
+        helps = {"help": HELP[command]} if command in HELP else {}
+        if subcommand is None:
+            p = sub.add_parser(command, **helps)
+        else:
+            if command not in groups:
+                group = sub.add_parser(command, **helps)
+                groups[command] = group.add_subparsers(dest="subcommand", required=True)
+            p = groups[command].add_parser(subcommand)
+        for flag, type_, *default in options:
+            kind = {"action": "store_true"} if type_ is bool else {"type": type_}
+            p.add_argument(
+                flag,
+                required=not default,
+                default=default[0] if default else None,
+                help=HELP.get(flag),
+                **kind,
+            )
+        p.set_defaults(run=run)
     return top
+
+
+def _print_text(report):
+    print(f"command: {report['command']}")
+    if report["params"]:
+        print(f"params: {report['params']}")
+    for note in report["notes"]:
+        print(f"note: {note}")
+    for c in report["checks"]:
+        line = f"{c['status'].upper():7s} {c['name']}"
+        if c["details"]:
+            line += f" — {c['details']}"
+        print(line)
+    if "counts" in report:
+        print(f"counts: {report['counts']}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+        body = args.run(args)
+    except (ValueError, OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a letter, node or closure cap was hit
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    if body is None:
+        return 0
+    names = (args.command, getattr(args, "subcommand", None))
+    report = {
+        "schema": SCHEMA,
+        "command": " ".join(n for n in names if n),
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        "notes": [],
+        "seed": getattr(args, "seed", None),
+        "trials": getattr(args, "trials", None),
+        **body,
+    }
+    if args.json:
+        _print_json(report)
+    else:
+        _print_text(report)
+    return 1 if any(c["status"] == "fail" for c in report["checks"]) else 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ from functools import reduce
 
 import numpy as np
 
+from .hurwitz import bfs_closure
+
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
@@ -414,7 +416,7 @@ def group_closure(gens, cap=CLOSURE_CAP):
 
     Dimensions <= 8 take a packed-integer numpy path (one uint64 per
     operator, per-generator image tables); larger dimensions fall back to
-    a plain dict walk.
+    the generic `hurwitz.bfs_closure`, which gives the same order.
     """
     gens = list(gens)
     if not gens:
@@ -424,24 +426,7 @@ def group_closure(gens, cap=CLOSURE_CAP):
         raise ValueError("mixed dimensions")
     if dim <= 8:
         return _closure_packed(gens, dim, cap)
-    return _closure_generic(gens, cap)
-
-
-def _closure_generic(gens, cap):
-    seen = {g.cols: g for g in gens}
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.cols not in seen:
-                    seen[y.cols] = y
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise RuntimeError("closure cap exceeded")
-        frontier = nxt
-    return list(seen.values())
+    return bfs_closure(gens, cap)
 
 
 def _pack(op: F2Operator, dim: int) -> int:

@@ -148,17 +148,16 @@ def stable_cancel(f, pos, ctx):
     return Factorization(elems)
 
 
-def generated_subgroup(elements, cap=200_000):
-    """Multiplicative closure of a set of elements, as a frozenset.
+def bfs_closure(elements, cap=200_000):
+    """Multiplicative closure of a set of elements, in breadth-first order.
 
-    Deterministic: breadth-first over the given element order.  Raises
-    if the closure exceeds `cap` (guards infinite element domains).
+    Deterministic: every frontier element is multiplied on the right by
+    each distinct generator, in the given order.  Raises RuntimeError if
+    the closure exceeds `cap` (guards infinite element domains).
     """
     gens = list(dict.fromkeys(elements))
-    if not gens:
-        return frozenset()
     seen = dict.fromkeys(gens)  # insertion-ordered set
-    frontier = list(gens)
+    frontier = gens
     while frontier:
         nxt = []
         for x in frontier:
@@ -170,7 +169,12 @@ def generated_subgroup(elements, cap=200_000):
                     if len(seen) > cap:
                         raise RuntimeError(f"closure exceeded cap {cap}")
         frontier = nxt
-    return frozenset(seen)
+    return list(seen)
+
+
+def generated_subgroup(elements, cap=200_000):
+    """The closure of `elements` (see bfs_closure), as a frozenset."""
+    return frozenset(bfs_closure(elements, cap))
 
 
 def _conjugacy_classes(group):

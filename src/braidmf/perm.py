@@ -138,43 +138,21 @@ def symmetric_group(n):
     return tuple(Perm(im) for im in itertools.permutations(range(n)))
 
 
-# Images of the six transpositions of S4 under the Klein-kernel quotient:
+# The three ways to split {1,2,3,4} into two pairs.  S4 permutes them, and
+# the Klein four-group is exactly the kernel of that action, so the induced
+# permutation of the splittings (in this order) is the quotient S4 -> S3:
 # (12),(34) -> (12);  (13),(24) -> (13);  (14),(23) -> (23).
-_S4_TO_S3_TRANSPOSITIONS = {
-    frozenset({1, 2}): (1, 2),
-    frozenset({3, 4}): (1, 2),
-    frozenset({1, 3}): (1, 3),
-    frozenset({2, 4}): (1, 3),
-    frozenset({1, 4}): (2, 3),
-    frozenset({2, 3}): (2, 3),
-}
-
-
-@lru_cache(maxsize=None)
-def _quotient_table():
-    # The quotient is determined by where transpositions go; every element
-    # of S4 is a product of transpositions, so extend multiplicatively.
-    table = {Perm.identity(4): Perm.identity(3)}
-    frontier = [Perm.identity(4)]
-    trans = [
-        (Perm.transposition(i, j, 4), Perm.transposition(*_S4_TO_S3_TRANSPOSITIONS[frozenset({i, j})], 3))
-        for i in range(1, 5)
-        for j in range(i + 1, 5)
-    ]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for t4, t3 in trans:
-                q = p * t4
-                if q not in table:
-                    table[q] = table[p] * t3
-                    nxt.append(q)
-        frontier = nxt
-    return table
+_SPLITTINGS = tuple(
+    frozenset({frozenset(x), frozenset(y)})
+    for x, y in (((1, 4), (2, 3)), ((1, 3), (2, 4)), ((1, 2), (3, 4)))
+)
 
 
 def quotient_s4_to_s3(p):
     """Image of p in S3 under the surjection S4 -> S3 with Klein kernel."""
     if p.degree != 4:
         raise ValueError(f"expected degree 4, got {p.degree}")
-    return _quotient_table()[p]
+    return Perm(
+        _SPLITTINGS.index(frozenset(frozenset(map(p, pair)) for pair in split))
+        for split in _SPLITTINGS
+    )

@@ -290,10 +290,17 @@ def snake_table(b=1, d=1):
     return rows
 
 
+def _check_trials(trials):
+    # zero or negative trials would pass on no evidence at all
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def property_run(b, d, trials=10_000, seed=0, max_len=8):
     """Randomized conservation run from tau0: orbit-superset closure,
     change-count evenness and M-parity checked after every generator of
     every random word."""
+    _check_trials(trials)
     rng = random.Random(seed)
     gens = hat_generator_words(b, d)
     base = tau0(b, d)
@@ -338,6 +345,7 @@ def verify_nonconjugacy(b, d, trials=10_000, seed=0, left=None, right=None):
     the M-parity is constant and differs from M(tau0 . right).  By
     default left = sigma_p and right = sigma_q.  Returns a report dict.
     """
+    _check_trials(trials)
     rng = random.Random(seed)
     left = left or sigma_p_action(b, d)
     right = right or sigma_q_action(b, d)

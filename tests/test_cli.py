@@ -152,3 +152,47 @@ def test_hurwitz_search_braid_group(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code = main(["hurwitz", "act", "--file", "/nonexistent.json", "--moves", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "s7", "--b", "1", "--d", "1", "--trials", "-3"),
+    ("verify", "nonconj", "--b", "1", "--d", "1", "--trials", "0"),
+])
+def test_trials_below_one_is_usage_error(capsys, argv):
+    # no trials is no evidence: it must not print PASS
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error: trials must be >= 1")
+
+
+def test_hurwitz_act_move_out_of_range(tmp_path, capsys):
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({"group": "s4", "elements": [[2, 1, 3, 4]] * 2}))
+    code = main(["hurwitz", "act", "--file", str(path), "--moves", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "move index 5 out of range" in err
+
+
+@pytest.mark.parametrize("sub", ["act", "search"])
+def test_factorization_file_must_be_an_object(tmp_path, capsys, sub):
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps([[2, 1, 3, 4]]))
+    extra = ["--moves", "1"] if sub == "act" else []
+    code = main(["hurwitz", sub, "--file", str(path), *extra])
+    assert code == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_resource_limit_exit_code(monkeypatch, capsys):
+    from braidmf.braid import LetterCapExceeded
+
+    def over_cap(w1, w2):
+        raise LetterCapExceeded("automorphism over cap 5")
+
+    monkeypatch.setattr("braidmf.cli.braid_equal", over_cap)
+    code = main(["braid", "eq", "--strands", "3", "--word1", "1", "--word2", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err == "error: automorphism over cap 5\n"

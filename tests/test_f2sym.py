@@ -154,10 +154,11 @@ def test_group_closure_identity_and_small_groups():
 def test_closure_generic_path_matches_packed():
     form = _chain_form(4)
     gens = [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
-    from braidmf.f2sym import _closure_generic, _closure_packed
+    from braidmf.f2sym import _closure_packed
+    from braidmf.hurwitz import bfs_closure
 
     packed = {g.cols for g in _closure_packed(gens, 4, 10**6)}
-    generic = {g.cols for g in _closure_generic(gens, 10**6)}
+    generic = {g.cols for g in bfs_closure(gens, 10**6)}
     assert packed == generic
 
 

@@ -25,84 +25,57 @@ from braidmf.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Small --trials keep the whole set at a few seconds.
+# argv per case; small --trials keep the whole set at a few seconds.
 CASES = {
-    "verify-snake-table": ["verify", "snake-table"],
-    "verify-snake-table-json": ["verify", "snake-table", "--json"],
-    "verify-nonconj": ["verify", "nonconj", "--b", "2", "--d", "1", "--trials", "50"],
-    "verify-nonconj-json": [
-        "verify", "nonconj", "--b", "1", "--d", "2", "--trials", "50",
-        "--seed", "5", "--json",
-    ],
-    "verify-s7": ["verify", "s7", "--b", "1", "--d", "2", "--trials", "50"],
-    "verify-s7-json": [
-        "verify", "s7", "--b", "2", "--d", "1", "--trials", "50", "--seed", "3",
-        "--json",
-    ],
-    "verify-cluster": ["verify", "cluster"],
-    "verify-cluster-json": ["verify", "cluster", "--json"],
-    "verify-cluster-shallow-json": ["verify", "cluster", "--max-depth", "1", "--json"],
-    "bmf-gen": ["bmf", "gen", "--a", "3", "--b", "3", "--c", "4", "--d", "3"],
-    "bmf-gen-excluded": ["bmf", "gen", "--a", "1", "--b", "1", "--c", "2", "--d", "2"],
-    "bmf-gen-json": ["bmf", "gen", "--a", "1", "--b", "2", "--c", "2", "--d", "1", "--json"],
-    "bmf-counts": ["bmf", "counts", "--a", "3", "--b", "3", "--c", "3", "--d", "3"],
-    "bmf-counts-json": [
-        "bmf", "counts", "--a", "1", "--b", "2", "--c", "2", "--d", "1", "--json",
-    ],
-    "bmf-distinguish": [
-        "bmf", "distinguish", "--a", "3", "--b", "3", "--c", "3", "--d", "3",
-        "--a2", "3", "--b2", "3", "--c2", "3", "--d2", "3",
-    ],
-    "bmf-distinguish-json": [
-        "bmf", "distinguish", "--a", "2", "--b", "3", "--c", "4", "--d", "3",
-        "--a2", "3", "--b2", "3", "--c2", "3", "--d2", "3", "--json",
-    ],
-    "arf": ["arf", "--a", "2", "--c", "3"],
-    "arf-json": ["arf", "--a", "2", "--c", "2", "--json"],
-    "arf-beyond-oracle-json": ["arf", "--a", "5", "--c", "5", "--json"],
-    "classify": ["classify", "--a", "2", "--c", "3"],
-    "classify-json": ["classify", "--a", "3", "--c", "3", "--json"],
-    "obstruct": ["obstruct", "--a", "2", "--c", "4", "--a2", "3", "--c2", "3"],
-    "obstruct-json": ["obstruct", "--a", "3", "--c", "3", "--a2", "3", "--c2", "3", "--json"],
-    "braid-eq": ["braid", "eq", "--strands", "3", "--word1", "1,2,1", "--word2", "2,1,2"],
-    "braid-eq-json": [
-        "braid", "eq", "--strands", "4", "--word1", "1,3", "--word2", "3,1", "--json",
-    ],
-    "braid-eq-differ": ["braid", "eq", "--strands", "3", "--word1", "1", "--word2", "2"],
-    "braid-eq-differ-json": [
-        "braid", "eq", "--strands", "3", "--word1", "1,2", "--word2", "2,1", "--json",
-    ],
-    "hurwitz-act-s4": ["hurwitz", "act", "--file", "fixtures/act_s4.json", "--moves", "1,-2,2"],
-    "hurwitz-act-braid": [
-        "hurwitz", "act", "--file", "fixtures/act_braid.json", "--moves", "2,-1",
-    ],
-    "hurwitz-search-s4": [
-        "hurwitz", "search", "--file", "fixtures/search_s4.json", "--max-depth", "3",
-    ],
-    "hurwitz-search-s4-json": [
-        "hurwitz", "search", "--file", "fixtures/search_s4.json", "--json",
-    ],
-    "hurwitz-search-braid": ["hurwitz", "search", "--file", "fixtures/search_braid.json"],
-    "hurwitz-search-braid-json": [
-        "hurwitz", "search", "--file", "fixtures/search_braid.json", "--max-depth", "1",
-        "--json",
-    ],
+    "verify-snake-table": "verify snake-table",
+    "verify-snake-table-json": "verify snake-table --json",
+    "verify-nonconj": "verify nonconj --b 2 --d 1 --trials 50",
+    "verify-nonconj-json": "verify nonconj --b 1 --d 2 --trials 50 --seed 5"
+    " --json",
+    "verify-s7": "verify s7 --b 1 --d 2 --trials 50",
+    "verify-s7-json": "verify s7 --b 2 --d 1 --trials 50 --seed 3 --json",
+    "verify-cluster": "verify cluster",
+    "verify-cluster-json": "verify cluster --json",
+    "verify-cluster-shallow-json": "verify cluster --max-depth 1 --json",
+    "bmf-gen": "bmf gen --a 3 --b 3 --c 4 --d 3",
+    "bmf-gen-excluded": "bmf gen --a 1 --b 1 --c 2 --d 2",
+    "bmf-gen-json": "bmf gen --a 1 --b 2 --c 2 --d 1 --json",
+    "bmf-counts": "bmf counts --a 3 --b 3 --c 3 --d 3",
+    "bmf-counts-json": "bmf counts --a 1 --b 2 --c 2 --d 1 --json",
+    "bmf-distinguish": "bmf distinguish --a 3 --b 3 --c 3 --d 3"
+    " --a2 3 --b2 3 --c2 3 --d2 3",
+    "bmf-distinguish-json": "bmf distinguish --a 2 --b 3 --c 4 --d 3"
+    " --a2 3 --b2 3 --c2 3 --d2 3 --json",
+    "arf": "arf --a 2 --c 3",
+    "arf-json": "arf --a 2 --c 2 --json",
+    "arf-beyond-oracle-json": "arf --a 5 --c 5 --json",
+    "classify": "classify --a 2 --c 3",
+    "classify-json": "classify --a 3 --c 3 --json",
+    "obstruct": "obstruct --a 2 --c 4 --a2 3 --c2 3",
+    "obstruct-json": "obstruct --a 3 --c 3 --a2 3 --c2 3 --json",
+    "braid-eq": "braid eq --strands 3 --word1 1,2,1 --word2 2,1,2",
+    "braid-eq-json": "braid eq --strands 4 --word1 1,3 --word2 3,1 --json",
+    "braid-eq-differ": "braid eq --strands 3 --word1 1 --word2 2",
+    "braid-eq-differ-json": "braid eq --strands 3 --word1 1,2 --word2 2,1 --json",
+    "hurwitz-act-s4": "hurwitz act --file fixtures/act_s4.json --moves 1,-2,2",
+    "hurwitz-act-braid": "hurwitz act --file fixtures/act_braid.json --moves 2,-1",
+    "hurwitz-search-s4": "hurwitz search --file fixtures/search_s4.json --max-depth 3",
+    "hurwitz-search-s4-json": "hurwitz search --file fixtures/search_s4.json --json",
+    "hurwitz-search-braid": "hurwitz search --file fixtures/search_braid.json",
+    "hurwitz-search-braid-json": "hurwitz search --file fixtures/search_braid.json"
+    " --max-depth 1 --json",
     # exit 2: bad input reported on stderr
-    "error-domain": ["verify", "nonconj", "--b", "0", "--d", "1", "--trials", "1"],
-    "error-domain-json": ["bmf", "counts", "--a", "0", "--b", "1", "--c", "1", "--d", "1",
-                          "--json"],
-    "error-missing-file": ["hurwitz", "act", "--file", "fixtures/absent.json", "--moves", "1"],
-    "error-missing-file-json": [
-        "hurwitz", "search", "--file", "fixtures/absent.json", "--json",
-    ],
-    "error-unsupported-group": [
-        "hurwitz", "act", "--file", "fixtures/unsupported_group.json", "--moves", "1",
-    ],
-    "error-missing-key": ["hurwitz", "act", "--file", "fixtures/no_group.json", "--moves", "1"],
-    "error-bad-json": ["hurwitz", "search", "--file", "fixtures/not_json.json"],
-    "error-product-mismatch": ["hurwitz", "search", "--file", "fixtures/search_mismatch.json"],
-    "error-bad-word": ["braid", "eq", "--strands", "3", "--word1", "3", "--word2", "1"],
-    "error-missing-flag": ["verify", "nonconj", "--b", "1"],
+    "error-domain": "verify nonconj --b 0 --d 1 --trials 1",
+    "error-domain-json": "bmf counts --a 0 --b 1 --c 1 --d 1 --json",
+    "error-missing-file": "hurwitz act --file fixtures/absent.json --moves 1",
+    "error-missing-file-json": "hurwitz search --file fixtures/absent.json --json",
+    "error-unsupported-group": "hurwitz act --file fixtures/unsupported_group.json"
+    " --moves 1",
+    "error-missing-key": "hurwitz act --file fixtures/no_group.json --moves 1",
+    "error-bad-json": "hurwitz search --file fixtures/not_json.json",
+    "error-product-mismatch": "hurwitz search --file fixtures/search_mismatch.json",
+    "error-bad-word": "braid eq --strands 3 --word1 3 --word2 1",
+    "error-missing-flag": "verify nonconj --b 1",
 }
 
 
@@ -164,7 +137,7 @@ def in_golden(monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_is_byte_identical(case, in_golden):
     want = json.loads((GOLDEN / f"{case}.json").read_text())
-    assert run_case(CASES[case]) == want
+    assert run_case(CASES[case].split()) == want
 
 
 def test_parser_surface_is_unchanged():
@@ -174,11 +147,8 @@ def test_parser_surface_is_unchanged():
 
 def test_every_subcommand_has_golden_cases():
     for leaf, sub in leaf_commands(parser_surface(build_parser())):
-        modes = {
-            "--json" in argv
-            for argv in CASES.values()
-            if tuple(argv[: len(leaf)]) == leaf
-        }
+        argvs = [argv.split() for argv in CASES.values()]
+        modes = {"--json" in a for a in argvs if tuple(a[: len(leaf)]) == leaf}
         takes_json = any("--json" in o["flags"] for o in sub["options"])
         want = {False, True} if takes_json else {False}
         assert modes == want, f"golden cases missing for {' '.join(leaf)}"
@@ -190,7 +160,7 @@ def regenerate():
     surface = parser_surface(build_parser())
     (GOLDEN / "parser.json").write_text(json.dumps(surface, indent=1) + "\n")
     for case, argv in CASES.items():
-        result = run_case(argv)
+        result = run_case(argv.split())
         (GOLDEN / f"{case}.json").write_text(json.dumps(result, indent=1) + "\n")
         print(case, result["exit"])
 
