@@ -1,20 +1,25 @@
 """Braid words and exact braid equality via the Artin free-group representation.
 
-A positive generator sigma_i acts on the free generators by
+The Artin representation of a braid is the Hurwitz action on the tuple
+of free generators (gamma_1, ..., gamma_n).  A positive generator
+sigma_i is the forward Hurwitz move
 
     gamma_i   |->  gamma_i gamma_{i+1} gamma_i^{-1}
     gamma_i+1 |->  gamma_i
 
-(matching the forward Hurwitz move on factorizations), and sigma_i^{-1}
-by the inverse assignment.  The representation is faithful on the disk
-braid group, which is what braid_equal relies on; the sphere relation
-is NOT quotiented, but the relation word is exposed as a constant.
+and sigma_i^{-1} the inverse move.  Moving a tuple of images is the same
+as precomposing with the move, so the images of a word are built right
+to left: start from the free generators and apply its letters from last
+to first.  The representation is faithful on the disk braid group, which
+is what braid_equal relies on; the sphere relation is NOT quotiented,
+but the relation word is exposed as a constant.
 
 Words compose left-to-right, like everything else in this package.
 """
 
 from __future__ import annotations
 
+from .hurwitz import Factorization, hurwitz_move
 from .perm import Perm
 
 # Total reduced-letter budget for automorphism images; image lengths can
@@ -106,7 +111,7 @@ class ArtinAuto:
     def identity(cls, rank):
         return cls(rank, [FreeWord.generator(g, rank) for g in range(rank)])
 
-    def apply(self, word, cap=DEFAULT_LETTER_CAP):
+    def apply(self, word):
         """Substitute generator images into a FreeWord."""
         letters = []
         for g, e in word.letters:
@@ -115,15 +120,7 @@ class ArtinAuto:
                 letters.extend(img)
             else:
                 letters.extend((h, -f) for h, f in reversed(img))
-            if len(letters) > cap:
-                raise LetterCapExceeded(f"image length over cap {cap}")
         return FreeWord(self.rank, letters)
-
-    def __mul__(self, other):
-        """self then other: (a*b)(gamma) = b(a(gamma))."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return ArtinAuto(self.rank, [other.apply(w) for w in self.images])
 
     def total_letters(self):
         return sum(len(w) for w in self.images)
@@ -216,36 +213,25 @@ class BraidWord:
         return f"<{body} n={self.strands}>"
 
 
-def _generator_auto(i, sign, rank):
-    """The automorphism of sigma_i^(sign), 1-based generator index."""
-    a, b = i - 1, i  # 0-based strand slots
-    images = [FreeWord.generator(g, rank) for g in range(rank)]
-    ga = FreeWord.generator(a, rank)
-    gb = FreeWord.generator(b, rank)
-    if sign == 1:
-        images[a] = ga * gb * ga.inverse()
-        images[b] = ga
-    else:
-        images[a] = gb
-        images[b] = gb.inverse() * ga * gb
-    return ArtinAuto(rank, images)
-
-
 def artin_rep(word, cap=DEFAULT_LETTER_CAP):
-    """The free-group automorphism of a braid word (letters left-to-right)."""
-    auto = ArtinAuto.identity(word.strands)
-    for i, s in word.letters:
-        auto = auto * _generator_auto(i, s, word.strands)
-        if auto.total_letters() > cap:
+    """The free-group automorphism of a braid word (letters left-to-right).
+
+    Hurwitz moves on the free generators, from the last letter to the
+    first; raises LetterCapExceeded once the images exceed `cap` letters.
+    """
+    f = Factorization(ArtinAuto.identity(word.strands).images)
+    for i, s in reversed(word.letters):
+        f = hurwitz_move(f, i, inverse=(s < 0))
+        if sum(len(w) for w in f) > cap:
             raise LetterCapExceeded(f"automorphism over cap {cap}")
-    return auto
+    return ArtinAuto(word.strands, f)
 
 
-def braid_equal(w1, w2, cap=DEFAULT_LETTER_CAP):
+def braid_equal(w1, w2):
     """Exact equality in the disk braid group via the Artin representation."""
     if w1.strands != w2.strands:
         raise ValueError("strand mismatch")
-    return artin_rep(w1, cap) == artin_rep(w2, cap)
+    return artin_rep(w1) == artin_rep(w2)
 
 
 def word_permutation(word):
@@ -305,11 +291,10 @@ class BraidElement:
     elements.
     """
 
-    __slots__ = ("word", "cap")
+    __slots__ = ("word",)
 
-    def __init__(self, word, cap=DEFAULT_LETTER_CAP):
+    def __init__(self, word):
         object.__setattr__(self, "word", word.free_reduce())
-        object.__setattr__(self, "cap", cap)
 
     def __setattr__(self, *a):
         raise AttributeError("BraidElement is immutable")
@@ -320,14 +305,14 @@ class BraidElement:
 
     def equal_as_braids(self, other) -> bool:
         return self.word.strands == other.word.strands and braid_equal(
-            self.word, other.word, self.cap
+            self.word, other.word
         )
 
     def __mul__(self, other):
-        return BraidElement(self.word * other.word, self.cap)
+        return BraidElement(self.word * other.word)
 
     def inverse(self):
-        return BraidElement(self.word.inverse(), self.cap)
+        return BraidElement(self.word.inverse())
 
     def __eq__(self, other):
         return (

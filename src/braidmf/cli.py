@@ -246,27 +246,40 @@ def braid_eq(args):
     }
 
 
-def _read_factorization_file(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+def _read_factorization_file(path, *keys):
+    """The JSON object in `path`, holding "group" and each of `keys`.
+
+    A braid file also needs "strands".  Bad JSON or a missing key raises
+    ValueError naming the file.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level")
+    if doc.get("group") == "braid":
+        keys = ("strands", *keys)
+    for key in ("group", *keys):
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
     return doc
 
 
-def _load_elements(doc):
+def _load_elements(doc, key):
     group = doc["group"]
     if group == "s4":
-        return tuple(Perm.from_json(e) for e in doc["elements"])
+        return tuple(Perm.from_json(e) for e in doc[key])
     if group == "braid":
         n = doc["strands"]
-        return tuple(BraidElement.from_signed(n, tuple(e)) for e in doc["elements"])
+        return tuple(BraidElement.from_signed(n, tuple(e)) for e in doc[key])
     raise ValueError(f"unsupported factorization group {group!r}")
 
 
 def hurwitz_act(args):
-    doc = _read_factorization_file(args.file)
-    out = act_moves(Factorization(_load_elements(doc)), _ints(args.moves))
+    doc = _read_factorization_file(args.file, "elements")
+    out = act_moves(Factorization(_load_elements(doc, "elements")), _ints(args.moves))
     if doc["group"] == "s4":
         dumped = [e.to_json() for e in out.elements]
     else:
@@ -278,9 +291,9 @@ def hurwitz_act(args):
 
 
 def hurwitz_search(args):
-    doc = _read_factorization_file(args.file)
-    start = Factorization(_load_elements({**doc, "elements": doc["start"]}))
-    target = Factorization(_load_elements({**doc, "elements": doc["target"]}))
+    doc = _read_factorization_file(args.file, "start", "target")
+    start = Factorization(_load_elements(doc, "start"))
+    target = Factorization(_load_elements(doc, "target"))
     res = orbit_search(start, target, max_depth=args.max_depth)
     details = (
         f"moves {list(res.moves)}, visited {res.visited}, "

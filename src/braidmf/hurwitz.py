@@ -3,7 +3,7 @@
 A factorization is an ordered tuple of group elements regarded together
 with its product.  Elements may belong to any group: all that is needed
 is `*` (left-to-right composition), `.inverse()`, `==` and `hash`.
-Perm, BraidElement and F2Operator all satisfy this protocol.
+Perm, BraidElement, FreeWord and F2Operator all satisfy this protocol.
 
 The forward Hurwitz move at index i (1-based) is
 
@@ -180,25 +180,17 @@ def generated_subgroup(elements, cap=200_000):
 def _conjugacy_classes(group):
     """Partition a finite group (iterable) into conjugacy classes.
 
-    Returns a dict mapping each element to the minimal (by repr order of
-    insertion) representative of its class.
+    Returns a dict mapping each element to the first element of its class
+    in iteration order.  The class of x is {g^{-1} x g : g in group}, one
+    pass over the group per class.
     """
     group = list(group)
     rep_of = {}
     for x in group:
         if x in rep_of:
             continue
-        cls = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in group:
-                z = g.inverse() * y * g
-                if z not in cls:
-                    cls.add(z)
-                    frontier.append(z)
-        for y in cls:
-            rep_of[y] = x
+        for g in group:
+            rep_of[g.inverse() * x * g] = x
     return rep_of
 
 

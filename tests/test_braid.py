@@ -82,6 +82,32 @@ def test_rep_fixes_free_generator_product():
         assert artin_rep(w).apply(prod) == prod
 
 
+def test_rep_of_product_is_substitution():
+    # the images of u*v are the images of u with v's images substituted in
+    rng = random.Random(6)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        u, v = _random_word(rng, n, 10), _random_word(rng, n, 10)
+        ru, rv = artin_rep(u), artin_rep(v)
+        assert list(artin_rep(u * v).images) == [rv.apply(x) for x in ru.images]
+
+
+def test_generator_images():
+    # sigma_i: g_i -> g_i g_{i+1} g_i^-1, g_{i+1} -> g_i; sigma_i^-1 inverts it
+    for i in range(1, 4):
+        a, b = i - 1, i
+        for sign in (1, -1):
+            images = list(ArtinAuto.identity(4).images)
+            if sign == 1:
+                images[a] = FreeWord(4, [(a, 1), (b, 1), (a, -1)])
+                images[b] = FreeWord(4, [(a, 1)])
+            else:
+                images[a] = FreeWord(4, [(b, 1)])
+                images[b] = FreeWord(4, [(b, -1), (a, 1), (b, 1)])
+            rep = artin_rep(BraidWord.generator(i, 4, sign))
+            assert rep == ArtinAuto(4, images)
+
+
 def test_sphere_relation_is_nontrivial_in_disk_group():
     # the representation sees the disk group, where this word is not 1
     w = sphere_relation_word(4)

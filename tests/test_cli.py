@@ -196,3 +196,28 @@ def test_resource_limit_exit_code(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 3
     assert out == "" and err == "error: automorphism over cap 5\n"
+
+
+@pytest.mark.parametrize("sub, doc, key", [
+    ("act", {"elements": [[2, 1, 3, 4]]}, "group"),
+    ("search", {"group": "s4", "target": [[2, 1, 3, 4]]}, "start"),
+    ("search", {"group": "s4", "start": [[2, 1, 3, 4]]}, "target"),
+    ("act", {"group": "braid", "elements": [[1]]}, "strands"),
+])
+def test_missing_key_names_file_and_key(tmp_path, capsys, sub, doc, key):
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--moves", "1"] if sub == "act" else []
+    code = main(["hurwitz", sub, "--file", str(path), *extra])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == f"error: {path}: missing key '{key}'\n"
+
+
+def test_bad_json_names_file(tmp_path, capsys):
+    path = tmp_path / "fact.json"
+    path.write_text('{"group": "s4", "elements": [[2, 1, 3, 4]')
+    code = main(["hurwitz", "search", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {path}: Expecting ',' delimiter")
