@@ -34,12 +34,24 @@ class LetterCapExceeded(RuntimeError):
 def _reduce(letters):
     """Freely reduce a letter sequence [(gen, exp), ...] with exp = +-1."""
     out = []
-    for g, e in letters:
-        if out and out[-1][0] == g and out[-1][1] == -e:
+    for x in letters:  # keep the objects: reduced words share them
+        if out and out[-1][0] == x[0] and out[-1][1] == -x[1]:
             out.pop()
         else:
-            out.append((g, e))
+            out.append(x)
     return tuple(out)
+
+
+# letter -> inverse letter, one shared tuple per letter value: a free word
+# then costs a pointer a letter (8 bytes), not a fresh tuple (64).
+class _Inverses(dict):
+    def __missing__(self, letter):
+        inverse = self[letter] = (letter[0], -letter[1])
+        self[inverse] = letter
+        return inverse
+
+
+_INVERSE = _Inverses()
 
 
 class FreeWord:
@@ -59,7 +71,7 @@ class FreeWord:
 
     @classmethod
     def generator(cls, g, rank, exp=1):
-        return cls(rank, [(g, exp)])
+        return cls(rank, [_INVERSE[(g, -exp)]])
 
     def __mul__(self, other):
         if self.rank != other.rank:
@@ -67,7 +79,7 @@ class FreeWord:
         return FreeWord(self.rank, self.letters + other.letters)
 
     def inverse(self):
-        return FreeWord(self.rank, [(g, -e) for g, e in reversed(self.letters)])
+        return FreeWord(self.rank, [_INVERSE[x] for x in reversed(self.letters)])
 
     def __len__(self):
         return len(self.letters)
@@ -115,11 +127,8 @@ class ArtinAuto:
         """Substitute generator images into a FreeWord."""
         letters = []
         for g, e in word.letters:
-            img = self.images[g].letters
-            if e == 1:
-                letters.extend(img)
-            else:
-                letters.extend((h, -f) for h, f in reversed(img))
+            img = self.images[g]
+            letters.extend(img.letters if e == 1 else img.inverse().letters)
         return FreeWord(self.rank, letters)
 
     def total_letters(self):

@@ -166,3 +166,15 @@ def test_braid_element_group_protocol():
         y = BraidElement(_random_word(rng, 4, 10))
         assert (x * y).inverse() == y.inverse() * x.inverse()
         assert hash(x * x.inverse()) == hash(BraidElement.from_signed(4, []))
+
+
+def test_images_share_letter_objects():
+    # Each letter value is one tuple object, so an image near the letter
+    # cap holds a pointer per letter, not a fresh tuple per letter.
+    rng = random.Random(7)
+    for n in range(2, 7):
+        auto = artin_rep(_random_word(rng, n, 30))
+        inverses = [img.inverse() for img in auto.images]
+        letters = {id(x) for w in (*auto.images, *inverses) for x in w.letters}
+        assert len(letters) <= 2 * n
+        assert [w.inverse() for w in inverses] == list(auto.images)
