@@ -168,50 +168,54 @@ class BmfFactorization:
         }
 
 
-def _beta_f(b):
-    out = []
-    for i in range(2, 2 * b + 1):
-        pair = (
-            BmfFactor(("a", 1, i), 1),
-            BmfFactor(("c", 1, i), 1, ((("p", 1), -2),)),
-        )
-        out += [*pair, *pair]
-    return tuple(out)
+def _beta_pairs(pair, twist, n):
+    """Pair twists (x,1,i) and (y,1,i)^(twist_1^-2), each pair twice, for
+    i = 2..2n; (x, y) = pair."""
+    x, y = pair
+    conj = (((twist, 1), -2),)
+    return tuple(
+        factor
+        for i in range(2, 2 * n + 1)
+        for factor in (BmfFactor((x, 1, i), 1), BmfFactor((y, 1, i), 1, conj)) * 2
+    )
 
 
-def _beta_fg(d):
-    out = []
-    for j in range(2 * d, 0, -1):
-        out += [
-            BmfFactor(("u", 1, j), 3),
-            BmfFactor(("s", 1, j), 1),
-            BmfFactor(("u'", 1, j), 3),
-            BmfFactor(("u''", 1, j), 3),
-        ]
-    return tuple(out)
+def _beta_cross(n, order):
+    """The u, s, u', u'' twists at (1, j) for j = 2n..1; order -1 puts the
+    running index first, (j, 1)."""
+    return tuple(
+        BmfFactor((kind, *(1, j)[::order]), exp)
+        for j in range(2 * n, 0, -1)
+        for kind, exp in (("u", 3), ("s", 1), ("u'", 3), ("u''", 3))
+    )
 
 
-def _beta_g(d):
-    out = []
-    for j in range(2, 2 * d + 1):
-        pair = (
-            BmfFactor(("b", 1, j), 1),
-            BmfFactor(("d", 1, j), 1, ((("q", 1), -2),)),
-        )
-        out += [*pair, *pair]
-    return tuple(out)
+def _side(p, sides, twist, pair, order):
+    """One side's 2a repetitions of beta, the twist_1 full twists (signed
+    like 2b - d) and the crossing block.  The g-side is the f-side of
+    p.swapped() under (a,c,p) -> (b,d,q) and (1,j) -> (j,1)."""
+    diff = 2 * p.b - p.d
+    full = tuple(BmfFactor((twist, 1), 2 * _sign(diff)) for _ in range(abs(diff)))
+    parts = (
+        (f"beta_{sides[0]}", _beta_pairs(pair, twist, p.b)),
+        (f"twists_{twist}1", full),
+        (f"beta_{sides}", _beta_cross(p.d, order)),
+    )
+    return [
+        Block(kind, rep, factors)
+        for rep in range(1, 2 * p.a + 1)
+        for kind, factors in parts
+    ]
 
 
-def _beta_gf(b):
-    out = []
-    for i in range(2 * b, 0, -1):
-        out += [
-            BmfFactor(("u", i, 1), 3),
-            BmfFactor(("s", i, 1), 1),
-            BmfFactor(("u'", i, 1), 3),
-            BmfFactor(("u''", i, 1), 3),
-        ]
-    return tuple(out)
+def _twist_blocks(p, twist):
+    """|2a - c| pure full-twist blocks over twist_1..twist_2b, signed like
+    2a - c."""
+    diff = 2 * p.a - p.c
+    if not diff:
+        return []
+    row = tuple(BmfFactor((twist, i), 2 * _sign(diff)) for i in range(1, 2 * p.b + 1))
+    return [Block(f"{twist}_block", rep, row) for rep in range(1, abs(diff) + 1)]
 
 
 def generate_bmf(p: SurfaceParams) -> BmfFactorization:
@@ -219,57 +223,14 @@ def generate_bmf(p: SurfaceParams) -> BmfFactorization:
     pure full-twist blocks, then the mirrored g-side repetitions.  Each
     full-twist block carries the constant sign of the count that sets its
     length."""
-    a, b, c, d = p.a, p.b, p.c, p.d
-    blocks = []
-    s1 = _sign(2 * b - d)
-    for rep in range(1, 2 * a + 1):
-        blocks.append(Block("beta_f", rep, _beta_f(b)))
-        blocks.append(
-            Block(
-                "twists_p1",
-                rep,
-                tuple(
-                    BmfFactor(("p", 1), 2 * s1) for _ in range(abs(2 * b - d))
-                ),
-            )
-        )
-        blocks.append(Block("beta_fg", rep, _beta_fg(d)))
-    s2 = _sign(2 * a - c)
-    for rep in range(1, abs(2 * a - c) + 1):
-        blocks.append(
-            Block(
-                "p_block",
-                rep,
-                tuple(
-                    BmfFactor(("p", i), 2 * s2) for i in range(1, 2 * b + 1)
-                ),
-            )
-        )
-    s3 = _sign(2 * c - a)
-    for rep in range(1, abs(2 * c - a) + 1):
-        blocks.append(
-            Block(
-                "q_block",
-                rep,
-                tuple(
-                    BmfFactor(("q", j), 2 * s3) for j in range(1, 2 * d + 1)
-                ),
-            )
-        )
-    s4 = _sign(2 * d - b)
-    for rep in range(1, 2 * c + 1):
-        blocks.append(Block("beta_g", rep, _beta_g(d)))
-        blocks.append(
-            Block(
-                "twists_q1",
-                rep,
-                tuple(
-                    BmfFactor(("q", 1), 2 * s4) for _ in range(abs(2 * d - b))
-                ),
-            )
-        )
-        blocks.append(Block("beta_gf", rep, _beta_gf(b)))
-    return BmfFactorization(p, tuple(blocks))
+    g = p.swapped()
+    blocks = (
+        *_side(p, "fg", "p", ("a", "c"), 1),
+        *_twist_blocks(p, "p"),
+        *_twist_blocks(g, "q"),
+        *_side(g, "gf", "q", ("b", "d"), -1),
+    )
+    return BmfFactorization(p, blocks)
 
 
 class CensusMismatch(AssertionError):

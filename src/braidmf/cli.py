@@ -267,19 +267,27 @@ def _read_factorization_file(path, *keys):
     return doc
 
 
-def _load_elements(doc, key):
-    group = doc["group"]
+def _load_elements(path, doc, key):
+    """The integer lists under `key` as permutations (s4) or signed braid
+    words (braid); a malformed value raises ValueError naming file and key."""
+    group, items = doc["group"], doc[key]
+    if group not in ("s4", "braid"):
+        raise ValueError(f"unsupported factorization group {group!r}")
+    if group == "braid" and not isinstance(doc["strands"], int):
+        raise ValueError(f"{path}: 'strands' must be an integer")
+    if not isinstance(items, list) or not all(
+        isinstance(e, list) and all(isinstance(x, int) for x in e) for e in items
+    ):
+        raise ValueError(f"{path}: {key!r} must be a list of integer lists")
     if group == "s4":
-        return tuple(Perm.from_json(e) for e in doc[key])
-    if group == "braid":
-        n = doc["strands"]
-        return tuple(BraidElement.from_signed(n, tuple(e)) for e in doc[key])
-    raise ValueError(f"unsupported factorization group {group!r}")
+        return tuple(Perm.from_json(e) for e in items)
+    return tuple(BraidElement.from_signed(doc["strands"], e) for e in items)
 
 
 def hurwitz_act(args):
     doc = _read_factorization_file(args.file, "elements")
-    out = act_moves(Factorization(_load_elements(doc, "elements")), _ints(args.moves))
+    elements = _load_elements(args.file, doc, "elements")
+    out = act_moves(Factorization(elements), _ints(args.moves))
     if doc["group"] == "s4":
         dumped = [e.to_json() for e in out.elements]
     else:
@@ -292,8 +300,8 @@ def hurwitz_act(args):
 
 def hurwitz_search(args):
     doc = _read_factorization_file(args.file, "start", "target")
-    start = Factorization(_load_elements(doc, "start"))
-    target = Factorization(_load_elements(doc, "target"))
+    start = Factorization(_load_elements(args.file, doc, "start"))
+    target = Factorization(_load_elements(args.file, doc, "target"))
     res = orbit_search(start, target, max_depth=args.max_depth)
     details = (
         f"moves {list(res.moves)}, visited {res.visited}, "

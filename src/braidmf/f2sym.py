@@ -22,6 +22,20 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _independent(rows):
+    """Indices of a greedy linearly independent subset of the int bitsets,
+    in the given order."""
+    basis, keep = [], []
+    for k, x in enumerate(rows):
+        for r in basis:
+            x = min(x, x ^ r)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+            keep.append(k)
+    return keep
+
+
 @dataclass(frozen=True)
 class F2Vec:
     dim: int
@@ -80,20 +94,7 @@ class F2BilinearForm:
         return acc
 
     def rank(self):
-        rows = list(self.gram)
-        r = 0
-        for col in range(self.dim):
-            piv = next(
-                (k for k in range(r, self.dim) if (rows[k] >> col) & 1), None
-            )
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for k in range(self.dim):
-                if k != r and (rows[k] >> col) & 1:
-                    rows[k] ^= rows[r]
-            r += 1
-        return r
+        return len(_independent(self.gram))
 
     def is_nondegenerate(self):
         return self.rank() == self.dim
@@ -301,65 +302,27 @@ def quadratic_from_basis(space_or_form, values=None) -> F2Quadratic:
     return F2Quadratic(form, tuple(values))
 
 
-def _solve_pairings(form: F2BilinearForm, rhs_bits: int) -> F2Vec:
-    """The unique x with (x, e_i) = bit i of rhs for every basis vector."""
-    n = form.dim
-    rows = list(form.gram)
-    rhs = [(rhs_bits >> i) & 1 for i in range(n)]
-    x_of_row = [None] * n
-    r = 0
-    order = []
-    for col in range(n):
-        piv = next((k for k in range(r, n) if (rows[k] >> col) & 1), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        for k in range(n):
-            if k != r and (rows[k] >> col) & 1:
-                rows[k] ^= rows[r]
-                rhs[k] ^= rhs[r]
-        order.append(col)
-        r += 1
-    if r < n:
-        raise ValueError("inconsistent or underdetermined pairing system")
-    x = 0
-    for k, col in enumerate(order):
-        x |= rhs[k] << col
-    return F2Vec(n, x)
+def omitted_vectors(space: CrossSpace):
+    """The three fibre cycles left out of the basis, expressed in it.
+
+    Each chain closer meets the last kept member of its chain once and
+    every other basis cycle zero times, so it is G^-1 e_last for the Gram
+    matrix G: one inversion gives all three.
+    """
+    a, c = space.a, space.c
+    inv = F2Operator(space.dim, space.form.gram).inverse()
+    return {
+        f"{ch}{n + 1}": F2Vec(space.dim, inv.cols[space.index(f"{ch}{n}")])
+        for ch, n in (("b", 2 * c - 2), ("c", 2 * a - 2), ("d", 2 * c - 2))
+    }
 
 
 def omitted_vector(label: str, space: CrossSpace) -> F2Vec:
-    """The three fibre cycles left out of the basis, expressed in it.
-
-    The b-chain closer has an explicit formula (sum of alternate a- and
-    b-cycles); the c- and d-chain closers are solved from their pairing
-    constraints (intersection 1 with the last kept chain member, 0 with
-    everything else).
-    """
-    a, c = space.a, space.c
-    names = {
-        "b": f"b{2 * c - 1}",
-        "c": f"c{2 * a - 1}",
-        "d": f"d{2 * c - 1}",
-    }
-    if label == names["b"]:
-        parts = [f"a{k}" for k in range(1, 2 * a, 2)]
-        parts += [f"b{k}" for k in range(1, 2 * c - 2, 2)]
-        return space.vec(*parts)
-    if label == names["c"]:
-        return _solve_pairings(space.form, 1 << space.index(f"c{2 * a - 2}"))
-    if label == names["d"]:
-        return _solve_pairings(space.form, 1 << space.index(f"d{2 * c - 2}"))
-    raise ValueError(f"unknown omitted-vector label {label!r}")
-
-
-def omitted_vectors(space: CrossSpace):
-    a, c = space.a, space.c
-    return {
-        lbl: omitted_vector(lbl, space)
-        for lbl in (f"b{2 * c - 1}", f"c{2 * a - 1}", f"d{2 * c - 1}")
-    }
+    """One closer of `omitted_vectors`: b{2c-1}, c{2a-1} or d{2c-1}."""
+    try:
+        return omitted_vectors(space)[label]
+    except KeyError:
+        raise ValueError(f"unknown omitted-vector label {label!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +337,15 @@ def arf(q: F2Quadratic) -> int:
     )
 
 
-def arf_oracle(q: F2Quadratic, max_dim=24) -> int:
-    """Arf by exhaustive zero-counting: Arf 0 iff #zeros = 2^(2g-1)+2^(g-1)."""
+ARF_ORACLE_MAX_DIM = 24
+
+
+def arf_oracle(q: F2Quadratic) -> int:
+    """Arf by exhaustive zero-counting: Arf 0 iff #zeros = 2^(2g-1)+2^(g-1).
+    Dimensions above ARF_ORACLE_MAX_DIM are refused."""
     n = q.form.dim
-    if n > max_dim:
-        raise ValueError(f"oracle dimension cap {max_dim} exceeded")
+    if n > ARF_ORACLE_MAX_DIM:
+        raise ValueError(f"oracle dimension cap {ARF_ORACLE_MAX_DIM} exceeded")
     if n % 2:
         raise ValueError("need even dimension")
     vals = np.zeros(1, dtype=np.uint8)
@@ -478,20 +445,6 @@ def _closure_packed(gens, dim, cap):
     return [_unpack(k, dim) for k in order]
 
 
-def _independent_subset(vecs, dim):
-    """Greedy linearly independent subset, in the given order."""
-    rows, keep = [], []
-    for v in vecs:
-        x = v.bits
-        for r in rows:
-            x = min(x, x ^ r)
-        if x:
-            rows.append(x)
-            rows.sort(reverse=True)
-            keep.append(v)
-    return keep if len(keep) == dim else None
-
-
 def _diagram_shape(vecs, form):
     """(is_tree, is_chain, is_fork) for the intersection diagram of vecs.
 
@@ -531,10 +484,10 @@ def wajnryb_classify(gens, q: F2Quadratic) -> str:
     chain nor a fork) forces the orthogonal group of q; anything else gets
     no claim."""
     vecs = list(gens)
-    n = q.form.dim
-    basis = _independent_subset(vecs, n)
-    if basis is None:
+    keep = _independent([v.bits for v in vecs])
+    if len(keep) != q.form.dim:
         raise ValueError("generators do not span")
+    basis = [vecs[k] for k in keep]
     if any(q_eval(q, v) == 0 for v in vecs):
         return "full_symplectic"
     is_tree, is_chain, is_fork = _diagram_shape(basis, q.form)

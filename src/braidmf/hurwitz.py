@@ -249,12 +249,11 @@ class SearchResult:
     depth_reached: int = 0
 
 
-def orbit_search(start, target, max_depth, conjugators=(), node_cap=500_000):
+def orbit_search(start, target, max_depth, node_cap=500_000):
     """Breadth-first search for a Hurwitz move path from start to target.
 
     Explores forward and inverse moves at every index (smallest index
-    first, forward before inverse: deterministic).  Optionally also
-    branches on simultaneous conjugation by the supplied elements.
+    first, forward before inverse: deterministic).
     Returns a SearchResult; a miss within the budget proves nothing.
     Raises ValueError if the products differ (then no path can exist).
     """
@@ -273,19 +272,15 @@ def orbit_search(start, target, max_depth, conjugators=(), node_cap=500_000):
         for _ in range(len(frontier)):
             f = frontier.popleft()
             path = seen[f]
-            children = []
             for i in range(1, m):
-                children.append((i, hurwitz_move(f, i)))
-                children.append((-i, hurwitz_move(f, i, inverse=True)))
-            for k, g in enumerate(conjugators):
-                children.append((f"c{k}", simultaneous_conjugate(f, g)))
-            for mv, child in children:
-                if child in seen:
-                    continue
-                seen[child] = path + [mv]
-                if child == target:
-                    return SearchResult(True, path + [mv], len(seen), depth)
-                if len(seen) > node_cap:
-                    raise RuntimeError(f"search exceeded node cap {node_cap}")
-                frontier.append(child)
+                for mv in (i, -i):
+                    child = hurwitz_move(f, i, inverse=mv < 0)
+                    if child in seen:
+                        continue
+                    seen[child] = path + [mv]
+                    if child == target:
+                        return SearchResult(True, path + [mv], len(seen), depth)
+                    if len(seen) > node_cap:
+                        raise RuntimeError(f"search exceeded node cap {node_cap}")
+                    frontier.append(child)
     return SearchResult(False, [], len(seen), depth)

@@ -296,10 +296,13 @@ def _check_trials(trials):
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
-def property_run(b, d, trials=10_000, seed=0, max_len=8):
+PROPERTY_WORD_MAX_LEN = 8
+
+
+def property_run(b, d, trials=10_000, seed=0):
     """Randomized conservation run from tau0: orbit-superset closure,
     change-count evenness and M-parity checked after every generator of
-    every random word."""
+    every random word (up to PROPERTY_WORD_MAX_LEN generator words each)."""
     _check_trials(trials)
     rng = random.Random(seed)
     gens = hat_generator_words(b, d)
@@ -308,7 +311,7 @@ def property_run(b, d, trials=10_000, seed=0, max_len=8):
     words_applied = 0
     for _ in range(trials):
         f = base
-        for gen_word in random_action_word(rng, gens, max_len):
+        for gen_word in random_action_word(rng, gens, PROPERTY_WORD_MAX_LEN):
             f = apply_action_word(f, gen_word)
             words_applied += 1
             if not in_hat_orbit(f):

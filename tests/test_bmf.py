@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from braidmf import (
@@ -14,7 +16,7 @@ from braidmf import (
     tangent_cluster_factorization,
     tau0,
 )
-from braidmf.bmf import BmfFactor, factor_word, twist_str, twist_word
+from braidmf.bmf import Block, BmfFactor, factor_word, twist_str, twist_word
 from braidmf.hurwitz import act_moves
 
 
@@ -161,3 +163,40 @@ def test_abc_invariants_shared():
     assert (c.chi, c.K2, c.r) == (c2.chi, c2.K2, c2.r)
     assert p.a + p.c == p2.a + p2.c and p.b + p.d == p2.b + p2.d
     assert p.a * p.b != p2.a * p2.b  # the distinguishing quantity
+
+
+_MIRROR_KIND = {"beta_f": "beta_g", "twists_p1": "twists_q1", "beta_fg": "beta_gf"}
+
+
+def _mirror_tag(tag):
+    # a -> b, c -> d, p -> q; the crossing twists (k,1,j) -> (k,j,1)
+    kind = {"a": "b", "c": "d", "p": "q"}.get(tag[0], tag[0])
+    if kind in ("u", "u'", "u''", "s"):
+        return (kind, tag[2], tag[1])
+    return (kind, *tag[1:])
+
+
+def _mirror(blk):
+    factors = tuple(
+        BmfFactor(
+            _mirror_tag(f.twist),
+            f.exponent,
+            tuple((_mirror_tag(t), k) for t, k in f.conjugator),
+        )
+        for f in blk.factors
+    )
+    return Block(_MIRROR_KIND[blk.kind], blk.rep, factors)
+
+
+def test_g_side_mirrors_f_side():
+    for abcd in itertools.product(range(1, 6), repeat=4):
+        p = SurfaceParams(*abcd)
+        g_side = [
+            blk for blk in generate_bmf(p).blocks if blk.kind in _MIRROR_KIND.values()
+        ]
+        f_side = [
+            _mirror(blk)
+            for blk in generate_bmf(p.swapped()).blocks
+            if blk.kind in _MIRROR_KIND
+        ]
+        assert g_side and g_side == f_side

@@ -221,3 +221,26 @@ def test_bad_json_names_file(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and err.startswith(f"error: {path}: Expecting ',' delimiter")
+
+
+@pytest.mark.parametrize("sub", ["act", "search"])
+@pytest.mark.parametrize("doc, key", [
+    ({"group": "s4", "elements": 5}, "elements"),
+    ({"group": "s4", "elements": [["x"]]}, "elements"),
+    ({"group": "braid", "strands": 4, "elements": [1]}, "elements"),
+    ({"group": "braid", "strands": "4", "elements": [[1]]}, "strands"),
+])
+def test_malformed_elements_name_file_and_key(tmp_path, capsys, sub, doc, key):
+    doc = dict(doc)
+    extra = ["--moves", "1"]
+    if sub == "search":  # the same list as start and target
+        items = doc.pop("elements")
+        doc.update(start=items, target=items)
+        key = "start" if key == "elements" else key
+        extra = []
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps(doc))
+    code = main(["hurwitz", sub, "--file", str(path), *extra])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {path}: '{key}' must be")

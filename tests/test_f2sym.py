@@ -268,3 +268,29 @@ def test_horizontal_obstruction():
     assert horizontal_obstruction(2, 4, 4, 2)["verdict"] == "no_obstruction_same_arf"
     with pytest.raises(ValueError):
         horizontal_obstruction(1, 2, 2, 2)
+
+
+def test_b_closer_formula():
+    # the b-chain closer is the sum of the odd a-cycles and the odd b-cycles
+    for a in range(2, 7):
+        for c in range(2, 7):
+            space = build_cross_space(a, c)
+            parts = [f"a{k}" for k in range(1, 2 * a, 2)]
+            parts += [f"b{k}" for k in range(1, 2 * c - 2, 2)]
+            assert omitted_vector(f"b{2 * c - 1}", space) == space.vec(*parts)
+
+
+def test_rank_is_dim_minus_radical():
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for _ in range(25):
+            edges = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+            ]
+            form = form_from_edges(n, edges)
+            # the radical {v : G v = 0}, counted by enumeration
+            radical = sum(
+                not any((row & v).bit_count() & 1 for row in form.gram)
+                for v in range(1 << n)
+            )
+            assert radical == 1 << (n - form.rank())
