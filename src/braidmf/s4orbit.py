@@ -10,10 +10,30 @@ the boundary is 4d, which makes the snake window (4d-1 .. 4d+2), the
 covering monodromy assignment and the parity invariant M mutually
 consistent.  Under this convention M(tau0 . sigma_p) = 2 and
 M(tau0 . sigma_q) = 1; only the parity separation matters.
+
+Bitset encoding.  In O-hat every slot holds one of the two values of its
+block, so a state is fixed by the slots where it differs from tau0:
+`HatBits` stores it as an n-bit int with bit i set when slot i (0-based)
+differs.  On these ints
+  - a chain twist (swap i, i+1, i) swaps bits i-1 and i+1;
+  - a single pair swap at i swaps bits i-1 and i and flips both (it is
+    applied to Perm factorizations only, at the entry states);
+  - the snake is a lookup in a 16-entry table on bits 4d-2 .. 4d+1;
+  - M = popcount(x) // 2 + popcount(x & mask), the mask holding the odd
+    0-based slots at or past 4d.
+`snake_bit_table` derives the table from `snake_via_word` and raises if
+an output leaves O-hat or moves a slot outside the window; chain twists
+stay on one side of the boundary by construction.  That closure
+certificate is why the sampling loops of `verify_nonconjugacy` and
+`property_run` never re-check O-hat membership.  Their entry states
+(tau0, tau0 . left, tau0 . right) still go through `apply_generator`,
+`in_hat_orbit` and `invariant_M` on Perm factorizations, which also stay
+the reference the bitset walk is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -290,6 +310,82 @@ def snake_table(b=1, d=1):
     return rows
 
 
+@functools.cache
+def snake_bit_table():
+    """The snake on window bits: entry w is the window after the snake,
+    for window w (bit k = slot 4d-2+k differs from tau0).
+
+    Derived from `snake_via_word` on the 16 windows embedded in
+    tau0(1, 1); the word only moves strands 4d-1 .. 4d+2, so the table
+    holds for every (b, d).  Raises AssertionError if an output leaves
+    O-hat or changes a slot outside the window.
+    """
+    lo = tau0(1, 1).boundary - 2
+    table = [None] * 16
+    for window in all_windows():
+        f = embed_window(window, 1, 1)
+        out = snake_via_word(f)
+        kept = out.factors[:lo] + out.factors[lo + 4 :]
+        if not in_hat_orbit(out) or kept != f.factors[:lo] + f.factors[lo + 4 :]:
+            raise AssertionError(f"snake leaves O-hat or its window on {window}")
+        table[_changed_bits(f) >> lo] = _changed_bits(out) >> lo
+    return tuple(table)
+
+
+def _changed_bits(f, ref=None):
+    return sum(1 << i for i in change_positions(f, ref))
+
+
+TRIVIAL_OP, SNAKE_OP = -1, -2
+
+
+class HatBits:
+    """O-hat of (b, d) as n-bit ints (see the module docstring).
+
+    `ops` runs parallel to `hat_generator_words(b, d)`: TRIVIAL_OP,
+    SNAKE_OP, or the low bit a of a chain twist swapping bits a, a+2.
+    """
+
+    def __init__(self, b, d):
+        self.base = tau0(b, d)
+        B = self.base.boundary
+        self.lo = B - 2
+        self.ops = [_bit_op(word) for word in hat_generator_words(b, d)]
+        self.mask = sum(1 << i for i in range(B + 1, self.base.length, 2))
+        # x ^ snake[window of x] is the snake of x
+        self.snake = tuple(
+            (w ^ out) << self.lo for w, out in enumerate(snake_bit_table())
+        )
+
+    def encode(self, f):
+        """The bitset of a factorization in O-hat."""
+        if not in_hat_orbit(f):
+            raise ValueError("factorization is not in the orbit superset")
+        return _changed_bits(f, self.base)
+
+    def M(self, x):
+        """invariant_M of the decoded state."""
+        return x.bit_count() // 2 + (x & self.mask).bit_count()
+
+    def step(self, x, op):
+        """The state after one generator op (an entry of `ops`)."""
+        if op >= 0:
+            if (x >> op ^ x >> op + 2) & 1:
+                x ^= 5 << op
+        elif op == SNAKE_OP:
+            x ^= self.snake[x >> self.lo & 15]
+        return x
+
+
+def _bit_op(word):
+    first = word[0]
+    if first.kind == "trivial":
+        return TRIVIAL_OP
+    if first.kind == "snake":
+        return SNAKE_OP
+    return first.index - 1  # chain twist (swap i, i+1, i): bits i-1, i+1
+
+
 def _check_trials(trials):
     # zero or negative trials would pass on no evidence at all
     if trials < 1:
@@ -305,20 +401,20 @@ def property_run(b, d, trials=10_000, seed=0):
     every random word (up to PROPERTY_WORD_MAX_LEN generator words each)."""
     _check_trials(trials)
     rng = random.Random(seed)
-    gens = hat_generator_words(b, d)
-    base = tau0(b, d)
+    bits = HatBits(b, d)
+    start = bits.encode(bits.base)
+    parity = invariant_M(bits.base) % 2
+    # every bitset is in O-hat (closure certificate, module docstring)
     violations = {"orbit": 0, "evenness": 0, "m_parity": 0}
     words_applied = 0
     for _ in range(trials):
-        f = base
-        for gen_word in random_action_word(rng, gens, PROPERTY_WORD_MAX_LEN):
-            f = apply_action_word(f, gen_word)
+        x = start
+        for op in random_action_word(rng, bits.ops, PROPERTY_WORD_MAX_LEN):
+            x = bits.step(x, op)
             words_applied += 1
-            if not in_hat_orbit(f):
-                violations["orbit"] += 1
-            if len(change_positions(f, base)) % 2:
+            if x.bit_count() % 2:
                 violations["evenness"] += 1
-            if invariant_M(f) % 2 != 0:  # M(tau0) = 0
+            if bits.M(x) % 2 != parity:
                 violations["m_parity"] += 1
     return {
         "b": b,
@@ -352,26 +448,20 @@ def verify_nonconjugacy(b, d, trials=10_000, seed=0, left=None, right=None):
     rng = random.Random(seed)
     left = left or sigma_p_action(b, d)
     right = right or sigma_q_action(b, d)
-    base = tau0(b, d)
-    gens = hat_generator_words(b, d)
+    bits = HatBits(b, d)
 
-    m_right = invariant_M(apply_generator(base, right))
-    m_left0 = invariant_M(apply_generator(base, left))
+    m_right = invariant_M(apply_generator(bits.base, right))
+    g = apply_generator(bits.base, left)
+    m_left0 = invariant_M(g)
+    start = bits.encode(g)
     left_parities = {m_left0 % 2}
-    violations = 0
     for _ in range(trials):
-        word = [a for gw in random_action_word(rng, gens) for a in gw]
-        g = apply_action_word(apply_generator(base, left), word)
-        if not in_hat_orbit(g):
-            violations += 1
-            continue
-        left_parities.add(invariant_M(g) % 2)
+        x = start
+        for op in random_action_word(rng, bits.ops):
+            x = bits.step(x, op)
+        left_parities.add(bits.M(x) % 2)
 
-    separated = (
-        len(left_parities) == 1
-        and violations == 0
-        and (m_right % 2) not in left_parities
-    )
+    separated = len(left_parities) == 1 and (m_right % 2) not in left_parities
     return {
         "b": b,
         "d": d,
@@ -382,7 +472,8 @@ def verify_nonconjugacy(b, d, trials=10_000, seed=0, left=None, right=None):
         "M_right": m_right,
         "left_parities": sorted(left_parities),
         "right_parity": m_right % 2,
-        "orbit_violations": violations,
+        # every bitset is in O-hat (closure certificate, module docstring)
+        "orbit_violations": 0,
         "verdict": "not conjugate in stabilized monodromy group"
         if separated
         else "inconclusive",

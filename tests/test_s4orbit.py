@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,9 @@ from braidmf.s4orbit import (
     B_VALUES,
     D_VALUES,
     PI,
+    PROPERTY_WORD_MAX_LEN,
+    SNAKE_OP,
+    TRIVIAL_OP,
     SNAKE_STEP_MOVES,
     T12,
     T13,
@@ -27,11 +31,13 @@ from braidmf.s4orbit import (
     apply_action_word,
     change_positions,
     embed_window,
+    HatBits,
     hat_generator_words,
     random_action_word,
     replay_derivation,
     sigma_p_action,
     sigma_q_action,
+    snake_bit_table,
     verify_nonconjugacy,
 )
 
@@ -170,3 +176,195 @@ def test_block_values():
     assert set(D_VALUES) == {T12, T34}
     assert set(B_VALUES) == {T13, T24}
     assert PI * PI == T12 * T12  # both identity
+
+
+# The sampling loops on Perm factorizations, as they ran before the bitset
+# walk: the reference the bitset reports must equal byte for byte.
+
+
+def _perm_property_run(b, d, trials, seed):
+    rng = random.Random(seed)
+    gens = hat_generator_words(b, d)
+    base = tau0(b, d)
+    violations = {"orbit": 0, "evenness": 0, "m_parity": 0}
+    words_applied = 0
+    for _ in range(trials):
+        f = base
+        for gen_word in random_action_word(rng, gens, PROPERTY_WORD_MAX_LEN):
+            f = apply_action_word(f, gen_word)
+            words_applied += 1
+            if not in_hat_orbit(f):
+                violations["orbit"] += 1
+            if len(change_positions(f, base)) % 2:
+                violations["evenness"] += 1
+            if invariant_M(f) % 2 != 0:
+                violations["m_parity"] += 1
+    return {
+        "b": b,
+        "d": d,
+        "trials": trials,
+        "seed": seed,
+        "generator_words": words_applied,
+        "violations": violations,
+    }
+
+
+def _perm_verify_nonconjugacy(b, d, trials, seed, left=None, right=None):
+    rng = random.Random(seed)
+    left = left or sigma_p_action(b, d)
+    right = right or sigma_q_action(b, d)
+    base = tau0(b, d)
+    gens = hat_generator_words(b, d)
+    m_right = invariant_M(apply_generator(base, right))
+    m_left0 = invariant_M(apply_generator(base, left))
+    left_parities = {m_left0 % 2}
+    violations = 0
+    for _ in range(trials):
+        word = [a for gw in random_action_word(rng, gens) for a in gw]
+        g = apply_action_word(apply_generator(base, left), word)
+        if not in_hat_orbit(g):
+            violations += 1
+            continue
+        left_parities.add(invariant_M(g) % 2)
+    separated = (
+        len(left_parities) == 1
+        and violations == 0
+        and (m_right % 2) not in left_parities
+    )
+    return {
+        "b": b,
+        "d": d,
+        "convention": "D-block first, boundary 4d; labels p/q per this convention",
+        "trials": trials,
+        "seed": seed,
+        "M_left": m_left0,
+        "M_right": m_right,
+        "left_parities": sorted(left_parities),
+        "right_parity": m_right % 2,
+        "orbit_violations": violations,
+        "verdict": "not conjugate in stabilized monodromy group"
+        if separated
+        else "inconclusive",
+    }
+
+
+def _decode(bits, x):
+    # slot i of tau0 holds values[i % 2] of its block; a set bit takes the other
+    B = bits.base.boundary
+    return bits.base.with_factors(
+        (D_VALUES if i < B else B_VALUES)[(i ^ x >> i) & 1]
+        for i in range(bits.base.length)
+    )
+
+
+def test_bitset_walk_matches_perm_walk():
+    rng = random.Random(5)
+    for b, d in product(range(1, 5), repeat=2):
+        bits = HatBits(b, d)
+        gens = hat_generator_words(b, d)
+        for start in (sigma_p_action(b, d), sigma_q_action(b, d)):
+            f = apply_generator(bits.base, start)
+            x = bits.encode(f)
+            for _ in range(150):
+                j = rng.randrange(len(gens))
+                f = apply_action_word(f, gens[j])
+                x = bits.step(x, bits.ops[j])
+                assert _decode(bits, x) == f, ((b, d), gens[j])
+                assert bits.encode(f) == x
+                assert bits.M(x) == invariant_M(f)
+
+
+def test_reports_match_perm_oracle():
+    for (b, d), seed in product(((1, 1), (1, 3), (2, 1), (3, 2)), (0, 1, 2)):
+        p, q = sigma_p_action(b, d), sigma_q_action(b, d)
+        assert property_run(b, d, 200, seed) == _perm_property_run(b, d, 200, seed)
+        for left, right in ((p, q), (q, p)):
+            new = verify_nonconjugacy(b, d, 200, seed, left=left, right=right)
+            old = _perm_verify_nonconjugacy(b, d, 200, seed, left=left, right=right)
+            assert new == old, ((b, d), seed, left)
+
+
+def test_entry_states_are_validated():
+    base = tau0(1, 1)
+    with pytest.raises(ValueError):
+        verify_nonconjugacy(1, 1, 10, left=GeneratorAction("swap", base.boundary))
+    with pytest.raises(IndexError):
+        verify_nonconjugacy(1, 1, 10, right=GeneratorAction("swap", base.length))
+    bad = base.with_factors((T13,) + base.factors[1:])
+    with pytest.raises(ValueError):
+        HatBits(1, 1).encode(bad)
+
+
+def _bit_orbit(bits, start):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for op in bits.ops:
+                y = bits.step(x, op)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize(
+    "b,d,sizes",
+    [
+        (1, 1, (16, 16)),
+        (1, 2, (288, 224)),
+        (2, 1, (224, 288)),
+        (1, 3, (4096, 4096)),
+        (2, 2, (4096, 4096)),
+        (3, 1, (4096, 4096)),
+    ],
+)
+def test_exhaustive_orbit_parity(b, d, sizes):
+    # the whole orbits of tau0.sigma_p and tau0.sigma_q under the hat
+    # generators: every M-parity is even on one and odd on the other
+    bits = HatBits(b, d)
+    orbits = [
+        _bit_orbit(bits, bits.encode(apply_generator(bits.base, act(b, d))))
+        for act in (sigma_p_action, sigma_q_action)
+    ]
+    assert tuple(len(o) for o in orbits) == sizes
+    assert [{bits.M(x) % 2 for x in o} for o in orbits] == [{0}, {1}]
+
+
+def test_local_parity_certificate():
+    # chain twists swap two bits of one parity on one side of 4d, so M is
+    # unchanged; the snake changes M by an even amount on every window.
+    # Together: M-parity is invariant on O-hat for every (b, d).
+    for b, d in product(range(1, 7), repeat=2):
+        bits = HatBits(b, d)
+        B = bits.base.boundary
+        for word, op in zip(hat_generator_words(b, d), bits.ops, strict=True):
+            if len(word) == 1:
+                kind = word[0].kind
+                assert op == {"trivial": TRIVIAL_OP, "snake": SNAKE_OP}[kind]
+                continue
+            a = word[0].index - 1  # the word exchanges slots a and a+2
+            assert op == a
+            assert (a < B) == (a + 2 < B), ((b, d), a)
+            assert bits.mask >> a & 1 == bits.mask >> a + 2 & 1, ((b, d), a)
+            for x in (0, 1 << a, 4 << a, 5 << a):
+                assert bits.M(bits.step(x, a)) == bits.M(x)
+        for w in range(16):
+            x = w << bits.lo
+            assert (bits.M(bits.step(x, SNAKE_OP)) - bits.M(x)) % 2 == 0
+
+
+def test_snake_bit_table_matches_case_rule():
+    # a second oracle beside snake_via_word, which derives the table
+    table = snake_bit_table()
+    assert sorted(table) == list(range(16))
+    bits = HatBits(1, 1)
+    for window in all_windows():
+        prod = window[0] * window[1] * window[2] * window[3]
+        out = window
+        if not (prod.is_identity() or prod == PI):
+            out = tuple(PI * t * PI for t in window)
+        w, w_out = (bits.encode(embed_window(v, 1, 1)) for v in (window, out))
+        assert table[w >> bits.lo] == w_out >> bits.lo, window
