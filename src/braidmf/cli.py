@@ -24,6 +24,7 @@ from .bmf import (
 )
 from .braid import BraidElement, BraidWord, braid_equal
 from .f2sym import (
+    ARF_ORACLE_MAX_DIM,
     arf,
     arf_oracle,
     build_cross_space,
@@ -200,7 +201,7 @@ def run_arf(args):
     q = quadratic_from_basis(space)
     bit = arf(q)
     checks = [_check("arf", True, f"Arf = {bit}")]
-    if space.dim <= 20:
+    if space.dim <= ARF_ORACLE_MAX_DIM:
         oracle = arf_oracle(q)
         details = f"zero-count oracle gives {oracle}"
         checks.append(_check("arf oracle", bit == oracle, details))

@@ -89,6 +89,16 @@ def test_arf_with_oracle(capsys):
     assert names["arf oracle"] == "pass"
 
 
+def test_arf_oracle_runs_up_to_its_cap(capsys):
+    # dim 22 lies under ARF_ORACLE_MAX_DIM = 24, so the oracle must run
+    code, out = _run(capsys, "arf", "--a", "3", "--c", "4", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["params"]["dim"] == 22
+    names = {c["name"]: c["status"] for c in rep["checks"]}
+    assert names["arf oracle"] == "pass"
+
+
 def test_arf_oracle_skipped_beyond_cap(capsys):
     code, out = _run(capsys, "arf", "--a", "5", "--c", "5", "--json")
     assert code == 0

@@ -1,5 +1,7 @@
+import gc
 import random
 
+import numpy as np
 import pytest
 
 from braidmf import (
@@ -24,6 +26,7 @@ from braidmf import (
     transvection,
     wajnryb_classify,
 )
+from braidmf import f2sym
 from braidmf.f2sym import (
     cross_generators,
     e6_form,
@@ -160,6 +163,157 @@ def test_closure_generic_path_matches_packed():
     packed = {g.cols for g in _closure_packed(gens, 4, 10**6)}
     generic = {g.cols for g in bfs_closure(gens, 10**6)}
     assert packed == generic
+
+
+def _reference_closure(gens, dim, cap):
+    """The earlier packed closure, kept as the oracle: a Python set of
+    seen keys and np.unique per BFS level."""
+    mask = np.uint64((1 << dim) - 1)
+    shifts = [np.uint64(dim * i) for i in range(dim)]
+    tables = []
+    for g in gens:
+        t = np.zeros(1, dtype=np.uint64)
+        for i in range(dim):
+            t = np.concatenate([t, t ^ np.uint64(g.cols[i])])
+        tables.append(t)
+    order = []
+    seen = set()
+    frontier = []
+    for g in gens:
+        k = sum(c << (dim * i) for i, c in enumerate(g.cols))
+        if k not in seen:
+            seen.add(k)
+            order.append(k)
+            frontier.append(k)
+    frontier = np.array(frontier, dtype=np.uint64)
+    while frontier.size:
+        cands = []
+        for t in tables:
+            out = np.zeros_like(frontier)
+            for sh in shifts:
+                out |= t[(frontier >> sh) & mask] << sh
+            cands.append(out)
+        fresh = []
+        for k in np.unique(np.concatenate(cands)).tolist():
+            if k not in seen:
+                seen.add(k)
+                order.append(k)
+                fresh.append(k)
+        if len(seen) > cap:
+            raise RuntimeError(f"closure exceeded cap {cap}")
+        frontier = np.array(fresh, dtype=np.uint64)
+    mask = (1 << dim) - 1
+    return [tuple((k >> (dim * i)) & mask for i in range(dim)) for k in order]
+
+
+def _random_generators(rng, dim):
+    """A few transvections of a random (possibly degenerate) form, and
+    sometimes a permutation matrix, the identity or a repeated generator."""
+    edges = [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.5]
+    form = form_from_edges(dim, edges)
+    gens = [transvection(_random_vec(rng, dim), form) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.4:
+        perm = rng.sample(range(dim), dim)
+        gens.append(F2Operator(dim, tuple(1 << p for p in perm)))
+    if rng.random() < 0.2:
+        gens.append(F2Operator.identity(dim))
+    if rng.random() < 0.2:
+        gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_packed_closure_matches_reference():
+    rng = random.Random(41)
+    cap = 30_000
+    closed = capped = 0
+    for dim in range(1, 9):
+        for _ in range(12):
+            gens = _random_generators(rng, dim)
+            try:
+                want = _reference_closure(gens, dim, cap)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError, match=f"^{exc}$"):
+                    group_closure(gens, cap)
+                capped += 1
+                continue
+            closed += 1
+            assert [g.cols for g in group_closure(gens, cap)] == want
+            # the cap raises exactly when the closure outgrows it
+            for small in (len(want) - 1, len(want) // 2):
+                with pytest.raises(RuntimeError, match=f"^closure exceeded cap {small}$"):
+                    _reference_closure(gens, dim, small)
+                with pytest.raises(RuntimeError, match=f"^closure exceeded cap {small}$"):
+                    group_closure(gens, small)
+            assert len(group_closure(gens, len(want))) == len(want)
+    assert closed > 60 and capped > 0
+
+
+def test_packed_closure_cap_message():
+    form = _chain_form(4)
+    gens = [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
+    with pytest.raises(RuntimeError, match=r"^closure exceeded cap 100$"):
+        group_closure(gens, cap=100)
+    assert len(group_closure(gens, cap=120)) == 120
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_unpack_restores_gc_state(monkeypatch, was_enabled):
+    form = _chain_form(4)
+    gens = [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
+    enabled = gc.isenabled()
+    try:
+        (gc.enable if was_enabled else gc.disable)()
+        assert len(group_closure(gens)) == 120
+        assert gc.isenabled() == was_enabled
+
+        def broken(dim, cols):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(f2sym, "F2Operator", broken)
+        with pytest.raises(MemoryError):
+            group_closure(gens)
+        assert gc.isenabled() == was_enabled
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def _preserves_q_by_definition(g, q):
+    n = g.dim
+    return all(
+        q_eval(q, F2Vec(n, g.cols[i])) == q_eval(q, F2Vec.basis(i, n))
+        for i in range(n)
+    )
+
+
+def test_preserves_q_matches_q_eval():
+    rng = random.Random(43)
+    form = _chain_form(4)
+    sp4 = group_closure(
+        [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
+        + [transvection(F2Vec(4, 0b0101), form)]
+    )
+    for values in ((1, 1, 1, 1), (1, 0, 1, 0), (0, 0, 0, 0)):
+        q = quadratic_from_basis(form, values)
+        verdicts = [preserves_q(g, q) for g in sp4]
+        assert verdicts == [_preserves_q_by_definition(g, q) for g in sp4]
+        assert sum(verdicts) in (72, 120)
+    # random operators, dims 1..8 against random refinements
+    for dim in range(1, 9):
+        form = form_from_edges(
+            dim, [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.5]
+        )
+        q = quadratic_from_basis(form, [rng.randrange(2) for _ in range(dim)])
+        for _ in range(200):
+            g = F2Operator(dim, tuple(rng.randrange(1 << dim) for _ in range(dim)))
+            assert preserves_q(g, q) == _preserves_q_by_definition(g, q)
+    # above the table's dimension preserves_q evaluates q directly
+    space = build_cross_space(2, 2)
+    q = quadratic_from_basis(space)
+    for v in cross_generators(space):
+        t = transvection(v, space.form)
+        assert preserves_q(t, q) == _preserves_q_by_definition(t, q)
+        assert preserves_q(t, q) == (q_eval(q, v) == 1)
 
 
 def test_group_order_oracles():
