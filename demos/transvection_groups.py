@@ -44,7 +44,7 @@ assert q_eval(quadratic_from_basis(chain), q0) == 0
 sp = group_closure(gens + [transvection(q0, chain)])
 print(f"  plus a q-zero twist:    {len(sp):4d}  (|Sp(4,2)|   = {sp_group_order(2)})")
 
-print("\nDim 6, non-special tree diagram (takes ~half a minute):")
+print("\nDim 6, non-special tree diagram:")
 form = e6_form()
 gens6 = [transvection(F2Vec.basis(i, 6), form) for i in range(6)]
 print(f"  basis transvections:  {len(group_closure(gens6)):8d}  "

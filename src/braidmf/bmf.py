@@ -278,9 +278,9 @@ def twist_word(tag, b, d):
     n = 4 * (b + d)
     kind = tag[0]
     if kind == "p":
-        return BraidWord(n, ((4 * d + 2 * tag[1] - 1, 1),))
+        return BraidWord(n, (4 * d + 2 * tag[1] - 1,))
     if kind == "q":
-        return BraidWord(n, ((4 * d - 2 * tag[1] + 1, 1),))
+        return BraidWord(n, (4 * d - 2 * tag[1] + 1,))
     if kind == "a":
         return band_generator(4 * d + 1, 4 * d + 2 * tag[2] - 1, n)
     if kind == "c":
@@ -329,7 +329,7 @@ def realize_s4_trivial_action(factor: BmfFactor, tau) -> str:
 
 
 def _elt(n, *letters):
-    return BraidElement(BraidWord.from_signed(n, letters))
+    return BraidElement(BraidWord(n, letters))
 
 
 CUSP_CLUSTER_SCRAMBLE = (1, -2, 3, 1)  # fixed, documented move word
@@ -349,9 +349,7 @@ def cusp_cluster_factorization():
         )
     )
     start = act_moves(target, CUSP_CLUSTER_SCRAMBLE)
-    product_word = BraidWord.from_signed(
-        4, (2, 2, 2, 1, 3, 2, 1, 1, 3, 3)
-    )
+    product_word = BraidWord(4, (2, 2, 2, 1, 3, 2, 1, 1, 3, 3))
     return start, target, product_word
 
 

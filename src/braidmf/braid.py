@@ -32,21 +32,30 @@ class LetterCapExceeded(RuntimeError):
 
 
 def _reduce(letters):
-    """Freely reduce a letter sequence [(gen, exp), ...] with exp = +-1."""
+    """Freely reduce a sequence of signed letters: x next to -x cancels."""
     out = []
     for x in letters:  # keep the objects: reduced words share them
-        if out and out[-1][0] == x[0] and out[-1][1] == -x[1]:
+        if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
     return tuple(out)
 
 
-# letter -> inverse letter, one shared tuple per letter value: a free word
-# then costs a pointer a letter (8 bytes), not a fresh tuple (64).
+def _join(a, b):
+    """a + b for freely reduced letter tuples: only the seam can cancel."""
+    k, m = 0, min(len(a), len(b))
+    while k < m and a[-1 - k] == -b[k]:
+        k += 1
+    return a[: len(a) - k] + b[k:]
+
+
+# letter -> inverse letter, one shared int per letter value: CPython caches
+# no int below -5, and a free word then costs a pointer a letter (8 bytes),
+# not a fresh int (28).
 class _Inverses(dict):
     def __missing__(self, letter):
-        inverse = self[letter] = (letter[0], -letter[1])
+        inverse = self[letter] = -letter
         self[inverse] = letter
         return inverse
 
@@ -54,32 +63,52 @@ class _Inverses(dict):
 _INVERSE = _Inverses()
 
 
-class FreeWord:
-    """A freely reduced word in the free group of given rank."""
+def _inverse(letters):
+    """The letters of the inverse word, drawn from the shared table."""
+    return tuple(map(_INVERSE.__getitem__, reversed(letters)))
+
+
+class _Immutable:
+    """Slots set once, by __init__ from outside input or by _of."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _of(cls, *values):
+        """From values known to be valid (free words: reduced), no checks."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(obj, name, value)
+        return obj
+
+
+class FreeWord(_Immutable):
+    """A freely reduced word in the free group of given rank.
+
+    A letter is +g for the generator gamma_g and -g for its inverse,
+    1 <= g <= rank.
+    """
 
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank, letters=()):
-        for g, e in letters:
-            if not (0 <= g < rank) or e not in (1, -1):
-                raise ValueError(f"bad letter ({g},{e}) at rank {rank}")
+        letters = tuple(letters)
+        for x in letters:
+            if not 0 < abs(x) <= rank:
+                raise ValueError(f"bad letter {x} at rank {rank}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", _reduce(letters))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FreeWord is immutable")
-
-    @classmethod
-    def generator(cls, g, rank, exp=1):
-        return cls(rank, [_INVERSE[(g, -exp)]])
 
     def __mul__(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return FreeWord(self.rank, self.letters + other.letters)
+        return FreeWord._of(self.rank, _join(self.letters, other.letters))
 
     def inverse(self):
-        return FreeWord(self.rank, [_INVERSE[x] for x in reversed(self.letters)])
+        return FreeWord._of(self.rank, _inverse(self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -97,10 +126,10 @@ class FreeWord:
     def __repr__(self):
         if not self.letters:
             return "1"
-        return ".".join(f"g{g}" + ("'" if e < 0 else "") for g, e in self.letters)
+        return ".".join(f"g{abs(x)}" + ("'" if x < 0 else "") for x in self.letters)
 
 
-class ArtinAuto:
+class ArtinAuto(_Immutable):
     """A free-group automorphism given by the images of the generators.
 
     Used as the canonical form of a braid: two braid words are equal iff
@@ -116,19 +145,16 @@ class ArtinAuto:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "images", images)
 
-    def __setattr__(self, *a):
-        raise AttributeError("ArtinAuto is immutable")
-
     @classmethod
     def identity(cls, rank):
-        return cls(rank, [FreeWord.generator(g, rank) for g in range(rank)])
+        return cls(rank, [FreeWord(rank, [g]) for g in range(1, rank + 1)])
 
     def apply(self, word):
         """Substitute generator images into a FreeWord."""
         letters = []
-        for g, e in word.letters:
-            img = self.images[g]
-            letters.extend(img.letters if e == 1 else img.inverse().letters)
+        for x in word.letters:
+            img = self.images[abs(x) - 1]
+            letters.extend(img.letters if x > 0 else _inverse(img.letters))
         return FreeWord(self.rank, letters)
 
     def total_letters(self):
@@ -148,58 +174,42 @@ class ArtinAuto:
         return f"ArtinAuto({self.rank}, {list(self.images)!r})"
 
 
-class BraidWord:
+class BraidWord(_Immutable):
     """A word in the Artin generators of the braid group on n strands.
 
-    Letters are (index, sign) with 1-based index i in {1..n-1}; the JSON
-    form is an array of signed integers, +i for sigma_i, -i for its
-    inverse.
+    A letter is a signed integer, +i for sigma_i and -i for its inverse,
+    1 <= i <= n-1; the JSON form is the same array.
     """
 
     __slots__ = ("strands", "letters")
 
     def __init__(self, strands, letters=()):
-        letters = tuple((int(i), int(s)) for i, s in letters)
+        letters = tuple(map(int, letters))
         if strands < 2:
             raise ValueError("need at least 2 strands")
-        for i, s in letters:
-            if not (1 <= i < strands) or s not in (1, -1):
-                raise ValueError(f"bad letter ({i},{s}) on {strands} strands")
+        for x in letters:
+            if not 0 < abs(x) < strands:
+                # spelt (index,sign), as reports have always given it
+                sign = 1 if x > 0 else -1
+                raise ValueError(f"bad letter ({abs(x)},{sign}) on {strands} strands")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BraidWord is immutable")
-
-    @classmethod
-    def from_signed(cls, strands, signed):
-        """From signed integers: +i means sigma_i, -i means sigma_i^{-1}."""
-        return cls(strands, [(abs(k), 1 if k > 0 else -1) for k in signed])
-
-    def to_signed(self):
-        return [i * s for i, s in self.letters]
-
-    @classmethod
-    def generator(cls, i, strands, sign=1):
-        return cls(strands, [(i, sign)])
 
     def __mul__(self, other):
         if self.strands != other.strands:
             raise ValueError("strand mismatch")
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._of(self.strands, self.letters + other.letters)
 
     def __pow__(self, k):
         if k >= 0:
-            return BraidWord(self.strands, self.letters * k)
+            return BraidWord._of(self.strands, self.letters * k)
         return self.inverse() ** (-k)
 
     def inverse(self):
-        return BraidWord(
-            self.strands, [(i, -s) for i, s in reversed(self.letters)]
-        )
+        return BraidWord._of(self.strands, _inverse(self.letters))
 
     def free_reduce(self):
-        return BraidWord(self.strands, _reduce(self.letters))
+        return BraidWord._of(self.strands, _reduce(self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -218,7 +228,7 @@ class BraidWord:
     def __repr__(self):
         if not self.letters:
             return f"<empty braid, n={self.strands}>"
-        body = " ".join(f"s{i}" + ("'" if s < 0 else "") for i, s in self.letters)
+        body = " ".join(f"s{abs(x)}" + ("'" if x < 0 else "") for x in self.letters)
         return f"<{body} n={self.strands}>"
 
 
@@ -229,8 +239,8 @@ def artin_rep(word, cap=DEFAULT_LETTER_CAP):
     first; raises LetterCapExceeded once the images exceed `cap` letters.
     """
     f = Factorization(ArtinAuto.identity(word.strands).images)
-    for i, s in reversed(word.letters):
-        f = hurwitz_move(f, i, inverse=(s < 0))
+    for x in reversed(word.letters):
+        f = hurwitz_move(f, abs(x), inverse=x < 0)
         if sum(len(w) for w in f) > cap:
             raise LetterCapExceeded(f"automorphism over cap {cap}")
     return ArtinAuto(word.strands, f)
@@ -246,8 +256,8 @@ def braid_equal(w1, w2):
 def word_permutation(word):
     """Underlying permutation under sigma_i -> (i, i+1)."""
     p = Perm.identity(word.strands)
-    for i, _ in word.letters:
-        p = p * Perm.transposition(i, i + 1, word.strands)
+    for x in word.letters:
+        p = p * Perm.transposition(abs(x), abs(x) + 1, word.strands)
     return p
 
 
@@ -259,9 +269,9 @@ def band_generator(r, s, n):
     """
     if not (1 <= r < s <= n):
         raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={n}")
-    head = [(j, 1) for j in range(s - 1, r, -1)]
-    tail = [(j, -1) for j in range(r + 1, s)]
-    return BraidWord(n, head + [(r, 1)] + tail)
+    head = list(range(s - 1, r, -1))
+    tail = [-j for j in range(r + 1, s)]
+    return BraidWord(n, head + [r] + tail)
 
 
 def snake_word(d, n):
@@ -276,28 +286,20 @@ def snake_word(d, n):
     if n < 4 * d + 2:
         raise ValueError(f"need n >= {4 * d + 2} strands, got {n}")
     m = 4 * d
-    letters = (
-        [(m, 1)]
-        + [(m - 1, 1)] * 2
-        + [(m + 1, 1)] * 2
-        + [(m, 1)]
-        + [(m + 1, -1)] * 2
-        + [(m - 1, -1)] * 2
-        + [(m, -1)]
-    )
-    return BraidWord(n, letters)
+    squares = [m - 1, m - 1, m + 1, m + 1]
+    return BraidWord(n, [m, *squares, m, *_inverse(squares), -m])
 
 
-class BraidElement:
+class BraidElement(_Immutable):
     """A braid group element, carried as a free-reduced word.
 
     Lets braids plug into the generic factorization machinery: multiply
-    concatenates words, inverse reverses and flips signs.  Equality and
-    hashing are syntactic on the reduced word — exact for orbit
-    bookkeeping (identical words behave identically under moves), cheap
-    enough for search frontiers.  Use equal_as_braids (the Artin
-    representation) when two different words must be compared as group
-    elements.
+    concatenates words, cancelling where they meet, and inverse reverses
+    and flips signs.  Equality and hashing are syntactic on the reduced
+    word — exact for orbit bookkeeping (identical words behave
+    identically under moves), cheap enough for search frontiers.  Use
+    equal_as_braids (the Artin representation) when two different words
+    must be compared as group elements.
     """
 
     __slots__ = ("word",)
@@ -305,23 +307,20 @@ class BraidElement:
     def __init__(self, word):
         object.__setattr__(self, "word", word.free_reduce())
 
-    def __setattr__(self, *a):
-        raise AttributeError("BraidElement is immutable")
-
-    @classmethod
-    def from_signed(cls, strands, signed):
-        return cls(BraidWord.from_signed(strands, signed))
-
     def equal_as_braids(self, other) -> bool:
         return self.word.strands == other.word.strands and braid_equal(
             self.word, other.word
         )
 
     def __mul__(self, other):
-        return BraidElement(self.word * other.word)
+        a, b = self.word, other.word
+        if a.strands != b.strands:
+            raise ValueError("strand mismatch")
+        word = BraidWord._of(a.strands, _join(a.letters, b.letters))
+        return BraidElement._of(word)
 
     def inverse(self):
-        return BraidElement(self.word.inverse())
+        return BraidElement._of(self.word.inverse())
 
     def __eq__(self, other):
         return (
@@ -339,6 +338,4 @@ class BraidElement:
 
 def sphere_relation_word(n):
     """sigma_1 ... sigma_{n-1} sigma_{n-1} ... sigma_1, trivial on the sphere."""
-    up = [(i, 1) for i in range(1, n)]
-    down = [(i, 1) for i in range(n - 1, 0, -1)]
-    return BraidWord(n, up + down)
+    return BraidWord(n, [*range(1, n), *range(n - 1, 0, -1)])

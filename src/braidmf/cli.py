@@ -10,6 +10,7 @@ search node cap or group closure cap) before a verdict was reached.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -109,7 +110,7 @@ def verify_s7(args):
 
 
 def _exp_sum(elt):
-    return sum(s for _, s in elt.word.letters)
+    return sum(1 if x > 0 else -1 for x in elt.word.letters)
 
 
 def verify_cluster(args):
@@ -238,7 +239,7 @@ def run_obstruct(args):
 
 def braid_eq(args):
     word1, word2 = _ints(args.word1), _ints(args.word2)
-    w1, w2 = (BraidWord.from_signed(args.strands, w) for w in (word1, word2))
+    w1, w2 = (BraidWord(args.strands, w) for w in (word1, word2))
     equal = braid_equal(w1, w2)
     details = "words are equal as braids" if equal else "words differ as braids"
     return {
@@ -282,7 +283,7 @@ def _load_elements(path, doc, key):
         raise ValueError(f"{path}: {key!r} must be a list of integer lists")
     if group == "s4":
         return tuple(Perm.from_json(e) for e in items)
-    return tuple(BraidElement.from_signed(doc["strands"], e) for e in items)
+    return tuple(BraidElement(BraidWord(doc["strands"], e)) for e in items)
 
 
 def hurwitz_act(args):
@@ -292,7 +293,7 @@ def hurwitz_act(args):
     if doc["group"] == "s4":
         dumped = [e.to_json() for e in out.elements]
     else:
-        dumped = [list(e.word.to_signed()) for e in out.elements]
+        dumped = [list(e.word.letters) for e in out.elements]
     result = {"group": doc["group"], "elements": dumped}
     if "strands" in doc:
         result["strands"] = doc["strands"]
@@ -354,6 +355,7 @@ HELP = {
 _NOT_PARAMS = {"command", "subcommand", "run", "json", "trials", "seed"}
 
 
+@functools.cache  # one argparse tree per process: parse_args leaves it as is
 def build_parser():
     top = argparse.ArgumentParser(prog="braidmf", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

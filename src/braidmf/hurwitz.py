@@ -79,9 +79,7 @@ def act_word(f, word):
         raise ValueError(
             f"word on {word.strands} strands cannot act on length-{len(f)} factorization"
         )
-    for i, s in word.letters:
-        f = hurwitz_move(f, i, inverse=(s < 0))
-    return f
+    return act_moves(f, word.letters)
 
 
 def act_moves(f, moves):

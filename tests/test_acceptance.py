@@ -261,13 +261,13 @@ def test_c11_braid_foundation():
             j = rng.choice(far)
             lhs, rhs = [i, j], [j, i]
         assert braid_equal(
-            BraidWord.from_signed(n, prefix + lhs),
-            BraidWord.from_signed(n, prefix + rhs),
+            BraidWord(n, prefix + lhs),
+            BraidWord(n, prefix + rhs),
         )
 
     for _ in range(trials_inv):
         n = rng.randint(2, 8)
-        w = BraidWord.from_signed(
+        w = BraidWord(
             n,
             [rng.choice([1, -1]) * rng.randint(1, n - 1)
              for _ in range(rng.randint(0, 40))],
@@ -276,12 +276,12 @@ def test_c11_braid_foundation():
 
     for _ in range(trials_prod):
         n = rng.randint(2, 8)
-        w = BraidWord.from_signed(
+        w = BraidWord(
             n,
             [rng.choice([1, -1]) * rng.randint(1, n - 1)
              for _ in range(rng.randint(0, 40))],
         )
-        prod = FreeWord(n, [(g, 1) for g in range(n)])
+        prod = FreeWord(n, range(1, n + 1))
         assert artin_rep(w).apply(prod) == prod
 
     total = trials_rel + trials_inv + trials_prod

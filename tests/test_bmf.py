@@ -139,7 +139,7 @@ def test_tangent_cluster():
     assert len(f) == 4
     assert f[0] == f[2] and f[1] == f[3]
     for x in f.elements:
-        assert sum(s for _, s in x.word.letters) == 1  # conjugated tangency
+        assert sum(1 if s > 0 else -1 for s in x.word.letters) == 1  # conjugated tangency
 
 
 def test_stable_profile_keys():

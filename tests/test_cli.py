@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 
 import pytest
@@ -125,6 +127,33 @@ def test_braid_eq_exit_codes(capsys):
     code, _ = _run(capsys, "braid", "eq", "--strands", "3",
                    "--word1", "1", "--word2", "2")
     assert code == 1  # failed check
+
+
+@pytest.mark.parametrize("word1, letter", [("-3", "(3,-1)"), ("0", "(0,-1)")])
+def test_bad_letter_is_spelt_index_sign(capsys, word1, letter):
+    code = main(["braid", "eq", "--strands", "3", f"--word1={word1}", "--word2", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == f"error: bad letter {letter} on 3 strands\n"
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # A parser built per call is cyclic garbage after it: under
+    # DEBUG_SAVEALL the collector would keep its objects in gc.garbage.
+    argv = ["verify", "s7", "--b", "1", "--d", "1", "--trials", "10", "--json"]
+    main(argv)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (
+            argparse.ArgumentParser, argparse.Action, argparse._ArgumentGroup))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == []
 
 
 def test_usage_error_exit_code(capsys):

@@ -59,10 +59,10 @@ def test_act_word_matches_act_moves():
     for _ in range(100):
         f = _random_fact(rng, m=6)
         moves = [rng.choice([1, -1]) * rng.randint(1, 5) for _ in range(10)]
-        w = BraidWord.from_signed(6, moves)
+        w = BraidWord(6, moves)
         assert act_word(f, w) == act_moves(f, moves)
     with pytest.raises(ValueError):
-        act_word(_random_fact(rng, m=4), BraidWord.from_signed(6, [1]))
+        act_word(_random_fact(rng, m=4), BraidWord(6, [1]))
 
 
 def test_rotate_to_front():
