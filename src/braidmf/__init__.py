@@ -51,7 +51,6 @@ from .f2sym import (
     wajnryb_classify,
 )
 from .hurwitz import (
-    Factorization,
     SearchResult,
     StableContext,
     act_moves,
@@ -60,6 +59,7 @@ from .hurwitz import (
     generated_subgroup,
     hurwitz_move,
     orbit_search,
+    product,
     rotate_to_front,
     signed_class_count,
     simultaneous_conjugate,

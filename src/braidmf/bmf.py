@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .braid import BraidElement, BraidWord, band_generator
-from .hurwitz import Factorization, act_moves, act_word
+from .hurwitz import act_moves, act_word
 
 GEOM_BY_EXP = {1: "tangency", 2: "pos_node", -2: "neg_node", 3: "cusp"}
 
@@ -320,8 +320,8 @@ def realize_s4_trivial_action(factor: BmfFactor, tau) -> str:
     word = factor_word(factor, tau.b, tau.d)
     if word is None:
         return "skipped"
-    out = act_word(Factorization(tau.factors), word)
-    return "trivial" if out.elements == tau.factors else "nontrivial"
+    out = act_word(tau.factors, word)
+    return "trivial" if out == tau.factors else "nontrivial"
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +340,11 @@ def cusp_cluster_factorization():
     the normal form (three cubes and one conjugated tangency twist); the
     start is its image under a fixed Hurwitz move word, so a search path
     back is a constructive equivalence certificate."""
-    target = Factorization(
-        (
-            _elt(4, 2, 2, 2),
-            _elt(4, 1, 3, 2, -3, -1),
-            _elt(4, 1, 1, 1),
-            _elt(4, 3, 3, 3),
-        )
+    target = (
+        _elt(4, 2, 2, 2),
+        _elt(4, 1, 3, 2, -3, -1),
+        _elt(4, 1, 1, 1),
+        _elt(4, 3, 3, 3),
     )
     start = act_moves(target, CUSP_CLUSTER_SCRAMBLE)
     product_word = BraidWord(4, (2, 2, 2, 1, 3, 2, 1, 1, 3, 3))
@@ -357,7 +355,7 @@ def tangent_cluster_factorization():
     """Four conjugated tangency twists; factors 1 and 3 equal, 2 and 4."""
     x = _elt(4, 2, 3, -2)
     y = _elt(4, 1, 2, -1)
-    return Factorization((x, y, x, y))
+    return (x, y, x, y)
 
 
 # ---------------------------------------------------------------------------

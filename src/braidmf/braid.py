@@ -19,7 +19,7 @@ Words compose left-to-right, like everything else in this package.
 
 from __future__ import annotations
 
-from .hurwitz import Factorization, hurwitz_move
+from .hurwitz import hurwitz_move
 from .perm import Perm
 
 # Total reduced-letter budget for automorphism images; image lengths can
@@ -238,7 +238,7 @@ def artin_rep(word, cap=DEFAULT_LETTER_CAP):
     Hurwitz moves on the free generators, from the last letter to the
     first; raises LetterCapExceeded once the images exceed `cap` letters.
     """
-    f = Factorization(ArtinAuto.identity(word.strands).images)
+    f = ArtinAuto.identity(word.strands).images
     for x in reversed(word.letters):
         f = hurwitz_move(f, abs(x), inverse=x < 0)
         if sum(len(w) for w in f) > cap:

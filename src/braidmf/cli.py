@@ -33,7 +33,7 @@ from .f2sym import (
     horizontal_obstruction,
     quadratic_from_basis,
 )
-from .hurwitz import Factorization, act_moves, orbit_search
+from .hurwitz import act_moves, orbit_search, product
 from .perm import Perm
 from .s4orbit import (
     WINDOW_DERIVATIONS,
@@ -116,18 +116,18 @@ def _exp_sum(elt):
 def verify_cluster(args):
     start, target, product_word = cusp_cluster_factorization()
     stated = BraidElement(product_word)
-    exps = [_exp_sum(f) for f in target.elements]
+    exps = [_exp_sum(f) for f in target]
     res = orbit_search(start, target, max_depth=args.max_depth)
     tang = tangent_cluster_factorization()
     checks = [
         _check(
             "cusp-cluster target product",
-            target.product().equal_as_braids(stated),
+            product(target).equal_as_braids(stated),
             "product of the four factors equals the stated word",
         ),
         _check(
             "cusp-cluster start product",
-            start.product().equal_as_braids(stated),
+            product(start).equal_as_braids(stated),
             "scrambled start has the same product",
         ),
         _check(
@@ -143,9 +143,9 @@ def verify_cluster(args):
         ),
         _check(
             "tangent-cluster shape",
-            tang.elements[0] == tang.elements[2]
-            and tang.elements[1] == tang.elements[3]
-            and all(_exp_sum(f) == 1 for f in tang.elements),
+            tang[0] == tang[2]
+            and tang[1] == tang[3]
+            and all(_exp_sum(f) == 1 for f in tang),
             "factors 1=3 and 2=4, all conjugated single twists",
         ),
     ]
@@ -270,17 +270,26 @@ def _read_factorization_file(path, *keys):
 
 
 def _load_elements(path, doc, key):
-    """The integer lists under `key` as permutations (s4) or signed braid
-    words (braid); a malformed value raises ValueError naming file and key."""
+    """The integer lists under `key` as permutations of 1..4 (s4) or signed
+    braid words (braid).  A malformed value raises ValueError naming the
+    file, the key and the element as written; a JSON boolean is no integer."""
     group, items = doc["group"], doc[key]
     if group not in ("s4", "braid"):
         raise ValueError(f"unsupported factorization group {group!r}")
-    if group == "braid" and not isinstance(doc["strands"], int):
+    if group == "braid" and type(doc["strands"]) is not int:
         raise ValueError(f"{path}: 'strands' must be an integer")
-    if not isinstance(items, list) or not all(
-        isinstance(e, list) and all(isinstance(x, int) for x in e) for e in items
-    ):
+    if not isinstance(items, list):
         raise ValueError(f"{path}: {key!r} must be a list of integer lists")
+    for k, e in enumerate(items, start=1):
+        if not isinstance(e, list) or any(type(x) is not int for x in e):
+            what = "a list of integer lists"
+        elif group == "s4" and sorted(e) != [1, 2, 3, 4]:
+            what = "a list of permutations of 1..4"
+        else:
+            continue
+        raise ValueError(
+            f"{path}: {key!r} must be {what}; element {k} is {json.dumps(e)}"
+        )
     if group == "s4":
         return tuple(Perm.from_json(e) for e in items)
     return tuple(BraidElement(BraidWord(doc["strands"], e)) for e in items)
@@ -289,11 +298,11 @@ def _load_elements(path, doc, key):
 def hurwitz_act(args):
     doc = _read_factorization_file(args.file, "elements")
     elements = _load_elements(args.file, doc, "elements")
-    out = act_moves(Factorization(elements), _ints(args.moves))
+    out = act_moves(elements, _ints(args.moves))
     if doc["group"] == "s4":
-        dumped = [e.to_json() for e in out.elements]
+        dumped = [e.to_json() for e in out]
     else:
-        dumped = [list(e.word.letters) for e in out.elements]
+        dumped = [list(e.word.letters) for e in out]
     result = {"group": doc["group"], "elements": dumped}
     if "strands" in doc:
         result["strands"] = doc["strands"]
@@ -302,8 +311,8 @@ def hurwitz_act(args):
 
 def hurwitz_search(args):
     doc = _read_factorization_file(args.file, "start", "target")
-    start = Factorization(_load_elements(args.file, doc, "start"))
-    target = Factorization(_load_elements(args.file, doc, "target"))
+    start = _load_elements(args.file, doc, "start")
+    target = _load_elements(args.file, doc, "target")
     res = orbit_search(start, target, max_depth=args.max_depth)
     details = (
         f"moves {list(res.moves)}, visited {res.visited}, "

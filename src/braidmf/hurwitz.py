@@ -1,9 +1,11 @@
 """Factorizations in a group with Hurwitz moves, conjugation and search.
 
-A factorization is an ordered tuple of group elements regarded together
-with its product.  Elements may belong to any group: all that is needed
+A factorization is a plain tuple of group elements, regarded together
+with its `product`.  Elements may belong to any group: all that is needed
 is `*` (left-to-right composition), `.inverse()`, `==` and `hash`.
 Perm, BraidElement, FreeWord and F2Operator all satisfy this protocol.
+The functions below accept any sequence and return tuples; only the
+inner step `hurwitz_move` takes a tuple.
 
 The forward Hurwitz move at index i (1-based) is
 
@@ -18,56 +20,24 @@ from collections import deque
 from dataclasses import dataclass, field
 
 
-class Factorization:
-    """An immutable ordered sequence of group elements."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements):
-        object.__setattr__(self, "elements", tuple(elements))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Factorization is immutable")
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, Factorization) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __repr__(self):
-        return f"Factorization({list(self.elements)!r})"
-
-    def product(self):
-        if not self.elements:
-            raise ValueError("empty factorization has no product without an identity")
-        out = self.elements[0]
-        for x in self.elements[1:]:
-            out = out * x
-        return out
+def product(f):
+    """The left-to-right product of a nonempty factorization."""
+    if not f:
+        raise ValueError("empty factorization has no product without an identity")
+    out = f[0]
+    for x in f[1:]:
+        out = out * x
+    return out
 
 
 def hurwitz_move(f, i, inverse=False):
-    """Hurwitz move at 1-based index i (acts on slots i, i+1)."""
+    """Hurwitz move at 1-based index i (acts on slots i, i+1) of a tuple."""
     m = len(f)
     if not (1 <= i <= m - 1):
         raise IndexError(f"move index {i} out of range 1..{m - 1}")
     a, b = f[i - 1], f[i]
-    elems = list(f.elements)
-    if not inverse:
-        elems[i - 1], elems[i] = a * b * a.inverse(), a
-    else:
-        elems[i - 1], elems[i] = b, b.inverse() * a * b
-    return Factorization(elems)
+    pair = (b, b.inverse() * a * b) if inverse else (a * b * a.inverse(), a)
+    return f[: i - 1] + pair + f[i + 1 :]
 
 
 def act_word(f, word):
@@ -84,6 +54,7 @@ def act_word(f, word):
 
 def act_moves(f, moves):
     """Apply signed move indices: +i forward at i, -i inverse at i."""
+    f = tuple(f)
     for k in moves:
         f = hurwitz_move(f, abs(k), inverse=(k < 0))
     return f
@@ -92,7 +63,7 @@ def act_moves(f, moves):
 def simultaneous_conjugate(f, g):
     """Replace every factor a by g^{-1} a g."""
     ginv = g.inverse()
-    return Factorization(ginv * a * g for a in f)
+    return tuple(ginv * a * g for a in f)
 
 
 def rotate_to_front(f, h):
@@ -103,6 +74,7 @@ def rotate_to_front(f, h):
     """
     if not (1 <= h <= len(f)):
         raise IndexError(f"slot {h} out of range 1..{len(f)}")
+    f = tuple(f)
     for i in range(h - 1, 0, -1):
         f = hurwitz_move(f, i)
     return f
@@ -127,9 +99,8 @@ def stable_insert(f, pos, beta, ctx):
         raise ValueError(f"{beta!r} is not admissible")
     if not (1 <= pos <= len(f) + 1):
         raise IndexError(f"insert position {pos} out of range")
-    elems = list(f.elements)
-    elems[pos - 1 : pos - 1] = [beta, beta.inverse()]
-    return Factorization(elems)
+    f = tuple(f)
+    return f[: pos - 1] + (beta, beta.inverse()) + f[pos - 1 :]
 
 
 def stable_cancel(f, pos, ctx):
@@ -141,9 +112,8 @@ def stable_cancel(f, pos, ctx):
         raise ValueError("slots do not multiply to the identity")
     if not ctx.allows(a):
         raise ValueError(f"{a!r} is not admissible")
-    elems = list(f.elements)
-    del elems[pos - 1 : pos + 1]
-    return Factorization(elems)
+    f = tuple(f)
+    return f[: pos - 1] + f[pos + 1 :]
 
 
 def bfs_closure(elements, cap=200_000):
@@ -202,7 +172,7 @@ def class_count_function(f, subgroup=None):
     """
     if len(f) == 0:
         return {}, frozenset()
-    H = subgroup if subgroup is not None else generated_subgroup(f.elements)
+    H = subgroup if subgroup is not None else generated_subgroup(f)
     rep_of = _conjugacy_classes(H)
     sigma = {}
     for a in f:
@@ -221,7 +191,7 @@ def signed_class_count(f, admissible=()):
     """
     if len(f) == 0 and not admissible:
         return {}
-    H = generated_subgroup(list(f.elements) + list(admissible))
+    H = generated_subgroup([*f, *admissible])
     rep_of = _conjugacy_classes(H)
     counts = {}
     for a in f:
@@ -253,11 +223,15 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     Explores forward and inverse moves at every index (smallest index
     first, forward before inverse: deterministic).
     Returns a SearchResult; a miss within the budget proves nothing.
-    Raises ValueError if the products differ (then no path can exist).
+    Raises ValueError if the products differ (then no path can exist)
+    or if max_depth is negative.
     """
+    if max_depth < 0:
+        raise ValueError(f"max depth {max_depth} is negative")
+    start, target = tuple(start), tuple(target)
     if len(start) != len(target):
         raise ValueError("length mismatch: not Hurwitz equivalent")
-    if len(start) and start.product() != target.product():
+    if start and product(start) != product(target):
         raise ValueError("product mismatch: not Hurwitz equivalent")
     m = len(start)
     seen = {start: []}

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 
 from .braid import snake_word
-from .hurwitz import Factorization, act_moves, act_word
+from .hurwitz import act_moves, act_word, product
 from .perm import Perm
 
 T12 = Perm.transposition(1, 2, 4)
@@ -74,9 +74,6 @@ class TauFactorization:
     @property
     def boundary(self):
         return 4 * self.d
-
-    def product(self):
-        return Factorization(self.factors).product()
 
     def with_factors(self, factors):
         return TauFactorization(self.b, self.d, tuple(factors))
@@ -176,7 +173,7 @@ def snake_direct(f):
         raise ValueError("window out of range")
     lo, hi = B - 2, B + 2  # 0-based half-open slice of the 4-window
     window = f.factors[lo:hi]
-    prod = window[0] * window[1] * window[2] * window[3]
+    prod = product(window)
     if prod.is_identity() or prod == PI:
         return f
     factors = list(f.factors)
@@ -188,8 +185,7 @@ def snake_via_word(f):
     """The snake action computed by the Hurwitz action of the explicit word."""
     n = f.length
     word = snake_word(f.d, n)
-    out = act_word(Factorization(f.factors), word)
-    return f.with_factors(out.elements)
+    return f.with_factors(act_word(f.factors, word))
 
 
 def change_positions(f, ref=None):
@@ -264,10 +260,8 @@ WINDOW_DERIVATIONS = (
 def replay_derivation(start):
     """The window states after each of the five snake steps."""
     lines = [tuple(start)]
-    f = Factorization(tuple(start))
     for step in SNAKE_STEP_MOVES:
-        f = act_moves(f, step)
-        lines.append(f.elements)
+        lines.append(act_moves(lines[-1], step))
     return tuple(lines)
 
 

@@ -28,6 +28,7 @@ from braidmf import (
     orbit_search,
     orthogonal_group_order,
     preserves_q,
+    product,
     property_run,
     q_eval,
     quadratic_from_basis,
@@ -217,8 +218,8 @@ def test_c08_transvection_group_classification():
 def test_c09_cluster_factorizations():
     start, target, product_word = cusp_cluster_factorization()
     stated = BraidElement(product_word)
-    assert target.product().equal_as_braids(stated)
-    assert start.product().equal_as_braids(stated)
+    assert product(target).equal_as_braids(stated)
+    assert product(start).equal_as_braids(stated)
     depth_bound = 6
     res = orbit_search(start, target, max_depth=depth_bound)
     assert res.found, f"no path within depth {depth_bound}"

@@ -4,7 +4,6 @@ import pytest
 
 from braidmf import (
     BraidElement,
-    Factorization,
     SurfaceParams,
     cusp_cluster_factorization,
     distinguishable,
@@ -17,7 +16,7 @@ from braidmf import (
     tau0,
 )
 from braidmf.bmf import Block, BmfFactor, factor_word, twist_str, twist_word
-from braidmf.hurwitz import act_moves
+from braidmf.hurwitz import act_moves, product
 
 
 def test_params_flags():
@@ -126,8 +125,8 @@ def test_conjugated_factor_word():
 def test_cusp_cluster():
     start, target, product_word = cusp_cluster_factorization()
     stated = BraidElement(product_word)
-    assert target.product().equal_as_braids(stated)
-    assert start.product().equal_as_braids(stated)
+    assert product(target).equal_as_braids(stated)
+    assert product(start).equal_as_braids(stated)
     # the scramble is a Hurwitz move word, so it is reversible
     from braidmf.bmf import CUSP_CLUSTER_SCRAMBLE
 
@@ -138,7 +137,7 @@ def test_tangent_cluster():
     f = tangent_cluster_factorization()
     assert len(f) == 4
     assert f[0] == f[2] and f[1] == f[3]
-    for x in f.elements:
+    for x in f:
         assert sum(1 if s > 0 else -1 for s in x.word.letters) == 1  # conjugated tangency
 
 

@@ -283,3 +283,39 @@ def test_malformed_elements_name_file_and_key(tmp_path, capsys, sub, doc, key):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and err.startswith(f"error: {path}: '{key}' must be")
+
+
+@pytest.mark.parametrize("doc, tail", [
+    ({"group": "braid", "strands": 3, "elements": [[True], [2]]},
+     "'elements' must be a list of integer lists; element 1 is [true]"),
+    ({"group": "braid", "strands": True, "elements": [[1], [2]]},
+     "'strands' must be an integer"),
+    ({"group": "s4", "elements": [[2, 1, 3, 4], [False, 1, 3, 4]]},
+     "'elements' must be a list of integer lists; element 2 is [false, 1, 3, 4]"),
+    ({"group": "s4", "elements": [[2, 1, 3, 4, 5], [1, 3, 2, 4, 5]]},
+     "'elements' must be a list of permutations of 1..4;"
+     " element 1 is [2, 1, 3, 4, 5]"),
+], ids=["braid-bool-letter", "bool-strands", "s4-bool-point", "s4-degree-5"])
+def test_bad_element_names_file_key_and_element(tmp_path, capsys, doc, tail):
+    # a JSON boolean is no integer, and an s4 element permutes exactly 1..4
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps(doc))
+    code = main(["hurwitz", "act", "--file", str(path), "--moves", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == f"error: {path}: {tail}\n"
+
+
+@pytest.mark.parametrize("sub", ["verify cluster", "hurwitz search"])
+def test_negative_max_depth_is_bad_input(tmp_path, capsys, sub):
+    path = tmp_path / "search.json"
+    items = [[2, 1, 3, 4], [1, 2, 4, 3]]
+    path.write_text(json.dumps({"group": "s4", "start": items, "target": items}))
+    extra = ["--file", str(path)] if sub == "hurwitz search" else []
+    code = main([*sub.split(), *extra, "--max-depth", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == "error: max depth -1 is negative\n"
+    # depth 0 is a valid (if short) search
+    code, out = _run(capsys, *sub.split(), *extra, "--max-depth", "0")
+    assert code == (1 if sub == "verify cluster" else 0)

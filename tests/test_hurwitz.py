@@ -3,8 +3,10 @@ import random
 import pytest
 
 from braidmf import (
+    BraidElement,
     BraidWord,
-    Factorization,
+    F2Vec,
+    FreeWord,
     Perm,
     StableContext,
     act_moves,
@@ -13,26 +15,29 @@ from braidmf import (
     generated_subgroup,
     hurwitz_move,
     orbit_search,
+    product,
     rotate_to_front,
     signed_class_count,
     simultaneous_conjugate,
     stable_cancel,
     stable_insert,
     symmetric_group,
+    transvection,
 )
+from braidmf.f2sym import form_from_edges
 
 
 def _random_fact(rng, m=5, n=5):
     elems = [rng.choice(symmetric_group(n)) for _ in range(m)]
-    return Factorization(elems)
+    return tuple(elems)
 
 
 def test_factorization_basics():
-    f = Factorization([Perm.transposition(1, 2, 3), Perm.transposition(2, 3, 3)])
+    f = tuple([Perm.transposition(1, 2, 3), Perm.transposition(2, 3, 3)])
     assert len(f) == 2
-    assert f.product()(1) == 3
+    assert product(f)(1) == 3
     with pytest.raises(ValueError):
-        Factorization([]).product()
+        product(tuple([]))
 
 
 def test_move_preserves_product_and_inverts():
@@ -41,7 +46,7 @@ def test_move_preserves_product_and_inverts():
         f = _random_fact(rng)
         i = rng.randint(1, len(f) - 1)
         g = hurwitz_move(f, i)
-        assert g.product() == f.product()
+        assert product(g) == product(f)
         assert hurwitz_move(g, i, inverse=True) == f
         assert hurwitz_move(hurwitz_move(f, i, inverse=True), i) == f
 
@@ -70,7 +75,7 @@ def test_rotate_to_front():
     f = _random_fact(rng, m=6)
     for h in range(1, 7):
         g = rotate_to_front(f, h)
-        assert g.product() == f.product()
+        assert product(g) == product(f)
         # the moved factor arrives as a conjugate of slot h
         assert g[0].cycle_type() == f[h - 1].cycle_type()
 
@@ -80,16 +85,16 @@ def test_simultaneous_conjugate():
     f = _random_fact(rng)
     g = rng.choice(symmetric_group(5))
     fc = simultaneous_conjugate(f, g)
-    assert fc.product() == f.product().conjugate(g)
+    assert product(fc) == product(f).conjugate(g)
 
 
 def test_stable_insert_and_cancel():
     t = Perm.transposition(1, 2, 4)
     u = Perm.transposition(3, 4, 4)
     ctx = StableContext([t])
-    f = Factorization([u, u])
+    f = tuple([u, u])
     g = stable_insert(f, 2, t, ctx)
-    assert g.elements == (u, t, t, u)
+    assert g == (u, t, t, u)
     assert stable_cancel(g, 2, ctx) == f
     with pytest.raises(ValueError):
         stable_insert(f, 1, u, ctx)  # u is not admissible
@@ -102,7 +107,7 @@ def test_stable_cancel_rejects_noninverse_pair():
     u = Perm.transposition(1, 3, 4)
     ctx = StableContext([t, u])
     with pytest.raises(ValueError):
-        stable_cancel(Factorization([t, u]), 1, ctx)
+        stable_cancel(tuple([t, u]), 1, ctx)
 
 
 def test_generated_subgroup():
@@ -126,7 +131,7 @@ def test_class_count_is_orbit_invariant():
 
 def test_signed_class_count_transpositions_balanced():
     # transpositions are self-inverse: nothing is tracked
-    f = Factorization([Perm.transposition(1, 2, 4)] * 3)
+    f = tuple([Perm.transposition(1, 2, 4)] * 3)
     assert signed_class_count(f) == {}
 
 
@@ -144,9 +149,71 @@ def test_orbit_search_finds_scramble_path():
 def test_orbit_search_trivial_and_mismatch():
     t = Perm.transposition(1, 2, 4)
     u = Perm.transposition(1, 3, 4)
-    f = Factorization([t, t, u])  # product u != identity
+    f = tuple([t, t, u])  # product u != identity
     res = orbit_search(f, f, max_depth=1)
     assert res.found and res.moves == []
-    g = Factorization([Perm.identity(4)] * 3)
+    g = tuple([Perm.identity(4)] * 3)
     with pytest.raises(ValueError):
         orbit_search(f, g, max_depth=1)
+
+
+def _list_move(f, i, inverse=False):
+    # the move as the removed Factorization wrapper built it: a list copy
+    # with two slots overwritten
+    a, b = f[i - 1], f[i]
+    elems = list(f)
+    if not inverse:
+        elems[i - 1], elems[i] = a * b * a.inverse(), a
+    else:
+        elems[i - 1], elems[i] = b, b.inverse() * a * b
+    return tuple(elems)
+
+
+def _signed(rng, top, n):
+    return [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(n)]
+
+
+def test_factorizations_are_plain_tuples():
+    rng = random.Random(17)
+    chain = form_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    makers = {
+        "Perm": lambda: rng.choice(symmetric_group(4)),
+        "BraidElement": lambda: BraidElement(
+            BraidWord(4, _signed(rng, 3, rng.randint(0, 5)))
+        ),
+        "FreeWord": lambda: FreeWord(3, _signed(rng, 3, rng.randint(0, 5))),
+        "F2Operator": lambda: transvection(F2Vec(4, rng.randrange(1, 16)), chain)
+        * transvection(F2Vec(4, rng.randrange(1, 16)), chain),
+    }
+    for make in makers.values():
+        for _ in range(50):
+            f = tuple(make() for _ in range(rng.randint(2, 6)))
+            i = rng.randint(1, len(f) - 1)
+            for inverse in (False, True):
+                assert hurwitz_move(f, i, inverse) == _list_move(f, i, inverse)
+
+    # lists and tuples go in alike; tuples come out
+    f = _random_fact(rng, m=4)
+    t = Perm.transposition(1, 2, 5)
+    ctx = StableContext([t])
+    moves = [1, -2, 3, 3]
+    outs = {}
+    for given in (list(f), f):
+        out = (
+            act_moves(given, moves),
+            act_word(given, BraidWord(4, moves)),
+            simultaneous_conjugate(given, t),
+            rotate_to_front(given, 3),
+            stable_insert(given, 2, t, ctx),
+            stable_cancel([t, t, *given], 1, ctx),
+        )
+        assert all(type(x) is tuple for x in out)
+        assert class_count_function(given) == class_count_function(f)
+        assert signed_class_count(given, [t]) == signed_class_count(f, [t])
+        outs[type(given)] = out
+    assert outs[list] == outs[tuple]
+    start = outs[tuple][0]
+    assert orbit_search(list(start), list(f), max_depth=4).found
+    with pytest.raises(ValueError) as exc:
+        product(())
+    assert str(exc.value) == "empty factorization has no product without an identity"

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from braidmf import hurwitz
 from braidmf import (
     GeneratorAction,
     apply_generator,
@@ -48,7 +49,7 @@ def test_tau0_structure():
     assert f.factors[:4] == (T12, T34, T12, T34)
     assert f.factors[4:] == (T13, T24) * 4
     assert in_hat_orbit(f)
-    assert f.product().is_identity()
+    assert hurwitz.product(f.factors).is_identity()
     with pytest.raises(ValueError):
         tau0(0, 1)
 
