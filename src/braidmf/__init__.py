@@ -3,7 +3,6 @@ braid-monodromy factorizations of bidouble covers of the quadric."""
 
 from .braid import (
     ArtinAuto,
-    BraidElement,
     BraidWord,
     FreeWord,
     LetterCapExceeded,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braid import BraidElement, BraidWord, band_generator
+from .braid import BraidWord, band_generator
 from .hurwitz import act_moves, act_word
 
 GEOM_BY_EXP = {1: "tangency", 2: "pos_node", -2: "neg_node", 3: "cusp"}
@@ -310,7 +310,7 @@ def factor_word(factor: BmfFactor, b, d):
             return None
         gp = g**power
         word = gp.inverse() * word * gp
-    return word.free_reduce()
+    return word
 
 
 def realize_s4_trivial_action(factor: BmfFactor, tau) -> str:
@@ -328,10 +328,6 @@ def realize_s4_trivial_action(factor: BmfFactor, tau) -> str:
 # Local cluster factorizations in Br4
 
 
-def _elt(n, *letters):
-    return BraidElement(BraidWord(n, letters))
-
-
 CUSP_CLUSTER_SCRAMBLE = (1, -2, 3, 1)  # fixed, documented move word
 
 
@@ -341,10 +337,10 @@ def cusp_cluster_factorization():
     start is its image under a fixed Hurwitz move word, so a search path
     back is a constructive equivalence certificate."""
     target = (
-        _elt(4, 2, 2, 2),
-        _elt(4, 1, 3, 2, -3, -1),
-        _elt(4, 1, 1, 1),
-        _elt(4, 3, 3, 3),
+        BraidWord(4, (2, 2, 2)),
+        BraidWord(4, (1, 3, 2, -3, -1)),
+        BraidWord(4, (1, 1, 1)),
+        BraidWord(4, (3, 3, 3)),
     )
     start = act_moves(target, CUSP_CLUSTER_SCRAMBLE)
     product_word = BraidWord(4, (2, 2, 2, 1, 3, 2, 1, 1, 3, 3))
@@ -353,8 +349,8 @@ def cusp_cluster_factorization():
 
 def tangent_cluster_factorization():
     """Four conjugated tangency twists; factors 1 and 3 equal, 2 and 4."""
-    x = _elt(4, 2, 3, -2)
-    y = _elt(4, 1, 2, -1)
+    x = BraidWord(4, (2, 3, -2))
+    y = BraidWord(4, (1, 2, -1))
     return (x, y, x, y)
 
 

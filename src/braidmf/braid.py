@@ -14,7 +14,8 @@ to first.  The representation is faithful on the disk braid group, which
 is what braid_equal relies on; the sphere relation is NOT quotiented,
 but the relation word is exposed as a constant.
 
-Words compose left-to-right, like everything else in this package.
+Braid words and free words are freely reduced when built, and compose
+left-to-right, like everything else in this package.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class _Immutable:
 
     @classmethod
     def _of(cls, *values):
-        """From values known to be valid (free words: reduced), no checks."""
+        """From values known to be valid (words: freely reduced), no checks."""
         obj = object.__new__(cls)
         for name, value in zip(cls.__slots__, values):
             object.__setattr__(obj, name, value)
@@ -175,10 +176,14 @@ class ArtinAuto(_Immutable):
 
 
 class BraidWord(_Immutable):
-    """A word in the Artin generators of the braid group on n strands.
+    """A freely reduced word in the Artin generators of the braid group on
+    n strands.
 
     A letter is a signed integer, +i for sigma_i and -i for its inverse,
-    1 <= i <= n-1; the JSON form is the same array.
+    1 <= i <= n-1; the JSON form is the same array.  Equality and hashing
+    are syntactic on the reduced letters: exact for orbit bookkeeping
+    (equal words act alike under Hurwitz moves) and cheap for search
+    frontiers.  braid_equal decides equality in the braid group.
     """
 
     __slots__ = ("strands", "letters")
@@ -193,29 +198,26 @@ class BraidWord(_Immutable):
                 sign = 1 if x > 0 else -1
                 raise ValueError(f"bad letter ({abs(x)},{sign}) on {strands} strands")
         object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", _reduce(letters))
 
     def __mul__(self, other):
         if self.strands != other.strands:
             raise ValueError("strand mismatch")
-        return BraidWord._of(self.strands, self.letters + other.letters)
+        return BraidWord._of(self.strands, _join(self.letters, other.letters))
 
     def __pow__(self, k):
+        # a reduced word need not be cyclically reduced: s1 s2 s1^-1
         if k >= 0:
-            return BraidWord._of(self.strands, self.letters * k)
+            return BraidWord._of(self.strands, _reduce(self.letters * k))
         return self.inverse() ** (-k)
 
     def inverse(self):
         return BraidWord._of(self.strands, _inverse(self.letters))
 
-    def free_reduce(self):
-        return BraidWord._of(self.strands, _reduce(self.letters))
-
     def __len__(self):
         return len(self.letters)
 
     def __eq__(self, other):
-        # Syntactic equality of words; use braid_equal for group equality.
         return (
             isinstance(other, BraidWord)
             and self.strands == other.strands
@@ -288,52 +290,6 @@ def snake_word(d, n):
     m = 4 * d
     squares = [m - 1, m - 1, m + 1, m + 1]
     return BraidWord(n, [m, *squares, m, *_inverse(squares), -m])
-
-
-class BraidElement(_Immutable):
-    """A braid group element, carried as a free-reduced word.
-
-    Lets braids plug into the generic factorization machinery: multiply
-    concatenates words, cancelling where they meet, and inverse reverses
-    and flips signs.  Equality and hashing are syntactic on the reduced
-    word — exact for orbit bookkeeping (identical words behave
-    identically under moves), cheap enough for search frontiers.  Use
-    equal_as_braids (the Artin representation) when two different words
-    must be compared as group elements.
-    """
-
-    __slots__ = ("word",)
-
-    def __init__(self, word):
-        object.__setattr__(self, "word", word.free_reduce())
-
-    def equal_as_braids(self, other) -> bool:
-        return self.word.strands == other.word.strands and braid_equal(
-            self.word, other.word
-        )
-
-    def __mul__(self, other):
-        a, b = self.word, other.word
-        if a.strands != b.strands:
-            raise ValueError("strand mismatch")
-        word = BraidWord._of(a.strands, _join(a.letters, b.letters))
-        return BraidElement._of(word)
-
-    def inverse(self):
-        return BraidElement._of(self.word.inverse())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BraidElement)
-            and self.word.strands == other.word.strands
-            and self.word.letters == other.word.letters
-        )
-
-    def __hash__(self):
-        return hash((self.word.strands, self.word.letters))
-
-    def __repr__(self):
-        return f"BraidElement({self.word!r})"
 
 
 def sphere_relation_word(n):

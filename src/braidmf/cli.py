@@ -23,7 +23,7 @@ from .bmf import (
     surface_counts,
     tangent_cluster_factorization,
 )
-from .braid import BraidElement, BraidWord, braid_equal
+from .braid import BraidWord, braid_equal
 from .f2sym import (
     ARF_ORACLE_MAX_DIM,
     arf,
@@ -109,25 +109,24 @@ def verify_s7(args):
     return {"checks": checks, "notes": [rep["convention"]]}
 
 
-def _exp_sum(elt):
-    return sum(1 if x > 0 else -1 for x in elt.word.letters)
+def _exp_sum(word):
+    return sum(1 if x > 0 else -1 for x in word.letters)
 
 
 def verify_cluster(args):
     start, target, product_word = cusp_cluster_factorization()
-    stated = BraidElement(product_word)
     exps = [_exp_sum(f) for f in target]
     res = orbit_search(start, target, max_depth=args.max_depth)
     tang = tangent_cluster_factorization()
     checks = [
         _check(
             "cusp-cluster target product",
-            product(target).equal_as_braids(stated),
+            braid_equal(product(target), product_word),
             "product of the four factors equals the stated word",
         ),
         _check(
             "cusp-cluster start product",
-            product(start).equal_as_braids(stated),
+            braid_equal(product(start), product_word),
             "scrambled start has the same product",
         ),
         _check(
@@ -276,8 +275,12 @@ def _load_elements(path, doc, key):
     group, items = doc["group"], doc[key]
     if group not in ("s4", "braid"):
         raise ValueError(f"unsupported factorization group {group!r}")
-    if group == "braid" and type(doc["strands"]) is not int:
-        raise ValueError(f"{path}: 'strands' must be an integer")
+    if group == "braid":
+        n = doc["strands"]
+        if type(n) is not int:
+            raise ValueError(f"{path}: 'strands' must be an integer")
+        if n < 2:
+            raise ValueError(f"{path}: 'strands' must be at least 2; it is {n}")
     if not isinstance(items, list):
         raise ValueError(f"{path}: {key!r} must be a list of integer lists")
     for k, e in enumerate(items, start=1):
@@ -285,6 +288,8 @@ def _load_elements(path, doc, key):
             what = "a list of integer lists"
         elif group == "s4" and sorted(e) != [1, 2, 3, 4]:
             what = "a list of permutations of 1..4"
+        elif group == "braid" and not all(0 < abs(x) < n for x in e):
+            what = f"a list of braid words on {n} strands"
         else:
             continue
         raise ValueError(
@@ -292,7 +297,7 @@ def _load_elements(path, doc, key):
         )
     if group == "s4":
         return tuple(Perm.from_json(e) for e in items)
-    return tuple(BraidElement(BraidWord(doc["strands"], e)) for e in items)
+    return tuple(BraidWord(n, e) for e in items)
 
 
 def hurwitz_act(args):
@@ -302,7 +307,7 @@ def hurwitz_act(args):
     if doc["group"] == "s4":
         dumped = [e.to_json() for e in out]
     else:
-        dumped = [list(e.word.letters) for e in out]
+        dumped = [list(e.letters) for e in out]
     result = {"group": doc["group"], "elements": dumped}
     if "strands" in doc:
         result["strands"] = doc["strands"]

@@ -3,7 +3,7 @@
 A factorization is a plain tuple of group elements, regarded together
 with its `product`.  Elements may belong to any group: all that is needed
 is `*` (left-to-right composition), `.inverse()`, `==` and `hash`.
-Perm, BraidElement, FreeWord and F2Operator all satisfy this protocol.
+Perm, BraidWord, FreeWord and F2Operator all satisfy this protocol.
 The functions below accept any sequence and return tuples; only the
 inner step `hurwitz_move` takes a tuple.
 

@@ -9,7 +9,6 @@ import random
 import time
 
 from braidmf import (
-    BraidElement,
     BraidWord,
     F2Vec,
     FreeWord,
@@ -40,6 +39,7 @@ from braidmf import (
 )
 from braidmf.braid import ArtinAuto
 from braidmf.f2sym import e6_form, form_from_edges
+from braidmf.hurwitz import act_moves
 from braidmf.s4orbit import (
     WINDOW_DERIVATIONS,
     apply_generator,
@@ -217,14 +217,11 @@ def test_c08_transvection_group_classification():
 
 def test_c09_cluster_factorizations():
     start, target, product_word = cusp_cluster_factorization()
-    stated = BraidElement(product_word)
-    assert product(target).equal_as_braids(stated)
-    assert product(start).equal_as_braids(stated)
+    assert braid_equal(product(target), product_word)
+    assert braid_equal(product(start), product_word)
     depth_bound = 6
     res = orbit_search(start, target, max_depth=depth_bound)
     assert res.found, f"no path within depth {depth_bound}"
-    from braidmf.hurwitz import act_moves
-
     assert act_moves(start, res.moves) == target
     _done(
         9,
@@ -273,7 +270,15 @@ def test_c11_braid_foundation():
             [rng.choice([1, -1]) * rng.randint(1, n - 1)
              for _ in range(rng.randint(0, 40))],
         )
-        assert artin_rep(w * w.inverse()) == ArtinAuto.identity(n)
+        # w * w.inverse() is the empty word before artin_rep sees it, so
+        # the images of w and of w^-1 are composed here.  Substituting
+        # images into images (ArtinAuto.apply) would expand to billions of
+        # letters at 40-letter words; the move action of the other word's
+        # letters, last to first, composes them as artin_rep does.
+        rw, rinv = artin_rep(w), artin_rep(w.inverse())
+        identity = ArtinAuto.identity(n).images
+        assert act_moves(rinv.images, w.letters[::-1]) == identity
+        assert act_moves(rw.images, w.inverse().letters[::-1]) == identity
 
     for _ in range(trials_prod):
         n = rng.randint(2, 8)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from braidmf import (
-    BraidElement,
     BraidWord,
     FreeWord,
     LetterCapExceeded,
@@ -16,20 +15,30 @@ from braidmf import (
 from braidmf.braid import ArtinAuto, sphere_relation_word
 
 
+def _raw_letters(rng, top, max_len):
+    """Up to max_len random letters in +-1..+-top, not reduced."""
+    return [rng.choice([1, -1]) * rng.randint(1, top)
+            for _ in range(rng.randint(0, max_len))]
+
+
 def _random_word(rng, n, max_len):
-    letters = [
-        rng.choice([1, -1]) * rng.randint(1, n - 1)
-        for _ in range(rng.randint(0, max_len))
-    ]
-    return BraidWord(n, letters)
+    return BraidWord(n, _raw_letters(rng, n - 1, max_len))
+
+
+def _full_reduce(letters):
+    """The oracle for every reduction path: cancel x next to -x until none
+    is left, over the whole raw letter sequence."""
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def _random_free_word(rng, rank, max_len):
-    letters = [
-        rng.choice([1, -1]) * rng.randint(1, rank)
-        for _ in range(rng.randint(0, max_len))
-    ]
-    return FreeWord(rank, letters)
+    return FreeWord(rank, _raw_letters(rng, rank, max_len))
 
 
 def test_free_word_reduction():
@@ -53,6 +62,9 @@ def test_signed_roundtrip_and_pow():
     assert list((w**2).letters) == [1, -2, 3, 1, -2, 3]
     assert list((w**-1).letters) == [-3, 2, -1]
     assert list((w**0).letters) == []
+    w = BraidWord(3, [1, 2, -1])  # copies cancel where they meet
+    assert list((w**3).letters) == [1, 2, 2, 2, -1]
+    assert list((w**-2).letters) == [1, -2, -2, -1]
 
 
 def test_braid_relation_adjacent():
@@ -73,11 +85,16 @@ def test_braid_relation_commuting():
 
 
 def test_inverse_word_is_inverse():
+    # w * w.inverse() is the empty word before artin_rep sees it, so the
+    # images of w and of its inverse are composed by substitution instead
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(2, 6)
         w = _random_word(rng, n, 12)
-        assert artin_rep(w * w.inverse()) == ArtinAuto.identity(n)
+        rw, rinv = artin_rep(w), artin_rep(w.inverse())
+        identity = list(ArtinAuto.identity(n).images)
+        assert [rinv.apply(x) for x in rw.images] == identity
+        assert [rw.apply(x) for x in rinv.images] == identity
 
 
 def test_rep_fixes_free_generator_product():
@@ -157,23 +174,23 @@ def test_letter_cap():
 
 
 def test_braid_element_syntactic_equality():
-    x = BraidElement(BraidWord(4, [1, -1, 2]))
-    y = BraidElement(BraidWord(4, [2]))
+    x = BraidWord(4, [1, -1, 2])
+    y = BraidWord(4, [2])
     assert x == y  # free reduction happens on construction
-    lhs = BraidElement(BraidWord(4, [1, 2, 1]))
-    rhs = BraidElement(BraidWord(4, [2, 1, 2]))
+    lhs = BraidWord(4, [1, 2, 1])
+    rhs = BraidWord(4, [2, 1, 2])
     assert lhs != rhs  # syntactically different words
-    assert lhs.equal_as_braids(rhs)  # but the same braid
-    assert (lhs * rhs.inverse()).equal_as_braids(BraidElement(BraidWord(4, [])))
+    assert braid_equal(lhs, rhs)  # but the same braid
+    assert braid_equal(lhs * rhs.inverse(), BraidWord(4, []))
 
 
 def test_braid_element_group_protocol():
     rng = random.Random(5)
     for _ in range(50):
-        x = BraidElement(_random_word(rng, 4, 10))
-        y = BraidElement(_random_word(rng, 4, 10))
+        x = _random_word(rng, 4, 10)
+        y = _random_word(rng, 4, 10)
         assert (x * y).inverse() == y.inverse() * x.inverse()
-        assert hash(x * x.inverse()) == hash(BraidElement(BraidWord(4, [])))
+        assert hash(x * x.inverse()) == hash(BraidWord(4, []))
 
 
 def test_images_share_letter_objects():
@@ -189,10 +206,10 @@ def test_images_share_letter_objects():
 
 
 def test_seam_products_match_full_reduction():
-    # Products of reduced words cancel only at the seam, and an inverse is
-    # not reduced again; the public constructors' full reduction of the
-    # raw letters is the oracle.  Ranks up to 8 take in letters +-6..+-8,
-    # which CPython does not cache.
+    # Products of reduced words cancel only at the seam, powers reduce the
+    # repeated letters, and an inverse is not reduced again; the test-local
+    # full reduction of the raw letters is the oracle.  Ranks and strand
+    # counts up to 8 take in letters +-6..+-8, which CPython does not cache.
     rng = random.Random(8)
     for _ in range(500):
         rank = rng.randint(2, 8)
@@ -202,11 +219,22 @@ def test_seam_products_match_full_reduction():
         # no cancellation, full cancellation, partial cancellation
         for y in (z, x.inverse(), FreeWord(rank, reversed_negated + list(z.letters))):
             assert x * y == FreeWord(rank, x.letters + y.letters)
+            assert (x * y).letters == _full_reduce(x.letters + y.letters)
         assert len(x * x.inverse()) == 0
 
         n = rank
+        raw = _raw_letters(rng, min(n - 1, 2), 16)  # few generators: cancels
+        assert BraidWord(n, raw).letters == _full_reduce(raw)
         u, v = _random_word(rng, n, 12), _random_word(rng, n, 12)
-        eu, ev = BraidElement(u), BraidElement(v)
-        for w in (v, u.inverse(), u.inverse() * v):
-            assert (eu * BraidElement(w)).word == (u * w).free_reduce()
-        assert eu.inverse().word == u.inverse().free_reduce()
+        ui = [-a for a in reversed(u.letters)]
+        for w, raw_w in ((v, v.letters), (u.inverse(), ui),
+                         (u.inverse() * v, ui + list(v.letters))):
+            assert (u * w).letters == _full_reduce(u.letters + tuple(raw_w))
+        assert u.inverse().letters == _full_reduce(ui)
+        # c s c^-1 is reduced but not cyclically reduced: its powers cancel
+        # where the copies meet
+        c = _raw_letters(rng, n - 1, 4)
+        w = BraidWord(n, c + _raw_letters(rng, n - 1, 4) + [-a for a in c[::-1]])
+        for k in range(-3, 4):
+            copies = w.letters if k >= 0 else [-a for a in reversed(w.letters)]
+            assert (w**k).letters == _full_reduce(list(copies) * abs(k))

@@ -295,9 +295,21 @@ def test_malformed_elements_name_file_and_key(tmp_path, capsys, sub, doc, key):
     ({"group": "s4", "elements": [[2, 1, 3, 4, 5], [1, 3, 2, 4, 5]]},
      "'elements' must be a list of permutations of 1..4;"
      " element 1 is [2, 1, 3, 4, 5]"),
-], ids=["braid-bool-letter", "bool-strands", "s4-bool-point", "s4-degree-5"])
+    ({"group": "braid", "strands": 1, "elements": [[], []]},
+     "'strands' must be at least 2; it is 1"),
+    ({"group": "braid", "strands": 3, "elements": [[1], [5]]},
+     "'elements' must be a list of braid words on 3 strands; element 2 is [5]"),
+    ({"group": "braid", "strands": 3, "elements": [[1, 0], [2]]},
+     "'elements' must be a list of braid words on 3 strands; element 1 is [1, 0]"),
+    ({"group": "braid", "strands": 4, "elements": [[2], [1, -4, 4]]},
+     "'elements' must be a list of braid words on 4 strands;"
+     " element 2 is [1, -4, 4]"),
+], ids=["braid-bool-letter", "bool-strands", "s4-bool-point", "s4-degree-5",
+        "one-strand", "letter-past-strands", "letter-zero", "cancelling-bad-pair"])
 def test_bad_element_names_file_key_and_element(tmp_path, capsys, doc, tail):
-    # a JSON boolean is no integer, and an s4 element permutes exactly 1..4
+    # a JSON boolean is no integer, an s4 element permutes exactly 1..4, a
+    # braid needs two strands and letters +-1..+-(strands-1), checked as
+    # written, before any cancellation
     path = tmp_path / "fact.json"
     path.write_text(json.dumps(doc))
     code = main(["hurwitz", "act", "--file", str(path), "--moves", "1"])

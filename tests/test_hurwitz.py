@@ -3,7 +3,6 @@ import random
 import pytest
 
 from braidmf import (
-    BraidElement,
     BraidWord,
     F2Vec,
     FreeWord,
@@ -178,9 +177,7 @@ def test_factorizations_are_plain_tuples():
     chain = form_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     makers = {
         "Perm": lambda: rng.choice(symmetric_group(4)),
-        "BraidElement": lambda: BraidElement(
-            BraidWord(4, _signed(rng, 3, rng.randint(0, 5)))
-        ),
+        "BraidWord": lambda: BraidWord(4, _signed(rng, 3, rng.randint(0, 5))),
         "FreeWord": lambda: FreeWord(3, _signed(rng, 3, rng.randint(0, 5))),
         "F2Operator": lambda: transvection(F2Vec(4, rng.randrange(1, 16)), chain)
         * transvection(F2Vec(4, rng.randrange(1, 16)), chain),
