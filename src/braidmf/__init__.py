@@ -51,21 +51,13 @@ from .f2sym import (
 )
 from .hurwitz import (
     SearchResult,
-    StableContext,
     act_moves,
     act_word,
-    class_count_function,
-    generated_subgroup,
     hurwitz_move,
     orbit_search,
     product,
-    rotate_to_front,
-    signed_class_count,
-    simultaneous_conjugate,
-    stable_cancel,
-    stable_insert,
 )
-from .perm import Perm, klein_group, quotient_s4_to_s3, symmetric_group
+from .perm import Perm, symmetric_group
 from .s4orbit import (
     GeneratorAction,
     TauFactorization,

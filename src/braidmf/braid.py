@@ -12,7 +12,7 @@ as precomposing with the move, so the images of a word are built right
 to left: start from the free generators and apply its letters from last
 to first.  The representation is faithful on the disk braid group, which
 is what braid_equal relies on; the sphere relation is NOT quotiented,
-but the relation word is exposed as a constant.
+but sphere_relation_word(n) builds the relation word.
 
 Braid words and free words are freely reduced when built, and compose
 left-to-right, like everything else in this package.
@@ -238,8 +238,11 @@ def artin_rep(word, cap=DEFAULT_LETTER_CAP):
     """The free-group automorphism of a braid word (letters left-to-right).
 
     Hurwitz moves on the free generators, from the last letter to the
-    first; raises LetterCapExceeded once the images exceed `cap` letters.
+    first; raises LetterCapExceeded once the images exceed `cap` letters,
+    which the free generators alone do on more than `cap` strands.
     """
+    if word.strands > cap:
+        raise LetterCapExceeded(f"automorphism over cap {cap}")
     f = ArtinAuto.identity(word.strands).images
     for x in reversed(word.letters):
         f = hurwitz_move(f, abs(x), inverse=x < 0)

@@ -50,8 +50,16 @@ def _check(name, ok, details=""):
     return {"name": name, "status": "pass" if ok else "fail", "details": details}
 
 
-def _ints(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _ints(text, flag):
+    """A comma list of ints; only an empty or blank string is the empty list."""
+    if not text.strip():
+        return ()
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be a comma-separated list of integers; it is {text!r}"
+        ) from None
 
 
 def _surface(args, suffix=""):
@@ -237,7 +245,7 @@ def run_obstruct(args):
 
 
 def braid_eq(args):
-    word1, word2 = _ints(args.word1), _ints(args.word2)
+    word1, word2 = _ints(args.word1, "--word1"), _ints(args.word2, "--word2")
     w1, w2 = (BraidWord(args.strands, w) for w in (word1, word2))
     equal = braid_equal(w1, w2)
     details = "words are equal as braids" if equal else "words differ as braids"
@@ -303,7 +311,7 @@ def _load_elements(path, doc, key):
 def hurwitz_act(args):
     doc = _read_factorization_file(args.file, "elements")
     elements = _load_elements(args.file, doc, "elements")
-    out = act_moves(elements, _ints(args.moves))
+    out = act_moves(elements, _ints(args.moves, "--moves"))
     if doc["group"] == "s4":
         dumped = [e.to_json() for e in out]
     else:

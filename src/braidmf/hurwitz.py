@@ -1,4 +1,4 @@
-"""Factorizations in a group with Hurwitz moves, conjugation and search.
+"""Factorizations in a group: Hurwitz moves, closure and orbit search.
 
 A factorization is a plain tuple of group elements, regarded together
 with its `product`.  Elements may belong to any group: all that is needed
@@ -60,62 +60,6 @@ def act_moves(f, moves):
     return f
 
 
-def simultaneous_conjugate(f, g):
-    """Replace every factor a by g^{-1} a g."""
-    ginv = g.inverse()
-    return tuple(ginv * a * g for a in f)
-
-
-def rotate_to_front(f, h):
-    """Hurwitz-equivalent factorization starting with (a conjugate of) slot h.
-
-    Forward moves at h-1, h-2, ..., 1 carry the h-th factor to the front;
-    the moved factor arrives conjugated, the product is untouched.
-    """
-    if not (1 <= h <= len(f)):
-        raise IndexError(f"slot {h} out of range 1..{len(f)}")
-    f = tuple(f)
-    for i in range(h - 1, 0, -1):
-        f = hurwitz_move(f, i)
-    return f
-
-
-@dataclass(frozen=True)
-class StableContext:
-    """The admissible creation/cancellation elements for stable moves."""
-
-    admissible: frozenset
-
-    def __init__(self, admissible):
-        object.__setattr__(self, "admissible", frozenset(admissible))
-
-    def allows(self, beta):
-        return beta in self.admissible or beta.inverse() in self.admissible
-
-
-def stable_insert(f, pos, beta, ctx):
-    """Insert beta o beta^{-1} before 1-based slot pos (pos = m+1 appends)."""
-    if beta not in ctx.admissible:
-        raise ValueError(f"{beta!r} is not admissible")
-    if not (1 <= pos <= len(f) + 1):
-        raise IndexError(f"insert position {pos} out of range")
-    f = tuple(f)
-    return f[: pos - 1] + (beta, beta.inverse()) + f[pos - 1 :]
-
-
-def stable_cancel(f, pos, ctx):
-    """Remove the consecutive inverse pair at slots pos, pos+1."""
-    if not (1 <= pos <= len(f) - 1):
-        raise IndexError(f"cancel position {pos} out of range")
-    a, b = f[pos - 1], f[pos]
-    if not (a * b) == (a * a.inverse()):
-        raise ValueError("slots do not multiply to the identity")
-    if not ctx.allows(a):
-        raise ValueError(f"{a!r} is not admissible")
-    f = tuple(f)
-    return f[: pos - 1] + f[pos + 1 :]
-
-
 def bfs_closure(elements, cap=200_000):
     """Multiplicative closure of a set of elements, in breadth-first order.
 
@@ -138,75 +82,6 @@ def bfs_closure(elements, cap=200_000):
                         raise RuntimeError(f"closure exceeded cap {cap}")
         frontier = nxt
     return list(seen)
-
-
-def generated_subgroup(elements, cap=200_000):
-    """The closure of `elements` (see bfs_closure), as a frozenset."""
-    return frozenset(bfs_closure(elements, cap))
-
-
-def _conjugacy_classes(group):
-    """Partition a finite group (iterable) into conjugacy classes.
-
-    Returns a dict mapping each element to the first element of its class
-    in iteration order.  The class of x is {g^{-1} x g : g in group}, one
-    pass over the group per class.
-    """
-    group = list(group)
-    rep_of = {}
-    for x in group:
-        if x in rep_of:
-            continue
-        for g in group:
-            rep_of[g.inverse() * x * g] = x
-    return rep_of
-
-
-def class_count_function(f, subgroup=None):
-    """The unsigned class-count invariant of a factorization.
-
-    Counts, for each conjugacy class of the subgroup H generated by the
-    factors, how many factors fall in it.  Returns (sigma, H) where
-    sigma maps class representative -> count.  Constant on Hurwitz
-    orbits since moves replace factors by H-conjugates.
-    """
-    if len(f) == 0:
-        return {}, frozenset()
-    H = subgroup if subgroup is not None else generated_subgroup(f)
-    rep_of = _conjugacy_classes(H)
-    sigma = {}
-    for a in f:
-        r = rep_of[a]
-        sigma[r] = sigma.get(r, 0) + 1
-    return sigma, H
-
-
-def signed_class_count(f, admissible=()):
-    """The signed class-count s on classes not conjugate to their inverse.
-
-    Computed inside the stabilized subgroup generated by the factors and
-    the admissible elements.  Returns a dict mapping a frozenset
-    {class_rep, inverse_class_rep} -> |count(class) - count(inverse)|,
-    restricted to class pairs with class != inverse class.
-    """
-    if len(f) == 0 and not admissible:
-        return {}
-    H = generated_subgroup([*f, *admissible])
-    rep_of = _conjugacy_classes(H)
-    counts = {}
-    for a in f:
-        r = rep_of[a]
-        counts[r] = counts.get(r, 0) + 1
-    s = {}
-    for r, n in counts.items():
-        r_inv = rep_of[r.inverse()]
-        if r_inv == r:
-            continue  # class conjugate to its inverse: not tracked
-        key = frozenset({r, r_inv})
-        if key in s:
-            continue
-        s[key] = abs(n - counts.get(r_inv, 0))
-    return s
 
 
 @dataclass

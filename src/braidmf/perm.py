@@ -122,37 +122,7 @@ class Perm:
         return cls(i - 1 for i in data)
 
 
-# The Klein four-group, kernel of the surjection S4 -> S3.
-def klein_group():
-    return (
-        Perm.identity(4),
-        Perm.from_cycles([(1, 2), (3, 4)], 4),
-        Perm.from_cycles([(1, 3), (2, 4)], 4),
-        Perm.from_cycles([(1, 4), (2, 3)], 4),
-    )
-
-
 @lru_cache(maxsize=None)
 def symmetric_group(n):
     """All n! permutations, in lexicographic image order."""
     return tuple(Perm(im) for im in itertools.permutations(range(n)))
-
-
-# The three ways to split {1,2,3,4} into two pairs.  S4 permutes them, and
-# the Klein four-group is exactly the kernel of that action, so the induced
-# permutation of the splittings (in this order) is the quotient S4 -> S3:
-# (12),(34) -> (12);  (13),(24) -> (13);  (14),(23) -> (23).
-_SPLITTINGS = tuple(
-    frozenset({frozenset(x), frozenset(y)})
-    for x, y in (((1, 4), (2, 3)), ((1, 3), (2, 4)), ((1, 2), (3, 4)))
-)
-
-
-def quotient_s4_to_s3(p):
-    """Image of p in S3 under the surjection S4 -> S3 with Klein kernel."""
-    if p.degree != 4:
-        raise ValueError(f"expected degree 4, got {p.degree}")
-    return Perm(
-        _SPLITTINGS.index(frozenset(frozenset(map(p, pair)) for pair in split))
-        for split in _SPLITTINGS
-    )

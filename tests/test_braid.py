@@ -173,6 +173,14 @@ def test_letter_cap():
         artin_rep(w, cap=200)
 
 
+def test_letter_cap_covers_the_free_generators():
+    # the identity images already hold one letter per strand
+    assert artin_rep(BraidWord(5, ()), cap=5) == ArtinAuto.identity(5)
+    with pytest.raises(LetterCapExceeded) as exc:
+        artin_rep(BraidWord(5, ()), cap=4)
+    assert str(exc.value) == "automorphism over cap 4"
+
+
 def test_braid_element_syntactic_equality():
     x = BraidWord(4, [1, -1, 2])
     y = BraidWord(4, [2])

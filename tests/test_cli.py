@@ -137,6 +137,37 @@ def test_bad_letter_is_spelt_index_sign(capsys, word1, letter):
     assert out == "" and err == f"error: bad letter {letter} on 3 strands\n"
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--word1", "1,,2"), ("--word1", "1,2,"), ("--word1", ","),
+    ("--word2", " , "), ("--word2", "1,x"), ("--word2", "1;2"),
+])
+def test_malformed_word_list_is_bad_input(capsys, flag, text):
+    # an empty item is an error, not skipped: 1,,2 must not read as 1,2
+    words = {"--word1": "1,2", "--word2": "1,2", flag: text}
+    argv = ["braid", "eq", "--strands", "3"]
+    code = main(argv + [f"{k}={v}" for k, v in words.items()])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == (
+        f"error: {flag} must be a comma-separated list of integers; it is {text!r}\n"
+    )
+
+
+def test_only_a_blank_word_list_is_the_empty_word(capsys):
+    code, out = _run(capsys, "braid", "eq", "--strands", "3",
+                     "--word1=", "--word2= ", "--json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"strands": 3, "word1": [], "word2": []}
+
+
+def test_braid_eq_checks_the_letter_cap_before_building_images(capsys):
+    # one free generator per strand is already over the 10**6-letter cap
+    code = main(["braid", "eq", "--strands", "1000001", "--word1=", "--word2="])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err == "error: automorphism over cap 1000000\n"
+
+
 def test_parser_is_built_once_per_process(capsys):
     # A parser built per call is cyclic garbage after it: under
     # DEBUG_SAVEALL the collector would keep its objects in gc.garbage.
@@ -212,6 +243,28 @@ def test_hurwitz_act_move_out_of_range(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and "move index 5 out of range" in err
+
+
+@pytest.mark.parametrize("moves, code, tail", [
+    ("1,,1", 2, "error: --moves must be a comma-separated list of integers;"
+                " it is '1,,1'\n"),
+    ("-1,", 2, "error: --moves must be a comma-separated list of integers;"
+               " it is '-1,'\n"),
+    ("1,one", 2, "error: --moves must be a comma-separated list of integers;"
+                 " it is '1,one'\n"),
+    ("", 0, ""),
+], ids=["empty-item", "trailing-comma", "non-integer", "no-moves"])
+def test_hurwitz_act_move_list(tmp_path, capsys, moves, code, tail):
+    doc = {"group": "s4", "elements": [[2, 1, 3, 4], [1, 3, 2, 4]]}
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hurwitz", "act", "--file", str(path), f"--moves={moves}"]) == code
+    out, err = capsys.readouterr()
+    assert err == tail
+    if code == 0:  # no moves: the factorization comes back as it was
+        assert json.loads(out)["elements"] == doc["elements"]
+    else:
+        assert out == ""
 
 
 @pytest.mark.parametrize("sub", ["act", "search"])

@@ -7,23 +7,16 @@ from braidmf import (
     F2Vec,
     FreeWord,
     Perm,
-    StableContext,
     act_moves,
     act_word,
-    class_count_function,
-    generated_subgroup,
     hurwitz_move,
     orbit_search,
     product,
-    rotate_to_front,
-    signed_class_count,
-    simultaneous_conjugate,
-    stable_cancel,
-    stable_insert,
     symmetric_group,
     transvection,
 )
 from braidmf.f2sym import form_from_edges
+from braidmf.hurwitz import bfs_closure
 
 
 def _random_fact(rng, m=5, n=5):
@@ -69,69 +62,13 @@ def test_act_word_matches_act_moves():
         act_word(_random_fact(rng, m=4), BraidWord(6, [1]))
 
 
-def test_rotate_to_front():
-    rng = random.Random(13)
-    f = _random_fact(rng, m=6)
-    for h in range(1, 7):
-        g = rotate_to_front(f, h)
-        assert product(g) == product(f)
-        # the moved factor arrives as a conjugate of slot h
-        assert g[0].cycle_type() == f[h - 1].cycle_type()
-
-
-def test_simultaneous_conjugate():
-    rng = random.Random(14)
-    f = _random_fact(rng)
-    g = rng.choice(symmetric_group(5))
-    fc = simultaneous_conjugate(f, g)
-    assert product(fc) == product(f).conjugate(g)
-
-
-def test_stable_insert_and_cancel():
-    t = Perm.transposition(1, 2, 4)
-    u = Perm.transposition(3, 4, 4)
-    ctx = StableContext([t])
-    f = tuple([u, u])
-    g = stable_insert(f, 2, t, ctx)
-    assert g == (u, t, t, u)
-    assert stable_cancel(g, 2, ctx) == f
-    with pytest.raises(ValueError):
-        stable_insert(f, 1, u, ctx)  # u is not admissible
-    with pytest.raises(ValueError):
-        stable_cancel(f, 1, ctx)  # u,u multiply to identity but u not allowed
-
-
-def test_stable_cancel_rejects_noninverse_pair():
-    t = Perm.transposition(1, 2, 4)
-    u = Perm.transposition(1, 3, 4)
-    ctx = StableContext([t, u])
-    with pytest.raises(ValueError):
-        stable_cancel(tuple([t, u]), 1, ctx)
-
-
 def test_generated_subgroup():
     gens = [Perm.transposition(1, 2, 4), Perm.from_cycles([(1, 2, 3, 4)], 4)]
-    assert len(generated_subgroup(gens)) == 24
-    assert generated_subgroup([]) == frozenset()
+    closure = bfs_closure(gens)
+    assert len(closure) == 24 and set(closure) == set(symmetric_group(4))
+    assert bfs_closure([]) == []
     with pytest.raises(RuntimeError):
-        generated_subgroup(gens, cap=10)
-
-
-def test_class_count_is_orbit_invariant():
-    rng = random.Random(15)
-    for _ in range(20):
-        f = _random_fact(rng, m=4, n=4)
-        sigma, H = class_count_function(f)
-        moves = [rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(15)]
-        g = act_moves(f, moves)
-        sigma2, _ = class_count_function(g, subgroup=H)
-        assert sigma == sigma2
-
-
-def test_signed_class_count_transpositions_balanced():
-    # transpositions are self-inverse: nothing is tracked
-    f = tuple([Perm.transposition(1, 2, 4)] * 3)
-    assert signed_class_count(f) == {}
+        bfs_closure(gens, cap=10)
 
 
 def test_orbit_search_finds_scramble_path():
@@ -191,22 +128,15 @@ def test_factorizations_are_plain_tuples():
 
     # lists and tuples go in alike; tuples come out
     f = _random_fact(rng, m=4)
-    t = Perm.transposition(1, 2, 5)
-    ctx = StableContext([t])
     moves = [1, -2, 3, 3]
     outs = {}
     for given in (list(f), f):
         out = (
             act_moves(given, moves),
             act_word(given, BraidWord(4, moves)),
-            simultaneous_conjugate(given, t),
-            rotate_to_front(given, 3),
-            stable_insert(given, 2, t, ctx),
-            stable_cancel([t, t, *given], 1, ctx),
         )
         assert all(type(x) is tuple for x in out)
-        assert class_count_function(given) == class_count_function(f)
-        assert signed_class_count(given, [t]) == signed_class_count(f, [t])
+        assert product(given) == product(f)
         outs[type(given)] = out
     assert outs[list] == outs[tuple]
     start = outs[tuple][0]

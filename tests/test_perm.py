@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidmf import Perm, klein_group, quotient_s4_to_s3, symmetric_group
+from braidmf import Perm, symmetric_group
 
 
 def test_identity_and_validation():
@@ -61,36 +61,6 @@ def test_symmetric_group_sizes():
     assert len(symmetric_group(4)) == 24
     assert len(set(symmetric_group(4))) == 24
     assert len(symmetric_group(3)) == 6
-
-
-def test_klein_group_is_closed_and_normal():
-    K = klein_group()
-    assert len(set(K)) == 4
-    for x in K:
-        for y in K:
-            assert x * y in K
-    for g in symmetric_group(4):
-        for x in K:
-            assert x.conjugate(g) in K
-
-
-def test_quotient_is_a_homomorphism_with_klein_kernel():
-    kernel = set()
-    for p in symmetric_group(4):
-        for q in symmetric_group(4):
-            assert quotient_s4_to_s3(p * q) == quotient_s4_to_s3(
-                p
-            ) * quotient_s4_to_s3(q)
-        if quotient_s4_to_s3(p).is_identity():
-            kernel.add(p)
-    assert kernel == set(klein_group())
-
-
-def test_quotient_transposition_images():
-    assert quotient_s4_to_s3(Perm.transposition(1, 2, 4)) == Perm.transposition(1, 2, 3)
-    assert quotient_s4_to_s3(Perm.transposition(3, 4, 4)) == Perm.transposition(1, 2, 3)
-    assert quotient_s4_to_s3(Perm.transposition(1, 3, 4)) == Perm.transposition(1, 3, 3)
-    assert quotient_s4_to_s3(Perm.transposition(2, 3, 4)) == Perm.transposition(2, 3, 3)
 
 
 def test_json_roundtrip():
