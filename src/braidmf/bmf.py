@@ -218,11 +218,35 @@ def _twist_blocks(p, twist):
     return [Block(f"{twist}_block", rep, row) for rep in range(1, abs(diff) + 1)]
 
 
+# Largest factorization `generate_bmf` builds.  At a=b=c=d=52 (193,856
+# factors) `bmf gen --json` takes 3.2 s and 291 MB peak RSS on a 2-core
+# x86-64 host with Python 3.11; a=b=c=d=24, the census maximum, has 41,088.
+MAX_FACTORS = 200_000
+
+
+def factor_count(p: SurfaceParams) -> int:
+    """len(generate_bmf(p).factors) in closed form: per side, 2a repetitions
+    of 4(2b-1) pair twists, |2b-d| full twists and 8d crossing twists, plus
+    |2a-c| twist blocks of 2b factors."""
+
+    def side(a, b, c, d):
+        beta = 4 * (2 * b - 1) + abs(2 * b - d) + 8 * d
+        return 2 * a * beta + abs(2 * a - c) * 2 * b
+
+    return side(p.a, p.b, p.c, p.d) + side(p.c, p.d, p.a, p.b)
+
+
 def generate_bmf(p: SurfaceParams) -> BmfFactorization:
     """The four-part symbolic factorization: f-side repetitions, the two
     pure full-twist blocks, then the mirrored g-side repetitions.  Each
     full-twist block carries the constant sign of the count that sets its
-    length."""
+    length.  Raises RuntimeError, before building anything, when it would
+    hold more than MAX_FACTORS factors."""
+    count = factor_count(p)
+    if count > MAX_FACTORS:
+        raise RuntimeError(
+            f"factorization of {count} factors exceeds cap {MAX_FACTORS}"
+        )
     g = p.swapped()
     blocks = (
         *_side(p, "fg", "p", ("a", "c"), 1),

@@ -4,7 +4,8 @@ One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
 error or bad input, 3 a resource limit was hit (braid letter cap,
-search node cap or group closure cap) before a verdict was reached.
+search node cap, group closure cap or bmf factor cap) before a verdict
+was reached.
 """
 
 from __future__ import annotations
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # a letter, node or closure cap was hit
+    except RuntimeError as exc:  # a letter, node, closure or factor cap was hit
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if body is None:

@@ -12,12 +12,21 @@ The forward Hurwitz move at index i (1-based) is
     (a_i, a_{i+1})  |->  (a_i a_{i+1} a_i^{-1}, a_i)
 
 which visibly preserves the product; the inverse move undoes it.
+
+On factorizations in S4 (every element a Perm of degree 4) `act_moves`
+runs on indices into `symmetric_group(4)` with two 24x24 tables derived
+from `hurwitz_move` on first use; a slot whose value changed comes back
+as the canonical Perm of that tuple.  Every other factorization goes
+through `hurwitz_move` once per move.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
+
+from .perm import Perm, symmetric_group
 
 
 def product(f):
@@ -55,9 +64,52 @@ def act_word(f, word):
 def act_moves(f, moves):
     """Apply signed move indices: +i forward at i, -i inverse at i."""
     f = tuple(f)
+    if f and all(type(x) is Perm and len(x.images) == 4 for x in f):
+        return _act_moves_s4(f, moves)
     for k in moves:
         f = hurwitz_move(f, abs(k), inverse=(k < 0))
     return f
+
+
+@functools.cache
+def _s4_tables():
+    """(index, fwd, bwd) on S4 = symmetric_group(4): index maps images to
+    positions in S4; fwd[a][b] = a b a^-1, the first slot after the forward
+    move on (a, b); bwd[b][a] = b^-1 a b, the second slot after the inverse
+    move, as row fwd[b] inverted."""
+    s4 = symmetric_group(4)
+    index = {x.images: i for i, x in enumerate(s4)}
+    fwd = tuple(
+        tuple(index[hurwitz_move((x, y), 1)[0].images] for y in s4) for x in s4
+    )
+    bwd = tuple(tuple(sorted(range(24), key=row.__getitem__)) for row in fwd)
+    return index, fwd, bwd
+
+
+def _act_moves_s4(f, moves):
+    """act_moves on a tuple of degree-4 Perms, through the S4 tables."""
+    moves = tuple(moves)
+    m = len(f)
+    for k in moves:
+        if not 1 <= abs(k) <= m - 1:
+            raise IndexError(f"move index {abs(k)} out of range 1..{m - 1}")
+    index, fwd, bwd = _s4_tables()
+    start = [index[x.images] for x in f]
+    s = start.copy()
+    for k in moves:
+        if k > 0:  # slots k-1, k: (a, b) -> (a b a^-1, a)
+            a = s[k - 1]
+            s[k - 1] = fwd[a][s[k]]
+            s[k] = a
+        else:  # slots -k-1, -k: (a, b) -> (b, b^-1 a b)
+            b = s[-k]
+            s[-k] = bwd[b][s[-k - 1]]
+            s[-k - 1] = b
+    # a slot that ends where it started keeps its Perm, as the generic path
+    # keeps an untouched one, so comparing the result with f mostly compares
+    # identical objects
+    s4 = symmetric_group(4)
+    return tuple(x if i == j else s4[j] for x, i, j in zip(f, start, s))
 
 
 def bfs_closure(elements, cap=200_000):

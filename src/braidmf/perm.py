@@ -2,7 +2,7 @@
 
 Composition convention (used consistently across the whole package,
 including factorization products): ``p * q`` means "apply p first,
-then q".  Conjugation is ``p ** g == g.inverse() * p * g``.
+then q".  Conjugation is ``p.conjugate(g) == g.inverse() * p * g``.
 
 Points are 1-based in cycle notation and in the JSON wire format
 (an array of 1-based images); internally images are stored 0-based.
@@ -24,6 +24,14 @@ class Perm:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _trusted(cls, images):
+        """A Perm from an images tuple known to be a bijection (a product
+        or inverse of Perms), without the bijection check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Perm is immutable")
@@ -64,13 +72,13 @@ class Perm:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        return Perm(other.images[i] for i in self.images)
+        return Perm._trusted(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self):
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def conjugate(self, g):
         """g^{-1} * self * g."""

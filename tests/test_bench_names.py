@@ -12,13 +12,17 @@ verdict still runs.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
 
 
 def _load(filename):
@@ -82,3 +86,39 @@ def test_workload_verdicts_run(tmp_path, name):
         if not v.long and v.kind not in judged:
             judged[v.kind] = v.check(v.run())
     assert len(judged) >= 3
+
+
+# Runs in a fresh interpreter, as a benchmark worker does: braidmf is
+# imported, the tracer installed, then one census realize verdict traced.
+_TRACED_REALIZE = """
+import json, sys
+from pathlib import Path
+import workloads
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+verdicts = workloads.WORKLOADS["census"].build_round(1, 0, Path(sys.argv[1]))
+verdict = next(v for v in verdicts if v.kind == "realize")
+tracer.active = True
+outcome = verdict.run()
+tracer.active = False
+assert verdict.check(outcome)
+print(json.dumps(tracer.summary()))
+"""
+
+
+def test_traced_census_realize_counts_moves_and_products(tmp_path):
+    # bench/test_trace.py asserts these counters are non-zero on census.
+    # The realize verdict reaches hurwitz_move and Perm.__mul__ only while
+    # the S4 move tables are built, so that must happen on first use in the
+    # traced verdict, not at import.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_REALIZE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout)
+    assert layers["hurwitz.move_calls"] > 0
+    assert layers["perm.mul_calls"] > 0

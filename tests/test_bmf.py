@@ -16,7 +16,14 @@ from braidmf import (
     tangent_cluster_factorization,
     tau0,
 )
-from braidmf.bmf import Block, BmfFactor, factor_word, twist_str, twist_word
+from braidmf.bmf import (
+    Block,
+    BmfFactor,
+    factor_count,
+    factor_word,
+    twist_str,
+    twist_word,
+)
 from braidmf.hurwitz import act_moves, product
 
 
@@ -200,3 +207,48 @@ def test_g_side_mirrors_f_side():
             if blk.kind in _MIRROR_KIND
         ]
         assert g_side and g_side == f_side
+
+
+def test_realize_matches_generic_action():
+    # realize runs the S4 index tables; the oracle is one hurwitz_move per
+    # letter on fresh Perms, which act_moves does not send to the tables
+    from braidmf.hurwitz import hurwitz_move
+    from braidmf.perm import Perm
+
+    for abcd in ((1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3)):
+        p = SurfaceParams(*abcd)
+        tau = tau0(p.b, p.d)
+        for factor in dict.fromkeys(generate_bmf(p).factors):
+            word = factor_word(factor, p.b, p.d)
+            verdict = realize_s4_trivial_action(factor, tau)
+            if word is None:
+                assert verdict == "skipped"
+                continue
+            generic = tuple(Perm(x.images) for x in tau.factors)
+            for k in word.letters:
+                generic = hurwitz_move(generic, abs(k), inverse=k < 0)
+            assert act_moves(tau.factors, word.letters) == generic
+            assert verdict == ("trivial" if generic == tau.factors else "nontrivial")
+
+
+def test_factor_count_closed_form():
+    grid = list(itertools.product(range(1, 6), repeat=4))
+    assert any(SurfaceParams(*abcd).excluded for abcd in grid)
+    assert any(2 * a == c for a, b, c, d in grid)
+    for abcd in grid:
+        p = SurfaceParams(*abcd)
+        assert factor_count(p) == len(generate_bmf(p).factors)
+    assert factor_count(SurfaceParams(24, 24, 24, 24)) == 41_088
+
+
+def test_generate_refuses_above_the_factor_cap(monkeypatch):
+    from braidmf import bmf
+
+    p = SurfaceParams(2, 3, 4, 1)
+    n = factor_count(p)
+    monkeypatch.setattr(bmf, "MAX_FACTORS", n)
+    assert len(generate_bmf(p).factors) == n
+    monkeypatch.setattr(bmf, "MAX_FACTORS", n - 1)
+    with pytest.raises(RuntimeError) as exc:
+        generate_bmf(p)
+    assert str(exc.value) == f"factorization of {n} factors exceeds cap {n - 1}"

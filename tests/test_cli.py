@@ -73,6 +73,22 @@ def test_bmf_gen(capsys):
     assert doc["census"]["by_type"]["cusp"] == 60
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_bmf_gen_over_the_factor_cap_exits_3(monkeypatch, capsys, json_flag):
+    # a=b=c=d=53 has 201,400 factors, just above the cap: refused from the
+    # closed-form count, before any block is built
+    def build(*args):
+        raise AssertionError("blocks built")
+
+    monkeypatch.setattr("braidmf.bmf._side", build)
+    code = main(["bmf", "gen", "--a", "53", "--b", "53", "--c", "53",
+                 "--d", "53", *json_flag])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "error: factorization of 201400 factors exceeds cap 200000\n"
+
+
 def test_bmf_distinguish(capsys):
     code, out = _run(capsys, "bmf", "distinguish",
                      "--a", "2", "--b", "3", "--c", "4", "--d", "3",

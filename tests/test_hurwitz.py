@@ -144,3 +144,84 @@ def test_factorizations_are_plain_tuples():
     with pytest.raises(ValueError) as exc:
         product(())
     assert str(exc.value) == "empty factorization has no product without an identity"
+
+
+def _chained(f, moves):
+    # the generic action, one hurwitz_move per letter: the oracle of the
+    # S4 index-table path of act_moves
+    f = tuple(f)
+    for k in moves:
+        f = hurwitz_move(f, abs(k), inverse=k < 0)
+    return f
+
+
+def _fresh(f):
+    # equal Perms that are not the symmetric_group(4) objects
+    return tuple(Perm(x.images) for x in f)
+
+
+def test_s4_path_matches_chained_moves():
+    rng = random.Random(18)
+    s4 = symmetric_group(4)
+    for m in [*range(1, 13), *(rng.randint(13, 200) for _ in range(40))]:
+        f = _fresh(_random_fact(rng, m=m, n=4))
+        moves = _signed(rng, m - 1, rng.randint(0, 3 * m)) if m > 1 else []
+        out = act_moves(f, moves)
+        assert out == _chained(f, moves)
+        assert [hash(x) for x in out] == [hash(x) for x in _chained(f, moves)]
+        # the table path ran: a slot that ends as it started keeps its Perm,
+        # any other is the canonical symmetric_group(4) Perm
+        for x, y in zip(f, out):
+            assert y is x if y == x else y is s4[s4.index(y)]
+        if m > 1:
+            assert act_word(f, BraidWord(m, moves)) == out
+
+
+@pytest.mark.parametrize("bad", ["0", "m", "-m", "m+3"])
+def test_s4_path_index_error_matches_generic(bad):
+    for m in (1, 2, 5):
+        f = _fresh(_random_fact(random.Random(m), m=m, n=4))
+        k = {"0": 0, "m": m, "-m": -m, "m+3": m + 3}[bad]
+        moves = ([1] if m > 1 else []) + [k]
+        errors = []
+        for act in (act_moves, _chained):
+            with pytest.raises(IndexError) as exc:
+                act(f, moves)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == f"move index {abs(k)} out of range 1..{m - 1}"
+
+
+def test_mixed_factorizations_take_the_generic_path(monkeypatch):
+    from braidmf import hurwitz
+
+    def table_path(f, moves):
+        raise AssertionError("S4 table path taken")
+
+    monkeypatch.setattr(hurwitz, "_act_moves_s4", table_path)
+    rng = random.Random(19)
+    s4_part = _fresh(_random_fact(rng, m=4, n=4))
+    degree5 = rng.choice(symmetric_group(5))
+    moves = [1, -2, 3, -1, 2]  # slots 1..4 only
+    for f in (
+        s4_part + (degree5,),
+        s4_part + (BraidWord(4, (1, -2)),),
+        _random_fact(rng, m=5, n=5),
+    ):
+        assert act_moves(f, moves) == _chained(f, moves)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        act_moves(s4_part + (degree5,), [4])
+    with pytest.raises(AssertionError, match="S4 table path taken"):
+        act_moves(s4_part, moves)
+
+
+def test_snake_via_word_matches_generic_action():
+    from braidmf.braid import snake_word
+    from braidmf.s4orbit import all_windows, embed_window, snake_via_word
+
+    for b in range(1, 4):
+        for d in range(1, 4):
+            word = snake_word(d, 4 * (b + d))
+            for window in all_windows():
+                f = embed_window(window, b, d)
+                generic = _chained(_fresh(f.factors), word.letters)
+                assert snake_via_word(f).factors == generic

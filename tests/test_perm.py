@@ -67,3 +67,19 @@ def test_json_roundtrip():
     p = Perm.from_cycles([(1, 3, 2)], 4)
     assert Perm.from_json(p.to_json()) == p
     assert p.to_json() == [3, 1, 2, 4]
+
+
+def test_products_and_inverses_match_validated_constructor():
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for _ in range(50):
+            p, q = (Perm(rng.sample(range(n), n)) for _ in range(2))
+            pq = p * q
+            assert pq == Perm([q.images[i] for i in p.images])
+            inv = p.inverse()
+            assert inv == Perm(sorted(range(n), key=p.images.__getitem__))
+            for r in (pq, inv):
+                assert type(r) is Perm and type(r.images) is tuple
+                assert hash(r) == hash(Perm(r.images))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Perm.identity(3) * Perm.identity(4)
