@@ -8,7 +8,6 @@ classical order formulas exactly.
 """
 
 from braidmf import (
-    F2Vec,
     arf,
     arf_oracle,
     classify_cross,
@@ -36,16 +35,16 @@ for a, c in ((2, 2), (2, 4), (3, 3)):
 
 print("\nClosure sizes at dim 4 (chain diagram, q = 1 on the basis):")
 chain = form_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-gens = [transvection(F2Vec.basis(i, 4), chain) for i in range(4)]
+gens = [transvection(1 << i, chain) for i in range(4)]
 og = group_closure(gens)
 print(f"  basis transvections:    {len(og):4d}  (|O^-(4,2)| = {orthogonal_group_order(2, -1)})")
-q0 = F2Vec(4, 0b0101)
+q0 = 0b0101
 assert q_eval(quadratic_from_basis(chain), q0) == 0
 sp = group_closure(gens + [transvection(q0, chain)])
 print(f"  plus a q-zero twist:    {len(sp):4d}  (|Sp(4,2)|   = {sp_group_order(2)})")
 
 print("\nDim 6, non-special tree diagram:")
 form = e6_form()
-gens6 = [transvection(F2Vec.basis(i, 6), form) for i in range(6)]
+gens6 = [transvection(1 << i, form) for i in range(6)]
 print(f"  basis transvections:  {len(group_closure(gens6)):8d}  "
       f"(|O^-(6,2)| = {orthogonal_group_order(3, -1)})")

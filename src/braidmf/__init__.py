@@ -31,15 +31,12 @@ from .f2sym import (
     F2BilinearForm,
     F2Operator,
     F2Quadratic,
-    F2Vec,
     arf,
     arf_oracle,
     build_cross_space,
     classify_cross,
-    cross_arf,
     group_closure,
     horizontal_obstruction,
-    omitted_vector,
     orthogonal_group_order,
     preserves_q,
     q_eval,

@@ -2,9 +2,10 @@
 the horizontal fibre, transvections, quadratic refinements, Arf invariants,
 transvection-group classification and the horizontal-fibration obstruction.
 
-Vectors and matrix rows are machine-int bitsets; dense numpy paths cover
-the dimensions we ever enumerate (<= 8 for closure, <= 24 for the Arf
-oracle).
+A vector of F2^n is a plain int bitset, and so are Gram rows and operator
+columns.  The one pairing primitive is `F2BilinearForm.gram_image`: with
+it, (u, v) = parity(gram_image(u) & v).  Dense numpy paths cover the
+dimensions we ever enumerate (<= 8 for closure, <= 24 for the Arf oracle).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import gc
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 
@@ -21,6 +23,16 @@ from .hurwitz import bfs_closure
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def _combine(rows, bits: int) -> int:
+    """XOR of rows[i] over the set bits i of `bits`."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def _independent(rows):
@@ -37,35 +49,25 @@ def _independent(rows):
     return keep
 
 
-@dataclass(frozen=True)
 class F2Vec:
-    dim: int
-    bits: int
+    """Range-checked constructor of a vector of F2^dim, which is the int
+    bitset itself: ``F2Vec(dim, bits)`` returns ``bits`` and
+    ``F2Vec.basis(i, dim)`` returns ``1 << i``.
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.dim):
+    Nothing in the package calls it; the benchmark workloads build their
+    vectors through it.  It is a class, not a function, because the
+    benchmark tracer wraps every public module-level function, and that
+    wrapper has no ``basis``.
+    """
+
+    def __new__(cls, dim, bits):
+        if not 0 <= bits < (1 << dim):
             raise ValueError("bits out of range for dimension")
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, 0)
+        return bits
 
     @classmethod
     def basis(cls, i, dim):
         return cls(dim, 1 << i)
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return F2Vec(self.dim, self.bits ^ other.bits)
-
-    __xor__ = __add__
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def support(self):
-        return [i for i in range(self.dim) if (self.bits >> i) & 1]
 
 
 @dataclass(frozen=True)
@@ -85,20 +87,16 @@ class F2BilinearForm:
                 if ((row >> j) & 1) != ((self.gram[j] >> i) & 1):
                     raise ValueError("form must be symmetric")
 
-    def pairing(self, u: F2Vec, v: F2Vec) -> int:
-        acc = 0
-        rem = u.bits
-        while rem:
-            i = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            acc ^= _parity(self.gram[i] & v.bits)
-        return acc
+    def gram_image(self, u: int) -> int:
+        """G u, the XOR of the Gram rows on u's support: bit j is (u, e_j),
+        so (u, v) = parity(gram_image(u) & v)."""
+        return _combine(self.gram, u)
+
+    def pairing(self, u: int, v: int) -> int:
+        return _parity(self.gram_image(u) & v)
 
     def rank(self):
         return len(_independent(self.gram))
-
-    def is_nondegenerate(self):
-        return self.rank() == self.dim
 
 
 def form_from_edges(dim, edges):
@@ -123,6 +121,8 @@ class F2Quadratic:
     def __post_init__(self):
         if len(self.basis_values) != self.form.dim:
             raise ValueError("need one value per basis vector")
+        if any(b not in (0, 1) for b in self.basis_values):
+            raise ValueError("q values on the basis must be 0 or 1")
 
     @cached_property
     def _level_sets(self) -> tuple:
@@ -134,15 +134,15 @@ class F2Quadratic:
         )
 
 
-def q_eval(q: F2Quadratic, v: F2Vec) -> int:
+def q_eval(q: F2Quadratic, v: int) -> int:
     val = 0
-    rem = v.bits
+    rem = v
     while rem:
         i = (rem & -rem).bit_length() - 1
         rem &= rem - 1
         val ^= q.basis_values[i]
         # cross terms (i, j) with j > i, both in the support
-        val ^= _parity((q.form.gram[i] & v.bits) >> (i + 1))
+        val ^= _parity(q.form.gram[i] & rem)
     return val
 
 
@@ -153,17 +153,8 @@ class F2Operator:
     dim: int
     cols: tuple
 
-    def apply(self, v: F2Vec) -> F2Vec:
-        return F2Vec(self.dim, self.apply_bits(v.bits))
-
-    def apply_bits(self, bits: int) -> int:
-        out = 0
-        rem = bits
-        while rem:
-            i = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            out ^= self.cols[i]
-        return out
+    def apply(self, v: int) -> int:
+        return _combine(self.cols, v)
 
     @classmethod
     def identity(cls, dim):
@@ -173,9 +164,7 @@ class F2Operator:
         # left-to-right: apply self, then other
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return F2Operator(
-            self.dim, tuple(other.apply_bits(c) for c in self.cols)
-        )
+        return F2Operator(self.dim, tuple(map(other.apply, self.cols)))
 
     def inverse(self):
         n = self.dim
@@ -201,13 +190,15 @@ class F2Operator:
         return all(c == (1 << i) for i, c in enumerate(self.cols))
 
     def is_symplectic(self, form: F2BilinearForm) -> bool:
-        n = self.dim
+        n, cols = self.dim, self.cols
+        if n != form.dim:
+            raise ValueError(
+                f"operator dimension {n} does not match form dimension {form.dim}"
+            )
         for i in range(n):
-            gi = F2Vec(n, self.cols[i])
+            image = form.gram_image(cols[i])
             for j in range(i + 1, n):
-                if form.pairing(gi, F2Vec(n, self.cols[j])) != (
-                    (form.gram[i] >> j) & 1
-                ):
+                if _parity(image & cols[j]) != (form.gram[i] >> j) & 1:
                     return False
         return True
 
@@ -215,15 +206,21 @@ class F2Operator:
         return g.inverse() * self * g
 
 
-def transvection(u: F2Vec, form: F2BilinearForm) -> F2Operator:
-    """T_u(v) = v + (u,v)u."""
-    if not u:
+def transvection(u: int, form: F2BilinearForm) -> F2Operator:
+    """T_u(v) = v + (u,v)u.  Column i is e_i, plus u where bit i of G u,
+    that is (u, e_i), is set."""
+    n = form.dim
+    if u <= 0:
         raise ValueError("transvection vector must be nonzero")
-    cols = []
-    for i in range(u.dim):
-        e = F2Vec.basis(i, u.dim)
-        cols.append(e.bits ^ (u.bits if form.pairing(u, e) else 0))
-    return F2Operator(u.dim, tuple(cols))
+    if u >> n:
+        raise ValueError(
+            f"transvection vector of dimension {u.bit_length()} "
+            f"does not fit form dimension {n}"
+        )
+    image = form.gram_image(u)
+    return F2Operator(
+        n, tuple((1 << i) ^ (u if (image >> i) & 1 else 0) for i in range(n))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +245,11 @@ class CrossSpace:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def basis_vec(self, label: str) -> F2Vec:
-        return F2Vec.basis(self.index(label), self.dim)
+    def basis_vec(self, label: str) -> int:
+        return 1 << self.index(label)
 
-    def vec(self, *labels) -> F2Vec:
-        return reduce(lambda u, v: u + v, (self.basis_vec(s) for s in labels))
+    def vec(self, *labels) -> int:
+        return reduce(xor, map(self.basis_vec, labels))
 
 
 def build_cross_space(a, c) -> CrossSpace:
@@ -280,24 +277,21 @@ def build_cross_space(a, c) -> CrossSpace:
 def symplectic_basis(space_or_form):
     """F2 Gram-Schmidt: hyperbolic pairs (e_i, f_i) with (e_i,f_j)=delta_ij."""
     form = getattr(space_or_form, "form", space_or_form)
-    n = form.dim
-    rest = [F2Vec.basis(i, n) for i in range(n)]
+    rest = [1 << i for i in range(form.dim)]
     pairs = []
     while rest:
         e = rest.pop(0)
         if not e:
             continue
-        j = next(
-            (k for k, v in enumerate(rest) if form.pairing(e, v)), None
-        )
+        ge = form.gram_image(e)
+        j = next((k for k, v in enumerate(rest) if _parity(ge & v)), None)
         if j is None:
             raise ValueError("degenerate form")
         f = rest.pop(j)
+        gf = form.gram_image(f)
         pairs.append((e, f))
         rest = [
-            w
-            + (e if form.pairing(w, f) else F2Vec.zero(n))
-            + (f if form.pairing(w, e) else F2Vec.zero(n))
+            w ^ (e if _parity(gf & w) else 0) ^ (f if _parity(ge & w) else 0)
             for w in rest
         ]
     return pairs
@@ -322,17 +316,9 @@ def omitted_vectors(space: CrossSpace):
     a, c = space.a, space.c
     inv = F2Operator(space.dim, space.form.gram).inverse()
     return {
-        f"{ch}{n + 1}": F2Vec(space.dim, inv.cols[space.index(f"{ch}{n}")])
+        f"{ch}{n + 1}": inv.cols[space.index(f"{ch}{n}")]
         for ch, n in (("b", 2 * c - 2), ("c", 2 * a - 2), ("d", 2 * c - 2))
     }
-
-
-def omitted_vector(label: str, space: CrossSpace) -> F2Vec:
-    """One closer of `omitted_vectors`: b{2c-1}, c{2a-1} or d{2c-1}."""
-    try:
-        return omitted_vectors(space)[label]
-    except KeyError:
-        raise ValueError(f"unknown omitted-vector label {label!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +370,13 @@ def preserves_q(g: F2Operator, q: F2Quadratic) -> bool:
     """With form preservation, checking basis vectors suffices.  Up to
     Q_TABLE_MAX_DIM each column is looked up in q's cached level sets."""
     n = g.dim
-    if n == q.form.dim and n <= Q_TABLE_MAX_DIM:
+    if n != q.form.dim:
+        raise ValueError(
+            f"operator dimension {n} does not match form dimension {q.form.dim}"
+        )
+    if n <= Q_TABLE_MAX_DIM:
         return all(map(frozenset.__contains__, q._level_sets, g.cols))
-    return all(
-        q_eval(q, F2Vec(n, g.cols[i])) == q.basis_values[i] for i in range(n)
-    )
+    return all(q_eval(q, c) == b for c, b in zip(g.cols, q.basis_values))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +474,10 @@ def _diagram_shape(vecs, form):
     least two leaf neighbours (the D-family shape).
     """
     n = len(vecs)
-    adj = [
-        [j for j in range(n) if j != i and form.pairing(vecs[i], vecs[j])]
-        for i in range(n)
-    ]
+    adj = []
+    for i, v in enumerate(vecs):
+        image = form.gram_image(v)
+        adj.append([j for j, w in enumerate(vecs) if j != i and _parity(image & w)])
     nedges = sum(len(a) for a in adj) // 2
     # connectivity
     stack, seen = [0], {0}
@@ -518,7 +506,7 @@ def wajnryb_classify(gens, q: F2Quadratic) -> str:
     chain nor a fork) forces the orthogonal group of q; anything else gets
     no claim."""
     vecs = list(gens)
-    keep = _independent([v.bits for v in vecs])
+    keep = _independent(vecs)
     if len(keep) != q.form.dim:
         raise ValueError("generators do not span")
     basis = [vecs[k] for k in keep]
@@ -533,9 +521,7 @@ def wajnryb_classify(gens, q: F2Quadratic) -> str:
 def cross_generators(space: CrossSpace):
     """All fibre-cycle transvection vectors: the basis plus the three
     omitted chain closers."""
-    vecs = [F2Vec.basis(i, space.dim) for i in range(space.dim)]
-    vecs += list(omitted_vectors(space).values())
-    return vecs
+    return [1 << i for i in range(space.dim)] + list(omitted_vectors(space).values())
 
 
 def classify_cross(a, c):
@@ -574,11 +560,6 @@ def orthogonal_group_order(g: int, eps: int) -> int:
         * ((1 << g) - eps)
         * math.prod(4**i - 1 for i in range(1, g))
     )
-
-
-def cross_arf(a, c) -> int:
-    """Arf invariant of the (a,c) fibre's quadratic refinement."""
-    return arf(quadratic_from_basis(build_cross_space(a, c)))
 
 
 def horizontal_obstruction(a, c, a2, c2):

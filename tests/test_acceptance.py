@@ -10,7 +10,6 @@ import time
 
 from braidmf import (
     BraidWord,
-    F2Vec,
     FreeWord,
     SurfaceParams,
     arf,
@@ -138,9 +137,9 @@ def test_c06_arf_results():
             if (a + c) % 2 == 0:
                 assert bit == a % 2, f"(a,c)=({a},{c}): Arf != a mod 2"
             # the omitted b-chain closer has q = 0 exactly when a+c is odd
-            from braidmf import omitted_vector
+            from braidmf.f2sym import omitted_vectors
 
-            closer = omitted_vector(f"b{2 * c - 1}", space)
+            closer = omitted_vectors(space)[f"b{2 * c - 1}"]
             assert q_eval(q, closer) == ((a + c + 1) % 2)
     assert oracle_runs == 6  # dims 10..18: a+c <= 6
     # the stated (a,c) = (2,2) symplectic basis validates against the form
@@ -170,12 +169,12 @@ def test_c07_transvection_algebra():
     form = form_from_edges(dim, [(i, i + 1) for i in range(dim - 1)])
     rng = random.Random(0)
     for _ in range(trials):
-        u = F2Vec(dim, rng.randrange(1, 1 << dim))
-        v = F2Vec(dim, rng.randrange(1, 1 << dim))
+        u = rng.randrange(1, 1 << dim)
+        v = rng.randrange(1, 1 << dim)
         tu, tv = transvection(u, form), transvection(v, form)
         assert (tu * tu).is_identity()
         assert tu.is_symplectic(form)
-        image = u + (v if form.pairing(u, v) else F2Vec.zero(dim))
+        image = u ^ (v if form.pairing(u, v) else 0)
         assert tu.conjugate(tv) == transvection(image, form)
     _done(7, f"transvection algebra, {trials} random (u,v) at dim {dim}")
 
@@ -184,12 +183,12 @@ def test_c08_transvection_group_classification():
     # dim 6, non-special tree diagram (5-chain plus a middle branch)
     form = e6_form()
     q = quadratic_from_basis(form)
-    basis_tv = [transvection(F2Vec.basis(i, 6), form) for i in range(6)]
+    basis_tv = [transvection(1 << i, form) for i in range(6)]
     o_group = group_closure(basis_tv)
     assert len(o_group) == orthogonal_group_order(3, -1) == 51_840
 
     # ambient reference: adjoin one q-zero transvection, enumerate Sp(6,2)
-    v = F2Vec(6, 0b001001)  # two non-adjacent diagram nodes: q(v) = 0
+    v = 0b001001  # two non-adjacent diagram nodes: q(v) = 0
     assert q_eval(q, v) == 0
     sp = group_closure(basis_tv + [transvection(v, form)])
     assert len(sp) == sp_group_order(3) == 1_451_520
@@ -205,8 +204,8 @@ def test_c08_transvection_group_classification():
         q4 = quadratic_from_basis(chain4, values)
         assert arf(q4) == (0 if eps == 1 else 1)
         sp4 = group_closure(
-            [transvection(F2Vec.basis(i, 4), chain4) for i in range(4)]
-            + [transvection(F2Vec(4, 0b0101), chain4)]
+            [transvection(1 << i, chain4) for i in range(4)]
+            + [transvection(0b0101, chain4)]
         )
         assert len(sp4) == 720
         sizes[eps] = sum(1 for g in sp4 if preserves_q(g, q4))

@@ -122,3 +122,39 @@ def test_traced_census_realize_counts_moves_and_products(tmp_path):
     layers = json.loads(proc.stdout)
     assert layers["hurwitz.move_calls"] > 0
     assert layers["perm.mul_calls"] > 0
+
+
+# The fibre round is built after the tracer is installed, so its vectors go
+# through the installed f2sym.F2Vec and F2Vec.basis.
+_TRACED_FIBRE = """
+import json, sys
+from pathlib import Path
+import workloads
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+verdicts = workloads.WORKLOADS["fibre"].build_round(1, 0, Path(sys.argv[1]))
+kinds = {}
+tracer.active = True
+for verdict in verdicts:
+    if verdict.kind in ("chain-closure", "sp4-closure"):
+        assert verdict.check(verdict.run()), verdict.label
+        kinds[verdict.kind] = kinds.get(verdict.kind, 0) + 1
+tracer.active = False
+print(json.dumps({"kinds": kinds, "layers": tracer.summary()}))
+"""
+
+
+def test_traced_fibre_closures_build_vectors_through_f2vec(tmp_path):
+    # The tracer wraps every public module-level function, and its wrapper
+    # has no attributes: a function-shaped F2Vec would lose F2Vec.basis.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_FIBRE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["kinds"] == {"chain-closure": 2, "sp4-closure": 2}
+    assert out["layers"]["f2sym.closure_calls"] == 4

@@ -8,15 +8,12 @@ from braidmf import (
     F2BilinearForm,
     F2Operator,
     F2Quadratic,
-    F2Vec,
     arf,
     arf_oracle,
     build_cross_space,
     classify_cross,
-    cross_arf,
     group_closure,
     horizontal_obstruction,
-    omitted_vector,
     orthogonal_group_order,
     preserves_q,
     q_eval,
@@ -28,6 +25,7 @@ from braidmf import (
 )
 from braidmf import f2sym
 from braidmf.f2sym import (
+    F2Vec,
     cross_generators,
     e6_form,
     form_from_edges,
@@ -40,17 +38,22 @@ def _chain_form(n):
 
 
 def _random_vec(rng, dim):
-    return F2Vec(dim, rng.randrange(1, 1 << dim))
+    return rng.randrange(1, 1 << dim)
 
 
 def test_vec_arithmetic():
+    # F2Vec only range-checks: a vector is its int bitset
     u = F2Vec(4, 0b0101)
     v = F2Vec(4, 0b0110)
-    assert (u + v).bits == 0b0011
-    assert u.support() == [0, 2]
-    assert not F2Vec.zero(4)
+    assert type(u) is int and u == 0b0101
+    assert F2Vec.basis(2, 4) == 0b0100
+    assert u ^ v == 0b0011
+    assert [i for i in range(4) if (u >> i) & 1] == [0, 2]
+    assert not F2Vec(4, 0)
     with pytest.raises(ValueError):
         F2Vec(2, 4)
+    with pytest.raises(ValueError):
+        F2Vec.basis(4, 4)
 
 
 def test_form_validation():
@@ -59,8 +62,8 @@ def test_form_validation():
     with pytest.raises(ValueError):
         F2BilinearForm(2, (0b10, 0b00))  # asymmetric
     f = form_from_edges(3, [(0, 1)])
-    assert f.rank() == 2 and not f.is_nondegenerate()
-    assert _chain_form(4).is_nondegenerate()
+    assert f.rank() == 2 and f.rank() != f.dim
+    assert _chain_form(4).rank() == 4
 
 
 def test_pairing_bilinearity():
@@ -69,7 +72,7 @@ def test_pairing_bilinearity():
     for _ in range(100):
         u, v, w = (_random_vec(rng, 6) for _ in range(3))
         assert f.pairing(u, v) == f.pairing(v, u)
-        assert f.pairing(u + v, w) == f.pairing(u, w) ^ f.pairing(v, w)
+        assert f.pairing(u ^ v, w) == f.pairing(u, w) ^ f.pairing(v, w)
 
 
 def test_q_eval_quadratic_law():
@@ -78,8 +81,8 @@ def test_q_eval_quadratic_law():
     q = quadratic_from_basis(form)
     for _ in range(200):
         u, v = _random_vec(rng, 6), _random_vec(rng, 6)
-        assert q_eval(q, u + v) == q_eval(q, u) ^ q_eval(q, v) ^ form.pairing(u, v)
-    assert q_eval(q, F2Vec.zero(6)) == 0
+        assert q_eval(q, u ^ v) == q_eval(q, u) ^ q_eval(q, v) ^ form.pairing(u, v)
+    assert q_eval(q, 0) == 0
 
 
 def test_q_of_orthogonal_basis_sum_is_count_mod_2():
@@ -87,7 +90,7 @@ def test_q_of_orthogonal_basis_sum_is_count_mod_2():
     form = _chain_form(6)
     q = quadratic_from_basis(form)
     for k, bits in ((1, 0b000001), (2, 0b000101), (3, 0b010101)):
-        assert q_eval(q, F2Vec(6, bits)) == k % 2
+        assert q_eval(q, bits) == k % 2
 
 
 def test_hyperbolic_plane_arf():
@@ -112,7 +115,7 @@ def test_operator_algebra():
         assert t.apply(u) == u
         assert (t * t.inverse()).is_identity()
     with pytest.raises(ValueError):
-        transvection(F2Vec.zero(6), form)
+        transvection(0, form)
     singular = F2Operator(2, (1, 1))
     with pytest.raises(ValueError):
         singular.inverse()
@@ -121,9 +124,9 @@ def test_operator_algebra():
 def test_operator_composition_order():
     # left-to-right: (g*h)(v) = h(g(v))
     form = _chain_form(4)
-    g = transvection(F2Vec(4, 0b0011), form)
-    h = transvection(F2Vec(4, 0b0110), form)
-    v = F2Vec(4, 0b1000)
+    g = transvection(0b0011, form)
+    h = transvection(0b0110, form)
+    v = 0b1000
     assert (g * h).apply(v) == h.apply(g.apply(v))
 
 
@@ -133,7 +136,7 @@ def test_transvection_conjugation_formula():
     for _ in range(200):
         u, v = _random_vec(rng, 6), _random_vec(rng, 6)
         tu, tv = transvection(u, form), transvection(v, form)
-        image = u + (v if form.pairing(u, v) else F2Vec.zero(6))
+        image = u ^ (v if form.pairing(u, v) else 0)
         assert tu.conjugate(tv) == transvection(image, form)
 
 
@@ -141,14 +144,14 @@ def test_group_closure_identity_and_small_groups():
     e = F2Operator.identity(4)
     assert group_closure([e]) == [e]
     form = _chain_form(4)
-    gens = [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
+    gens = [transvection(1 << i, form) for i in range(4)]
     closed = group_closure(gens)
     # q = 1 on the chain basis: these generate O(q), |O^-(4,2)| = 120
     assert len(closed) == 120
     q = quadratic_from_basis(form)
     assert all(g.is_symplectic(form) and preserves_q(g, q) for g in closed)
     # one q-zero transvection more gives all of Sp(4,2)
-    zero_vec = F2Vec(4, 0b0101)  # two orthogonal q-1 vectors
+    zero_vec = 0b0101  # two orthogonal q-1 vectors
     assert q_eval(q, zero_vec) == 0
     full = group_closure(gens + [transvection(zero_vec, form)])
     assert len(full) == sp_group_order(2) == 720
@@ -156,7 +159,7 @@ def test_group_closure_identity_and_small_groups():
 
 def test_closure_generic_path_matches_packed():
     form = _chain_form(4)
-    gens = [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
+    gens = [transvection(1 << i, form) for i in range(4)]
     from braidmf.f2sym import _closure_packed
     from braidmf.hurwitz import bfs_closure
 
@@ -251,7 +254,7 @@ def test_packed_closure_matches_reference():
 
 def test_packed_closure_cap_message():
     form = _chain_form(4)
-    gens = [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
+    gens = [transvection(1 << i, form) for i in range(4)]
     with pytest.raises(RuntimeError, match=r"^closure exceeded cap 100$"):
         group_closure(gens, cap=100)
     assert len(group_closure(gens, cap=120)) == 120
@@ -260,7 +263,7 @@ def test_packed_closure_cap_message():
 @pytest.mark.parametrize("was_enabled", [True, False])
 def test_unpack_restores_gc_state(monkeypatch, was_enabled):
     form = _chain_form(4)
-    gens = [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
+    gens = [transvection(1 << i, form) for i in range(4)]
     enabled = gc.isenabled()
     try:
         (gc.enable if was_enabled else gc.disable)()
@@ -281,7 +284,7 @@ def test_unpack_restores_gc_state(monkeypatch, was_enabled):
 def _preserves_q_by_definition(g, q):
     n = g.dim
     return all(
-        q_eval(q, F2Vec(n, g.cols[i])) == q_eval(q, F2Vec.basis(i, n))
+        q_eval(q, g.cols[i]) == q_eval(q, 1 << i)
         for i in range(n)
     )
 
@@ -290,8 +293,8 @@ def test_preserves_q_matches_q_eval():
     rng = random.Random(43)
     form = _chain_form(4)
     sp4 = group_closure(
-        [transvection(F2Vec.basis(i, 4), form) for i in range(4)]
-        + [transvection(F2Vec(4, 0b0101), form)]
+        [transvection(1 << i, form) for i in range(4)]
+        + [transvection(0b0101, form)]
     )
     for values in ((1, 1, 1, 1), (1, 0, 1, 0), (0, 0, 0, 0)):
         q = quadratic_from_basis(form, values)
@@ -332,7 +335,7 @@ def test_cross_space_shape():
     space = build_cross_space(2, 2)
     assert space.dim == 10
     assert space.labels[0] == "s"
-    assert space.form.is_nondegenerate()
+    assert space.form.rank() == space.dim
     # s meets the first cycle of each chain, once
     for ch in "abcd":
         assert space.form.pairing(space.basis_vec("s"), space.basis_vec(f"{ch}1")) == 1
@@ -363,8 +366,6 @@ def test_omitted_vectors_pairings():
             for lbl in space.labels:
                 want = 1 if lbl == last else 0
                 assert space.form.pairing(v, space.basis_vec(lbl)) == want
-    with pytest.raises(ValueError):
-        omitted_vector("x9", build_cross_space(2, 2))
 
 
 def test_omitted_b_closer_q_value():
@@ -373,32 +374,32 @@ def test_omitted_b_closer_q_value():
         for c in range(2, 5):
             space = build_cross_space(a, c)
             q = quadratic_from_basis(space)
-            v = omitted_vector(f"b{2 * c - 1}", space)
+            v = omitted_vectors(space)[f"b{2 * c - 1}"]
             assert q_eval(q, v) == ((a + c + 1) % 2)
 
 
 def test_cross_arf_parity():
     for a, c in ((2, 2), (3, 3), (2, 4), (3, 5)):
-        assert cross_arf(a, c) == a % 2
+        assert arf(quadratic_from_basis(build_cross_space(a, c))) == a % 2
 
 
 def test_wajnryb_chain_is_special():
     form = _chain_form(4)
     q = quadratic_from_basis(form)
-    vecs = [F2Vec.basis(i, 4) for i in range(4)]
+    vecs = [1 << i for i in range(4)]
     assert wajnryb_classify(vecs, q) == "special_basis"
 
 
 def test_wajnryb_q_zero_forces_full():
     form = _chain_form(4)
     q = quadratic_from_basis(form)
-    vecs = [F2Vec.basis(i, 4) for i in range(4)] + [F2Vec(4, 0b0101)]
+    vecs = [1 << i for i in range(4)] + [0b0101]
     assert wajnryb_classify(vecs, q) == "full_symplectic"
 
 
 def test_wajnryb_nonspecial_tree():
     q = quadratic_from_basis(e6_form())
-    vecs = [F2Vec.basis(i, 6) for i in range(6)]
+    vecs = [1 << i for i in range(6)]
     assert wajnryb_classify(vecs, q) == "orthogonal_of_q"
     with pytest.raises(ValueError):
         wajnryb_classify(vecs[:5], q)  # does not span
@@ -431,7 +432,7 @@ def test_b_closer_formula():
             space = build_cross_space(a, c)
             parts = [f"a{k}" for k in range(1, 2 * a, 2)]
             parts += [f"b{k}" for k in range(1, 2 * c - 2, 2)]
-            assert omitted_vector(f"b{2 * c - 1}", space) == space.vec(*parts)
+            assert omitted_vectors(space)[f"b{2 * c - 1}"] == space.vec(*parts)
 
 
 def test_rank_is_dim_minus_radical():
@@ -448,3 +449,116 @@ def test_rank_is_dim_minus_radical():
                 for v in range(1 << n)
             )
             assert radical == 1 << (n - form.rank())
+
+
+def _pairing_by_support(form, u, v):
+    """The earlier pairing, kept as the oracle: one parity per bit of u."""
+    acc = 0
+    rem = u
+    while rem:
+        i = (rem & -rem).bit_length() - 1
+        rem &= rem - 1
+        acc ^= (form.gram[i] & v).bit_count() & 1
+    return acc
+
+
+def _q_by_definition(q, v):
+    """q(v): q(e_i) summed over the support of v, plus (e_i, e_j) over
+    each pair i < j in it."""
+    support = [i for i in range(q.form.dim) if (v >> i) & 1]
+    val = sum(q.basis_values[i] for i in support)
+    val += sum((q.form.gram[i] >> j) & 1 for i in support for j in support if i < j)
+    return val & 1
+
+
+def test_gram_image_matches_support_walk_oracles():
+    # random forms of dims 1..12, degenerate ones included
+    rng = random.Random(51)
+    seen = dict.fromkeys(("symplectic", "not symplectic", "paired", "degenerate"), 0)
+    for dim in range(1, 13):
+        for _ in range(20):
+            form = form_from_edges(
+                dim, [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.5]
+            )
+            q = quadratic_from_basis(form, [rng.randrange(2) for _ in range(dim)])
+            for _ in range(20):
+                u, v = rng.randrange(1 << dim), rng.randrange(1 << dim)
+                want = _pairing_by_support(form, u, v)
+                assert form.pairing(u, v) == want
+                assert (form.gram_image(u) & v).bit_count() & 1 == want
+                assert q_eval(q, u) == _q_by_definition(q, u)
+            # T_u(e_i) = e_i + (u, e_i) u
+            u = _random_vec(rng, dim)
+            t = transvection(u, form)
+            assert t.dim == dim
+            for i in range(dim):
+                flip = _pairing_by_support(form, u, 1 << i)
+                assert t.cols[i] == (1 << i) ^ (u if flip else 0)
+            random_op = F2Operator(dim, tuple(rng.randrange(1 << dim) for _ in range(dim)))
+            for g in (t * transvection(_random_vec(rng, dim), form), random_op):
+                want = all(
+                    _pairing_by_support(form, g.cols[i], g.cols[j]) == (form.gram[i] >> j) & 1
+                    for i in range(dim)
+                    for j in range(i + 1, dim)
+                )
+                assert g.is_symplectic(form) == want
+                seen["symplectic" if want else "not symplectic"] += 1
+            if form.rank() < dim:
+                with pytest.raises(ValueError, match="degenerate form"):
+                    symplectic_basis(form)
+                seen["degenerate"] += 1
+                continue
+            # (e_i, f_j) = delta_ij, and the e's and the f's pair to zero
+            flat = [w for pair in symplectic_basis(form) for w in pair]
+            assert len(flat) == dim
+            for i, x in enumerate(flat):
+                for j, y in enumerate(flat):
+                    want = 1 if (i // 2 == j // 2 and i != j) else 0
+                    assert _pairing_by_support(form, x, y) == want
+            seen["paired"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_transvection_rejects_vectors_beyond_the_form():
+    # a vector below 2^dim is a vector of the form's space, whatever its
+    # top bit: the operator has the form's dimension
+    t = transvection(0b0011, e6_form())
+    assert t.dim == 6 and t.is_symplectic(e6_form())
+    for u, form in ((1 << 6, e6_form()), (0b10000000, _chain_form(4))):
+        want = (
+            f"^transvection vector of dimension {u.bit_length()} "
+            f"does not fit form dimension {form.dim}$"
+        )
+        with pytest.raises(ValueError, match=want):
+            transvection(u, form)
+    with pytest.raises(ValueError, match="nonzero"):
+        transvection(-1, e6_form())
+
+
+def test_preserves_q_rejects_dimension_mismatch():
+    q6 = quadratic_from_basis(e6_form())
+    q10 = quadratic_from_basis(build_cross_space(2, 2))
+    # both sides of Q_TABLE_MAX_DIM
+    for g, q in ((F2Operator.identity(4), q6), (F2Operator.identity(12), q10)):
+        want = f"^operator dimension {g.dim} does not match form dimension {q.form.dim}$"
+        with pytest.raises(ValueError, match=want):
+            preserves_q(g, q)
+    assert preserves_q(F2Operator.identity(6), q6)
+    assert preserves_q(F2Operator.identity(10), q10)
+
+
+def test_is_symplectic_rejects_dimension_mismatch():
+    for n, form in ((4, e6_form()), (8, _chain_form(4))):
+        want = f"^operator dimension {n} does not match form dimension {form.dim}$"
+        with pytest.raises(ValueError, match=want):
+            F2Operator.identity(n).is_symplectic(form)
+    assert F2Operator.identity(6).is_symplectic(e6_form())
+
+
+def test_quadratic_rejects_values_outside_f2():
+    plane = form_from_edges(2, [(0, 1)])
+    for values in ((2, 1), (0, -1), (1, 3)):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            F2Quadratic(plane, values)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            quadratic_from_basis(plane, values)
