@@ -14,6 +14,7 @@ from braidmf import (
     stable_profile,
     surface_counts,
 )
+from braidmf.bmf import twist_str
 
 p = SurfaceParams(1, 2, 2, 1)
 f = generate_bmf(p)
@@ -24,7 +25,7 @@ print(f"census:   {factor_census(f)}")
 print(f"blocks ({len(f.blocks)}):")
 for blk in f.blocks[:6]:
     names = " ".join(
-        fac.to_json()["twist"] + ("" if fac.exponent == 1 else f"^{fac.exponent}")
+        twist_str(fac.twist) + ("" if fac.exponent == 1 else f"^{fac.exponent}")
         for fac in blk.factors
     )
     print(f"  {blk.kind}[{blk.rep}]: {names}")

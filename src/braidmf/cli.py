@@ -19,6 +19,7 @@ from .bmf import (
     SurfaceParams,
     cusp_cluster_factorization,
     distinguishable,
+    factor_census,
     generate_bmf,
     stable_profile,
     surface_counts,
@@ -163,17 +164,17 @@ def verify_cluster(args):
 def bmf_gen(args):
     p = _surface(args)
     f = generate_bmf(p)
-    doc = f.to_json()
     if args.json:
-        _print_json(doc)
+        print(f.json_text())
         return
-    print(f"params: {doc['params']}")
+    census = factor_census(f)
+    print(f"params: {vars(p)}")
     if p.toy:
         print("note: outside geometric hypothesis (some parameter < 3)")
     if p.excluded:
         print("note: excluded parameter line for the weighted counts")
-    print(f"blocks: {len(f.blocks)}, factors: {doc['census']['length']}")
-    print(f"census: {doc['census']}")
+    print(f"blocks: {len(f.blocks)}, factors: {census['length']}")
+    print(f"census: {census}")
 
 
 def bmf_counts(args):

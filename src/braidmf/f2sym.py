@@ -134,7 +134,18 @@ class F2Quadratic:
         )
 
 
+def _check_fits(v: int, n: int, what: str = "vector") -> None:
+    """Raise ValueError unless v is a bitset of the n-dimensional space."""
+    if v < 0:
+        raise ValueError(f"{what} {v} is negative")
+    if v >> n:
+        raise ValueError(
+            f"{what} of dimension {v.bit_length()} does not fit form dimension {n}"
+        )
+
+
 def q_eval(q: F2Quadratic, v: int) -> int:
+    _check_fits(v, q.form.dim)
     val = 0
     rem = v
     while rem:
@@ -212,11 +223,7 @@ def transvection(u: int, form: F2BilinearForm) -> F2Operator:
     n = form.dim
     if u <= 0:
         raise ValueError("transvection vector must be nonzero")
-    if u >> n:
-        raise ValueError(
-            f"transvection vector of dimension {u.bit_length()} "
-            f"does not fit form dimension {n}"
-        )
+    _check_fits(u, n, "transvection vector")
     image = form.gram_image(u)
     return F2Operator(
         n, tuple((1 << i) ^ (u if (image >> i) & 1 else 0) for i in range(n))
@@ -506,6 +513,8 @@ def wajnryb_classify(gens, q: F2Quadratic) -> str:
     chain nor a fork) forces the orthogonal group of q; anything else gets
     no claim."""
     vecs = list(gens)
+    for v in vecs:
+        _check_fits(v, q.form.dim)
     keep = _independent(vecs)
     if len(keep) != q.form.dim:
         raise ValueError("generators do not span")

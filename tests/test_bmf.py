@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -252,3 +253,40 @@ def test_generate_refuses_above_the_factor_cap(monkeypatch):
     with pytest.raises(RuntimeError) as exc:
         generate_bmf(p)
     assert str(exc.value) == f"factorization of {n} factors exceeds cap {n - 1}"
+
+
+def _report_oracle(f):
+    """The `bmf gen --json` document as a plain dict: json_text must equal
+    json.dumps(doc, indent=2, sort_keys=True) of it."""
+    p = f.params
+    return {
+        "params": {"a": p.a, "b": p.b, "c": p.c, "d": p.d},
+        "toy": p.toy,
+        "excluded": p.excluded,
+        "blocks": [
+            {
+                "kind": blk.kind,
+                "rep": blk.rep,
+                "factors": [fac.to_json() for fac in blk.factors],
+            }
+            for blk in f.blocks
+        ],
+        "census": factor_census(f),
+    }
+
+
+def test_json_text_matches_dict_encoder():
+    grid = [SurfaceParams(*abcd) for abcd in itertools.product(range(1, 6), repeat=4)]
+    # the grid holds toy and excluded surfaces, empty twists_p1 blocks
+    # (2b = d) and surfaces without p_block (2a = c)
+    assert any(p.toy for p in grid) and any(not p.toy for p in grid)
+    assert any(p.excluded for p in grid)
+    assert any(2 * p.b == p.d for p in grid) and any(2 * p.a == p.c for p in grid)
+    for p in (*grid, SurfaceParams(24, 24, 24, 24)):
+        f = generate_bmf(p)
+        text = f.json_text()
+        assert text == json.dumps(_report_oracle(f), indent=2, sort_keys=True), p
+        if 2 * p.b == p.d:
+            assert '"factors": [],\n      "kind": "twists_p1"' in text
+        if 2 * p.a == p.c:
+            assert '"kind": "p_block"' not in text

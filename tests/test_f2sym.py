@@ -562,3 +562,19 @@ def test_quadratic_rejects_values_outside_f2():
             F2Quadratic(plane, values)
         with pytest.raises(ValueError, match="must be 0 or 1"):
             quadratic_from_basis(plane, values)
+
+
+def test_q_eval_and_classify_reject_vectors_beyond_the_form():
+    q = quadratic_from_basis(e6_form())
+    want = "^vector of dimension 8 does not fit form dimension 6$"
+    with pytest.raises(ValueError, match=want):
+        q_eval(q, 1 << 7)
+    # six independent vectors pass the span check; 64 lies outside the form,
+    # and with it seven would fail that check under a wrong message
+    want = "^vector of dimension 7 does not fit form dimension 6$"
+    for gens in ([1, 2, 4, 8, 16, 64], [1, 2, 4, 8, 16, 32, 64]):
+        with pytest.raises(ValueError, match=want):
+            wajnryb_classify(gens, q)
+    with pytest.raises(ValueError, match="^vector -1 is negative$"):
+        q_eval(q, -1)
+    assert q_eval(q, (1 << 6) - 1) in (0, 1)
