@@ -296,17 +296,25 @@ def factor_census(f: BmfFactorization) -> dict:
     counts = surface_counts(f.params)
     by_type = {g: 0 for g in ("tangency", "pos_node", "neg_node", "cusp")}
     weighted = {"p": 0, "q": 0}
-    for fac in f.factors:
-        by_type[fac.geom_type] += 1
-        if abs(fac.exponent) == 2:
-            fam = fac.twist[0]
-            if fam not in weighted:
-                raise CensusMismatch(
-                    f"full twist on non-pair twist {twist_str(fac.twist)}"
-                )
-            weighted[fam] += fac.exponent // 2
+    # blocks share factor tuples (a side's 2a repetitions share one): each
+    # distinct tuple is tallied once, times the number of blocks holding it
+    shared = {}  # id(factors tuple) -> [the tuple, its block count]
+    for blk in f.blocks:
+        shared.setdefault(id(blk.factors), [blk.factors, 0])[1] += 1
+    length = 0
+    for factors, reps in shared.values():
+        length += reps * len(factors)
+        for fac in factors:
+            by_type[fac.geom_type] += reps
+            if abs(fac.exponent) == 2:
+                fam = fac.twist[0]
+                if fam not in weighted:
+                    raise CensusMismatch(
+                        f"full twist on non-pair twist {twist_str(fac.twist)}"
+                    )
+                weighted[fam] += reps * (fac.exponent // 2)
     census = {
-        "length": len(f.factors),
+        "length": length,
         "by_type": by_type,
         "weighted_p": weighted["p"],
         "weighted_q": weighted["q"],

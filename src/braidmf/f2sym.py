@@ -18,8 +18,6 @@ from operator import xor
 
 import numpy as np
 
-from .hurwitz import bfs_closure
-
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
@@ -390,19 +388,21 @@ def preserves_q(g: F2Operator, q: F2Quadratic) -> bool:
 # Group closure and classification
 
 CLOSURE_CAP = 2_000_000
+CLOSURE_MAX_DIM = 8  # a packed key, dim columns of dim bits, fits one uint64
 
 
 def group_closure(gens, cap=CLOSURE_CAP):
-    """Multiplicative closure of the generator set, in BFS order.
+    """Multiplicative closure of the generator set, as a level BFS.
 
-    Both paths start with the distinct generators in the given order and
-    raise RuntimeError("closure exceeded cap N") when the closure has more
-    than `cap` elements; they give the same set but not the same order.
-    Dimensions <= 8 take a packed numpy path (one uint64 per operator,
-    per-generator image tables), which lists each later BFS level in
-    increasing packed-key order (column i in bits dim*i and up).  Larger
-    dimensions take the generic `hurwitz.bfs_closure`, which lists each
-    level in discovery order (frontier element, then generator).
+    The distinct generators come first, in the given order; each later
+    level is the set of new products, sorted by packed key (one uint64 per
+    operator, column i in bits dim*i and up).  Raises RuntimeError("closure
+    exceeded cap N") when the closure has more than `cap` elements, and
+    ValueError above CLOSURE_MAX_DIM, before any table is built.
+
+    Per level, the generator image tables give the candidates, which are
+    sorted and deduplicated; `searchsorted` against the sorted seen keys
+    keeps the new ones.
     """
     gens = list(gens)
     if not gens:
@@ -410,15 +410,8 @@ def group_closure(gens, cap=CLOSURE_CAP):
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("mixed dimensions")
-    if dim <= 8:
-        return _closure_packed(gens, dim, cap)
-    return bfs_closure(gens, cap)
-
-
-def _closure_packed(gens, dim, cap):
-    """Level BFS on sorted uint64 key arrays: each level's images are
-    sorted and deduplicated, and `searchsorted` against the sorted seen
-    keys keeps the new ones, so each level comes out sorted."""
+    if dim > CLOSURE_MAX_DIM:
+        raise ValueError(f"closure dimension cap {CLOSURE_MAX_DIM} exceeded")
     mask = np.uint64((1 << dim) - 1)
     shifts = np.arange(0, dim * dim, dim, dtype=np.uint64)
     tables = []

@@ -1,4 +1,4 @@
-"""Factorizations in a group: Hurwitz moves, closure and orbit search.
+"""Factorizations in a group: Hurwitz moves and orbit search.
 
 A factorization is a plain tuple of group elements, regarded together
 with its `product`.  Elements may belong to any group: all that is needed
@@ -39,11 +39,20 @@ def product(f):
     return out
 
 
+def _move_index_error(i, m):
+    """The IndexError for move index i on a factorization of length m."""
+    if m < 2:
+        return IndexError(
+            f"move index {i}: a factorization of length {m} has no moves"
+        )
+    return IndexError(f"move index {i} out of range 1..{m - 1}")
+
+
 def hurwitz_move(f, i, inverse=False):
     """Hurwitz move at 1-based index i (acts on slots i, i+1) of a tuple."""
     m = len(f)
     if not (1 <= i <= m - 1):
-        raise IndexError(f"move index {i} out of range 1..{m - 1}")
+        raise _move_index_error(i, m)
     a, b = f[i - 1], f[i]
     pair = (b, b.inverse() * a * b) if inverse else (a * b * a.inverse(), a)
     return f[: i - 1] + pair + f[i + 1 :]
@@ -92,7 +101,7 @@ def _act_moves_s4(f, moves):
     m = len(f)
     for k in moves:
         if not 1 <= abs(k) <= m - 1:
-            raise IndexError(f"move index {abs(k)} out of range 1..{m - 1}")
+            raise _move_index_error(abs(k), m)
     index, fwd, bwd = _s4_tables()
     start = [index[x.images] for x in f]
     s = start.copy()
@@ -112,30 +121,6 @@ def _act_moves_s4(f, moves):
     return tuple(x if i == j else s4[j] for x, i, j in zip(f, start, s))
 
 
-def bfs_closure(elements, cap=200_000):
-    """Multiplicative closure of a set of elements, in breadth-first order.
-
-    Deterministic: every frontier element is multiplied on the right by
-    each distinct generator, in the given order.  Raises RuntimeError if
-    the closure exceeds `cap` (guards infinite element domains).
-    """
-    gens = list(dict.fromkeys(elements))
-    seen = dict.fromkeys(gens)  # insertion-ordered set
-    frontier = gens
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen[y] = None
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise RuntimeError(f"closure exceeded cap {cap}")
-        frontier = nxt
-    return list(seen)
-
-
 @dataclass
 class SearchResult:
     found: bool
@@ -152,6 +137,12 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     Returns a SearchResult; a miss within the budget proves nothing.
     Raises ValueError if the products differ (then no path can exist)
     or if max_depth is negative.
+
+    Products, and factorizations against the target, compare with `==`,
+    which for `BraidWord` is syntactic on the reduced letters: a braid
+    pair whose products are equal as braids but written differently is
+    refused as a product mismatch, and a target written differently from
+    the factorization the moves reach is never found.
     """
     if max_depth < 0:
         raise ValueError(f"max depth {max_depth} is negative")

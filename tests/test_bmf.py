@@ -20,6 +20,8 @@ from braidmf import (
 from braidmf.bmf import (
     Block,
     BmfFactor,
+    BmfFactorization,
+    CensusMismatch,
     factor_count,
     factor_word,
     twist_str,
@@ -69,6 +71,68 @@ def test_census_matches_formulas():
         counts = surface_counts(f.params)
         assert census["by_type"]["cusp"] == counts.k
         assert census["by_type"]["tangency"] == counts.t
+
+
+def _census_oracle(f):
+    """factor_census by a walk over every flattened factor."""
+    counts = surface_counts(f.params)
+    by_type = {g: 0 for g in ("tangency", "pos_node", "neg_node", "cusp")}
+    weighted = {"p": 0, "q": 0}
+    for fac in f.factors:
+        by_type[fac.geom_type] += 1
+        if abs(fac.exponent) == 2:
+            if fac.twist[0] not in weighted:
+                raise CensusMismatch(f"full twist on non-pair twist {twist_str(fac.twist)}")
+            weighted[fac.twist[0]] += fac.exponent // 2
+    census = {
+        "length": len(f.factors),
+        "by_type": by_type,
+        "weighted_p": weighted["p"],
+        "weighted_q": weighted["q"],
+    }
+    checks = [
+        (by_type["cusp"], counts.k),
+        (by_type["tangency"], counts.t),
+        (weighted["p"], counts.weighted_p),
+        (weighted["q"], counts.weighted_q),
+        (by_type["pos_node"] - by_type["neg_node"], counts.nu),
+    ]
+    if any(got != want for got, want in checks):
+        raise CensusMismatch(f"census {census} vs formulas {counts}")
+    return census
+
+
+def _census_outcome(census, f):
+    try:
+        return census(f)
+    except CensusMismatch as exc:
+        return f"CensusMismatch: {exc}"
+
+
+def test_census_matches_flat_walk():
+    grid = itertools.product(range(1, 6), repeat=4)
+    for abcd in (*grid, (24, 24, 24, 24)):
+        f = generate_bmf(SurfaceParams(*abcd))
+        assert factor_census(f) == _census_oracle(f), abcd
+    # doctored factorizations: the first block's tuple, shared by its 2a
+    # repetitions, gains a full twist on a non-pair twist (in every block
+    # that shares it), or one more block shares it (a count mismatch)
+    f = generate_bmf(SurfaceParams(2, 3, 4, 1))
+    shared = f.blocks[0].factors
+    assert sum(blk.factors is shared for blk in f.blocks) == 4
+    bad = shared + (BmfFactor(("u", 1, 2), 2),)
+    swapped = tuple(
+        Block(blk.kind, blk.rep, bad) if blk.factors is shared else blk
+        for blk in f.blocks
+    )
+    doctored = (
+        (BmfFactorization(f.params, swapped), "full twist on non-pair twist u_{1,2}"),
+        (BmfFactorization(f.params, f.blocks + f.blocks[:1]), "census {'length': "),
+    )
+    for g, start in doctored:
+        want = _census_outcome(_census_oracle, g)
+        assert want.startswith(f"CensusMismatch: {start}")
+        assert _census_outcome(factor_census, g) == want
 
 
 def test_toy_case_has_no_p_block():

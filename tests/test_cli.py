@@ -261,6 +261,20 @@ def test_hurwitz_act_move_out_of_range(tmp_path, capsys):
     assert out == "" and "move index 5 out of range" in err
 
 
+@pytest.mark.parametrize("elements", [[], [[2, 1, 3, 4]]], ids=["empty", "one"])
+def test_hurwitz_act_without_moves_to_make(tmp_path, capsys, elements):
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({"group": "s4", "elements": elements}))
+    code = main(["hurwitz", "act", "--file", str(path), "--moves", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: move index 1: a factorization of length {len(elements)}"
+        " has no moves\n"
+    )
+
+
 @pytest.mark.parametrize("moves, code, tail", [
     ("1,,1", 2, "error: --moves must be a comma-separated list of integers;"
                 " it is '1,,1'\n"),

@@ -157,17 +157,6 @@ def test_group_closure_identity_and_small_groups():
     assert len(full) == sp_group_order(2) == 720
 
 
-def test_closure_generic_path_matches_packed():
-    form = _chain_form(4)
-    gens = [transvection(1 << i, form) for i in range(4)]
-    from braidmf.f2sym import _closure_packed
-    from braidmf.hurwitz import bfs_closure
-
-    packed = {g.cols for g in _closure_packed(gens, 4, 10**6)}
-    generic = {g.cols for g in bfs_closure(gens, 10**6)}
-    assert packed == generic
-
-
 def _reference_closure(gens, dim, cap):
     """The earlier packed closure, kept as the oracle: a Python set of
     seen keys and np.unique per BFS level."""
@@ -258,6 +247,18 @@ def test_packed_closure_cap_message():
     with pytest.raises(RuntimeError, match=r"^closure exceeded cap 100$"):
         group_closure(gens, cap=100)
     assert len(group_closure(gens, cap=120)) == 120
+
+
+def test_closure_refuses_dimensions_above_8(monkeypatch):
+    gens = [transvection(1 << i, _chain_form(9)) for i in range(3)]
+    # refused before any table is built: f2sym's numpy is out of reach
+    monkeypatch.setattr(f2sym, "np", None)
+    with pytest.raises(ValueError, match=r"^closure dimension cap 8 exceeded$"):
+        group_closure(gens)
+    with pytest.raises(ValueError, match=r"^mixed dimensions$"):
+        group_closure([F2Operator.identity(4), F2Operator.identity(5)])
+    with pytest.raises(ValueError, match=r"^mixed dimensions$"):
+        group_closure([F2Operator.identity(8), F2Operator.identity(9)])
 
 
 @pytest.mark.parametrize("was_enabled", [True, False])
