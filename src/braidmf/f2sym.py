@@ -10,11 +10,13 @@ dimensions we ever enumerate (<= 8 for closure, <= 24 for the Arf oracle).
 
 from __future__ import annotations
 
-import gc
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import xor
+from itertools import chain, repeat
+from operator import eq, index as operator_index, xor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,9 +157,13 @@ def q_eval(q: F2Quadratic, v: int) -> int:
     return val
 
 
-@dataclass(frozen=True, slots=True)
-class F2Operator:
-    """Linear map; cols[i] is the image of basis vector i as a bitset."""
+class F2Operator(NamedTuple):
+    """Linear map; cols[i] is the image of basis vector i as a bitset.
+
+    A NamedTuple, so an operator costs one tuple.  Operators compare and
+    hash by (dim, cols); being a tuple, an operator also equals its plain
+    ``(dim, cols)`` tuple, and ``len(op) == 2``.
+    """
 
     dim: int
     cols: tuple
@@ -389,10 +395,59 @@ def preserves_q(g: F2Operator, q: F2Quadratic) -> bool:
 
 CLOSURE_CAP = 2_000_000
 CLOSURE_MAX_DIM = 8  # a packed key, dim columns of dim bits, fits one uint64
+_CHUNK = 1 << 16  # keys unpacked per numpy pass while iterating
+
+
+class OperatorSequence(Sequence):
+    """Read-only sequence of the F2Operators of a uint64 array of packed
+    keys (column i in bits dim*i and up), in array order.
+
+    ``len()`` reads the array and builds no operator.  Iteration unpacks a
+    chunk of keys into column lists at a time and builds the operators one
+    by one as they are taken, so none outlives its use unless the caller
+    keeps it.  Indexing takes an int (negative from the end) or a slice,
+    which gives another OperatorSequence.  It equals a list, or another
+    OperatorSequence, holding equal operators in the same order.
+    """
+
+    __slots__ = ("_keys", "_dim")
+
+    def __init__(self, keys, dim):
+        self._keys = keys
+        self._dim = dim
+
+    def __len__(self):
+        return self._keys.size
+
+    def _operators(self, keys):
+        """Lazy map from an array of keys to their operators."""
+        dim = self._dim
+        mask = np.uint64((1 << dim) - 1)
+        cols = [((keys >> np.uint64(dim * i)) & mask).tolist() for i in range(dim)]
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return map(tuple.__new__, repeat(F2Operator), zip(repeat(dim), zip(*cols)))
+
+    def __iter__(self):
+        keys = self._keys
+        return chain.from_iterable(
+            self._operators(keys[s : s + _CHUNK]) for s in range(0, keys.size, _CHUNK)
+        )
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OperatorSequence(self._keys[i], self._dim)
+        # a one-element index array: numpy raises IndexError past either end
+        return next(self._operators(self._keys[[operator_index(i)]]))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, OperatorSequence)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
 
 
 def group_closure(gens, cap=CLOSURE_CAP):
-    """Multiplicative closure of the generator set, as a level BFS.
+    """Multiplicative closure of the generator set, as a level BFS, returned
+    as an OperatorSequence over the packed keys ([] for no generators).
 
     The distinct generators come first, in the given order; each later
     level is the set of new products, sorted by packed key (one uint64 per
@@ -449,22 +504,7 @@ def group_closure(gens, cap=CLOSURE_CAP):
             raise RuntimeError(f"closure exceeded cap {cap}")
         levels.append(fresh)
         frontier = fresh
-    return _unpack(np.concatenate(levels), dim)
-
-
-def _unpack(keys, dim):
-    """F2Operators of an array of packed keys, in order."""
-    mask = np.uint64((1 << dim) - 1)
-    cols = [((keys >> np.uint64(dim * i)) & mask).tolist() for i in range(dim)]
-    # The operators hold no reference cycles, but while the list grows the
-    # cyclic GC would rescan it on every older-generation pass.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return [F2Operator(dim, c) for c in zip(*cols)]
-    finally:
-        if enabled:
-            gc.enable()
+    return OperatorSequence(np.concatenate(levels), dim)
 
 
 def _diagram_shape(vecs, form):

@@ -1,4 +1,3 @@
-import gc
 import random
 
 import numpy as np
@@ -261,25 +260,63 @@ def test_closure_refuses_dimensions_above_8(monkeypatch):
         group_closure([F2Operator.identity(8), F2Operator.identity(9)])
 
 
-@pytest.mark.parametrize("was_enabled", [True, False])
-def test_unpack_restores_gc_state(monkeypatch, was_enabled):
-    form = _chain_form(4)
-    gens = [transvection(1 << i, form) for i in range(4)]
-    enabled = gc.isenabled()
-    try:
-        (gc.enable if was_enabled else gc.disable)()
-        assert len(group_closure(gens)) == 120
-        assert gc.isenabled() == was_enabled
+def test_closure_len_builds_no_operator(monkeypatch):
+    form = e6_form()
+    gens = [transvection(1 << i, form) for i in range(6)]
 
-        def broken(dim, cols):
-            raise MemoryError("no room")
+    def broken(dim, cols):
+        raise AssertionError("an operator was built")
 
-        monkeypatch.setattr(f2sym, "F2Operator", broken)
-        with pytest.raises(MemoryError):
-            group_closure(gens)
-        assert gc.isenabled() == was_enabled
-    finally:
-        (gc.enable if enabled else gc.disable)()
+    monkeypatch.setattr(f2sym, "F2Operator", broken)
+    assert len(group_closure(gens)) == 51_840
+
+
+def test_closure_sequence_matches_list_and_reference(monkeypatch):
+    # a small chunk makes iteration cross many chunk boundaries
+    monkeypatch.setattr(f2sym, "_CHUNK", 7)
+    rng = random.Random(47)
+    checked = 0
+    for dim in range(1, 7):
+        for _ in range(6):
+            gens = _random_generators(rng, dim)
+            try:
+                want = _reference_closure(gens, dim, 5_000)
+            except RuntimeError:
+                continue
+            checked += 1
+            c = group_closure(gens)
+            ops = list(c)
+            assert [g.cols for g in ops] == want
+            assert list(c) == ops  # a second iteration gives the same
+            assert c == ops and c == c[:] and c == group_closure(gens)
+            assert c != ops[:-1]
+            if len(ops) > 1:
+                assert c != [*ops[1:], ops[0]]
+            n = len(c)
+            for i in {0, n // 2, n - 1, -1, -n, -(n // 2) - 1}:
+                assert c[i] == ops[i]
+            for bad in (n, n + 5, -n - 1):
+                with pytest.raises(IndexError):
+                    c[bad]
+            for s in (slice(1, 5), slice(None, None, -3), slice(-4, None),
+                      slice(5, 2), slice(None, None, 2), slice(-n - 3, n + 3)):
+                assert list(c[s]) == ops[s]
+                assert c[s] == ops[s]
+    assert checked > 20
+    e = F2Operator.identity(3)
+    assert group_closure([e]) == [e]
+    assert list(group_closure([e, e])) == [e]
+
+
+def test_operator_is_a_tuple_of_dim_and_cols():
+    op = F2Operator(2, (1, 3))
+    assert repr(op) == "F2Operator(dim=2, cols=(1, 3))"
+    assert op == F2Operator(2, (1, 3)) and op is not F2Operator(2, (1, 3))
+    assert hash(op) == hash(F2Operator(2, (1, 3))) == hash((2, (1, 3)))
+    assert op != F2Operator(2, (3, 1)) and op != F2Operator(3, (1, 3))
+    # documented side effects of being a tuple
+    assert op == (2, (1, 3)) and len(op) == 2
+    assert (op.dim, op.cols) == tuple(op)
 
 
 def _preserves_q_by_definition(g, q):

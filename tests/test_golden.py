@@ -16,6 +16,7 @@ import argparse
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -165,5 +166,30 @@ def regenerate():
         print(case, result["exit"])
 
 
-if __name__ == "__main__":
+def script_main(argv):
+    """``python tests/test_golden.py``: no arguments regenerate; ``--help``
+    prints usage and writes nothing; any other argument exits 2."""
+    argparse.ArgumentParser(
+        prog="test_golden.py",
+        description="Rewrite every file in tests/golden/ from the current"
+        " CLI output.  Run with PYTHONPATH=src and no arguments.",
+    ).parse_args(argv)
     regenerate()
+
+
+def test_script_help_writes_nothing(monkeypatch, capsys):
+    def fail():
+        raise AssertionError("golden files rewritten")
+
+    monkeypatch.setattr(sys.modules[__name__], "regenerate", fail)
+    with pytest.raises(SystemExit) as exc:
+        script_main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: test_golden.py")
+    with pytest.raises(SystemExit) as exc:
+        script_main(["--regenerate"])
+    assert exc.value.code == 2
+
+
+if __name__ == "__main__":
+    script_main(sys.argv[1:])
