@@ -23,7 +23,6 @@ through `hurwitz_move` once per move.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 
 from .perm import Perm, symmetric_group
@@ -129,16 +128,47 @@ class SearchResult:
     depth_reached: int = 0
 
 
+def _moves_to_root(seen, node):
+    """The (parent, move) pointers of one search side followed from node
+    back to its root: the move into node comes first."""
+    moves = []
+    while seen[node] is not None:
+        node, mv = seen[node]
+        moves.append(mv)
+    return moves
+
+
+def _move_order(moves):
+    """Sort key of a path: moves compare as 1 < -1 < 2 < -2 < ..."""
+    return [(abs(k), k < 0) for k in moves]
+
+
 def orbit_search(start, target, max_depth, node_cap=500_000):
-    """Breadth-first search for a Hurwitz move path from start to target.
+    """Bidirectional breadth-first search for a Hurwitz move path from
+    start to target.
 
-    Explores forward and inverse moves at every index (smallest index
-    first, forward before inverse: deterministic).
-    Returns a SearchResult; a miss within the budget proves nothing.
-    Raises ValueError if the products differ (then no path can exist)
-    or if max_depth is negative.
+    A forward side grows from start and a backward side from target; a
+    move's inverse undoes it, so the backward side uses the same moves.
+    Every node stores one (parent, move) pair.  Each step grows the side
+    with the smaller frontier by one whole level (the forward side wins a
+    tie), expanding the level's nodes in order and, at each, the moves at
+    every index, smallest index first and forward before inverse.  A
+    level that reaches nodes of the other side is finished, and the
+    search returns the least of the full paths through them: forward
+    half, then the backward half reversed and negated, compared move by
+    move in the order 1, -1, 2, -2, ...  Every such path is a shortest
+    one, so `found` holds exactly when start and target are at most
+    max_depth moves apart, and `moves` is deterministic.
 
-    Products, and factorizations against the target, compare with `==`,
+    Returns a SearchResult whose `visited` counts the nodes stored on
+    both sides (a meeting node is stored on each, so it counts twice) and
+    whose `depth_reached` counts the levels grown on both sides; a miss
+    within the budget proves nothing.  Raises RuntimeError once more than
+    node_cap nodes are stored on the two sides together, and ValueError
+    if the products differ (then no path can exist) or if max_depth is
+    negative.
+
+    Products, and factorizations across the two sides, compare with `==`,
     which for `BraidWord` is syntactic on the reduced letters: a braid
     pair whose products are equal as braids but written differently is
     refused as a product mismatch, and a target written differently from
@@ -151,26 +181,34 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
         raise ValueError("length mismatch: not Hurwitz equivalent")
     if start and product(start) != product(target):
         raise ValueError("product mismatch: not Hurwitz equivalent")
-    m = len(start)
-    seen = {start: []}
-    frontier = deque([start])
-    depth = 0
     if start == target:
         return SearchResult(True, [], 1, 0)
-    while frontier and depth < max_depth:
+    m = len(start)
+    sides = ({start: None}, {target: None})  # node -> (parent, move)
+    frontiers = [[start], [target]]
+    depth = 0
+    while frontiers[0] and frontiers[1] and depth < max_depth:
         depth += 1
-        for _ in range(len(frontier)):
-            f = frontier.popleft()
-            path = seen[f]
+        s = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        seen, other = sides[s], sides[1 - s]
+        grown, meets = [], []
+        for f in frontiers[s]:
             for i in range(1, m):
                 for mv in (i, -i):
                     child = hurwitz_move(f, i, inverse=mv < 0)
                     if child in seen:
                         continue
-                    seen[child] = path + [mv]
-                    if child == target:
-                        return SearchResult(True, path + [mv], len(seen), depth)
-                    if len(seen) > node_cap:
+                    seen[child] = (f, mv)
+                    if len(sides[0]) + len(sides[1]) > node_cap:
                         raise RuntimeError(f"search exceeded node cap {node_cap}")
-                    frontier.append(child)
-    return SearchResult(False, [], len(seen), depth)
+                    (meets if child in other else grown).append(child)
+        if meets:
+            paths = (
+                _moves_to_root(sides[0], c)[::-1]
+                + [-k for k in _moves_to_root(sides[1], c)]
+                for c in meets
+            )
+            moves = min(paths, key=_move_order)
+            return SearchResult(True, moves, len(sides[0]) + len(sides[1]), depth)
+        frontiers[s] = grown
+    return SearchResult(False, [], len(sides[0]) + len(sides[1]), depth)

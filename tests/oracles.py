@@ -1,0 +1,52 @@
+"""Reference implementations kept only as test oracles.
+
+`one_sided_search` is the plain breadth-first orbit search that
+`hurwitz.orbit_search` replaced: one side grows from the start, and every
+node stores its whole move list.  Its `found` and path length are the
+ground truth for the bidirectional search.
+"""
+
+from collections import deque
+
+from braidmf.hurwitz import SearchResult, hurwitz_move, product
+
+
+def one_sided_search(start, target, max_depth, node_cap=500_000):
+    """Breadth-first search for a Hurwitz move path from start to target.
+
+    Explores forward and inverse moves at every index (smallest index
+    first, forward before inverse: deterministic).
+    Returns a SearchResult; a miss within the budget proves nothing.
+    Raises ValueError if the products differ (then no path can exist)
+    or if max_depth is negative.
+    """
+    if max_depth < 0:
+        raise ValueError(f"max depth {max_depth} is negative")
+    start, target = tuple(start), tuple(target)
+    if len(start) != len(target):
+        raise ValueError("length mismatch: not Hurwitz equivalent")
+    if start and product(start) != product(target):
+        raise ValueError("product mismatch: not Hurwitz equivalent")
+    m = len(start)
+    seen = {start: []}
+    frontier = deque([start])
+    depth = 0
+    if start == target:
+        return SearchResult(True, [], 1, 0)
+    while frontier and depth < max_depth:
+        depth += 1
+        for _ in range(len(frontier)):
+            f = frontier.popleft()
+            path = seen[f]
+            for i in range(1, m):
+                for mv in (i, -i):
+                    child = hurwitz_move(f, i, inverse=mv < 0)
+                    if child in seen:
+                        continue
+                    seen[child] = path + [mv]
+                    if child == target:
+                        return SearchResult(True, path + [mv], len(seen), depth)
+                    if len(seen) > node_cap:
+                        raise RuntimeError(f"search exceeded node cap {node_cap}")
+                    frontier.append(child)
+    return SearchResult(False, [], len(seen), depth)

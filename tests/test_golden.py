@@ -6,10 +6,10 @@ stdout, stderr and the exit code with ``golden/<case>.json``.
 ``golden/parser.json`` records the argv surface of ``build_parser()``:
 every subcommand, flag, type, default and help string.
 
-Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when a
-change is meant to alter a report, and say so in the change.  Never
-regenerate to make a refactor pass: the recorded files are the evidence
-that it keeps every report byte for byte.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py [CASE ...]``
+(no case: every file) only when a change is meant to alter a report, and
+say so in the change.  Never regenerate to make a refactor pass: the
+recorded files are the evidence that it keeps every report byte for byte.
 """
 
 import argparse
@@ -62,6 +62,10 @@ CASES = {
     "hurwitz-act-braid": "hurwitz act --file fixtures/act_braid.json --moves 2,-1",
     "hurwitz-search-s4": "hurwitz search --file fixtures/search_s4.json --max-depth 3",
     "hurwitz-search-s4-json": "hurwitz search --file fixtures/search_s4.json --json",
+    # tau0(2,2), 16 slots, scrambled by the moves 4,7,1,8,-9,11: the sides
+    # meet after six levels at eight nodes, and the least full path is not
+    # the one through the first meeting node found
+    "hurwitz-search-s4-deep": "hurwitz search --file fixtures/search_s4_deep.json",
     "hurwitz-search-braid": "hurwitz search --file fixtures/search_braid.json",
     "hurwitz-search-braid-json": "hurwitz search --file fixtures/search_braid.json"
     " --max-depth 1 --json",
@@ -155,33 +159,45 @@ def test_every_subcommand_has_golden_cases():
         assert modes == want, f"golden cases missing for {' '.join(leaf)}"
 
 
-def regenerate():
+def regenerate(cases=None):
+    """Rewrite the named cases' files, or every file when cases is None."""
     os.chdir(GOLDEN)
     os.environ["COLUMNS"] = "80"
-    surface = parser_surface(build_parser())
-    (GOLDEN / "parser.json").write_text(json.dumps(surface, indent=1) + "\n")
-    for case, argv in CASES.items():
-        result = run_case(argv.split())
+    if cases is None:
+        surface = parser_surface(build_parser())
+        (GOLDEN / "parser.json").write_text(json.dumps(surface, indent=1) + "\n")
+        cases = list(CASES)
+    for case in cases:
+        result = run_case(CASES[case].split())
         (GOLDEN / f"{case}.json").write_text(json.dumps(result, indent=1) + "\n")
         print(case, result["exit"])
 
 
 def script_main(argv):
-    """``python tests/test_golden.py``: no arguments regenerate; ``--help``
-    prints usage and writes nothing; any other argument exits 2."""
-    argparse.ArgumentParser(
+    """``python tests/test_golden.py [CASE ...]``: no arguments regenerate
+    every file; named cases regenerate only theirs; ``--help`` prints usage
+    and writes nothing; an unknown case or option exits 2 and writes
+    nothing."""
+    parser = argparse.ArgumentParser(
         prog="test_golden.py",
-        description="Rewrite every file in tests/golden/ from the current"
-        " CLI output.  Run with PYTHONPATH=src and no arguments.",
-    ).parse_args(argv)
-    regenerate()
+        description="Rewrite files in tests/golden/ from the current CLI"
+        " output: the named cases, or every file (parser.json too) when none"
+        " is named.  Run with PYTHONPATH=src.",
+    )
+    parser.add_argument("cases", nargs="*", metavar="CASE")
+    cases = parser.parse_args(argv).cases
+    unknown = [c for c in cases if c not in CASES]
+    if unknown:
+        parser.error(f"unknown case {', '.join(unknown)}")
+    regenerate(cases or None)
+
+
+def _refuse_regenerate(*_):
+    raise AssertionError("golden files rewritten")
 
 
 def test_script_help_writes_nothing(monkeypatch, capsys):
-    def fail():
-        raise AssertionError("golden files rewritten")
-
-    monkeypatch.setattr(sys.modules[__name__], "regenerate", fail)
+    monkeypatch.setattr(sys.modules[__name__], "regenerate", _refuse_regenerate)
     with pytest.raises(SystemExit) as exc:
         script_main(["--help"])
     assert exc.value.code == 0
@@ -189,6 +205,35 @@ def test_script_help_writes_nothing(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         script_main(["--regenerate"])
     assert exc.value.code == 2
+
+
+def test_script_unknown_case_writes_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "regenerate", _refuse_regenerate)
+    for argv in (["no-such-case"], ["braid-eq", "no-such-case"]):
+        with pytest.raises(SystemExit) as exc:
+            script_main(argv)
+        assert exc.value.code == 2
+        assert "unknown case no-such-case" in capsys.readouterr().err
+
+
+def test_script_named_cases_rewrite_only_theirs(tmp_path, in_golden, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    script_main(["braid-eq", "arf-json"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "arf-json.json",
+        "braid-eq.json",
+    ]
+    for p in tmp_path.iterdir():
+        assert p.read_text() == (Path(__file__).parent / "golden" / p.name).read_text()
+
+
+def test_script_without_cases_rewrites_every_file(tmp_path, in_golden, monkeypatch):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", tmp_path)
+    monkeypatch.setattr(module, "run_case", lambda argv: {"exit": 0})
+    script_main([])
+    want = {f"{case}.json" for case in CASES} | {"parser.json"}
+    assert {p.name for p in tmp_path.iterdir()} == want
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from braidmf import (
     BraidWord,
     FreeWord,
     Perm,
+    SearchResult,
     act_moves,
     act_word,
     hurwitz_move,
@@ -14,7 +15,9 @@ from braidmf import (
     symmetric_group,
     transvection,
 )
+from braidmf.bmf import cusp_cluster_factorization
 from braidmf.f2sym import form_from_edges
+from oracles import one_sided_search
 
 
 def _random_fact(rng, m=5, n=5):
@@ -80,6 +83,82 @@ def test_orbit_search_trivial_and_mismatch():
     g = tuple([Perm.identity(4)] * 3)
     with pytest.raises(ValueError):
         orbit_search(f, g, max_depth=1)
+
+
+def _br4_fact(rng, m):
+    return tuple(BraidWord(4, _signed(rng, 3, rng.randint(1, 3))) for _ in range(m))
+
+
+def test_orbit_search_agrees_with_one_sided_oracle():
+    # 320 seeded S4 and Br4 scrambles of lengths 3-6 by 0-5 moves, searched
+    # at max_depth 0-5: about a third are misses
+    rng = random.Random(1971)
+    misses = 0
+    for k in range(320):
+        m = rng.randint(3, 6)
+        target = _random_fact(rng, m=m, n=4) if k % 2 else _br4_fact(rng, m)
+        start = act_moves(target, _signed(rng, m - 1, rng.randint(0, 5)))
+        depth = rng.randint(0, 5)
+        want = one_sided_search(start, target, depth)
+        res = orbit_search(start, target, depth)
+        assert (res.found, len(res.moves)) == (want.found, len(want.moves)), k
+        assert act_moves(start, res.moves) == (target if res.found else start)
+        assert orbit_search(start, target, depth) == res
+        misses += not res.found
+    assert 60 <= misses <= 260
+
+
+def test_orbit_search_edge_cases():
+    t, u = Perm.transposition(1, 2, 4), Perm.transposition(3, 4, 4)
+    e, v = Perm.identity(4), Perm.transposition(2, 3, 4)
+    f = (t, v, t)
+    for depth in (0, 3):
+        assert orbit_search(f, f, depth) == SearchResult(True, [], 1, 0)
+    # max_depth 0 grows no level: each side holds its root
+    g = hurwitz_move(f, 1)
+    assert orbit_search(g, f, 0) == SearchResult(False, [], 2, 0)
+    assert orbit_search(g, f, 1) == SearchResult(True, [-1], 4, 1)
+    # a length-1 pair has no moves; its one factor is its product, so a
+    # pair that differs is a product mismatch
+    assert orbit_search((t,), (t,), 4) == SearchResult(True, [], 1, 0)
+    with pytest.raises(ValueError, match="product mismatch"):
+        orbit_search((t,), (u,), 4)
+    # (t, u) and (e, t u) share the product t u but lie in orbits of two
+    # factorizations each: the forward side runs dry at its second level,
+    # under a cap of exactly the three nodes stored
+    res = orbit_search((t, u), (e, t * u), 10, node_cap=3)
+    assert res == SearchResult(False, [], 3, 2)
+    assert not one_sided_search((t, u), (e, t * u), 10).found
+
+
+def test_orbit_search_node_cap_counts_both_sides():
+    start, target, _ = cusp_cluster_factorization()
+    res = orbit_search(start, target, 6)
+    assert res == SearchResult(True, [-1, -3, 2, -1], 66, 4)
+    assert orbit_search(start, target, 6, node_cap=66) == res
+    # the backward side holds the target at least, so a cap one below the
+    # total is exceeded only if both sides count
+    with pytest.raises(RuntimeError) as exc:
+        orbit_search(start, target, 6, node_cap=65)
+    assert str(exc.value) == "search exceeded node cap 65"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((), (), -1), "max depth -1 is negative"),
+        (((1,), (1, 1), 2), "length mismatch: not Hurwitz equivalent"),
+        (((1, 2), (2, 2), 2), "product mismatch: not Hurwitz equivalent"),
+    ],
+)
+def test_orbit_search_errors_are_unchanged(args, message):
+    start, target, depth = args
+    s4 = symmetric_group(4)
+    start, target = [s4[i] for i in start], [s4[i] for i in target]
+    for search in (orbit_search, one_sided_search):
+        with pytest.raises(ValueError) as exc:
+            search(start, target, depth)
+        assert str(exc.value) == message
 
 
 def _list_move(f, i, inverse=False):
