@@ -14,11 +14,15 @@ to first.  The representation is faithful on the disk braid group, which
 is what braid_equal relies on; the sphere relation is NOT quotiented,
 but sphere_relation_word(n) builds the relation word.
 
-Braid words and free words are freely reduced when built, and compose
-left-to-right, like everything else in this package.
+There is one word class: a braid word on n strands is a free word of
+rank n-1 in sigma_1, ..., sigma_{n-1}, so BraidWord subclasses FreeWord
+and adds only its strand count and repr.  Words are freely reduced when
+built, and compose left-to-right, like everything else in this package.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .hurwitz import hurwitz_move
 from .perm import Perm
@@ -69,28 +73,13 @@ def _inverse(letters):
     return tuple(map(_INVERSE.__getitem__, reversed(letters)))
 
 
-class _Immutable:
-    """Slots set once, by __init__ from outside input or by _of."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def _of(cls, *values):
-        """From values known to be valid (words: freely reduced), no checks."""
-        obj = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(obj, name, value)
-        return obj
-
-
-class FreeWord(_Immutable):
+class FreeWord:
     """A freely reduced word in the free group of given rank.
 
     A letter is +g for the generator gamma_g and -g for its inverse,
-    1 <= g <= rank.
+    1 <= g <= rank.  Words are immutable; products, powers and inverses
+    are words of the same type, and words of different types or sizes
+    neither multiply nor compare equal.
     """
 
     __slots__ = ("rank", "letters")
@@ -103,20 +92,38 @@ class FreeWord(_Immutable):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", _reduce(letters))
 
+    @classmethod
+    def _of(cls, rank, letters):
+        """From a freely reduced letter tuple, no checks."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "rank", rank)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __mul__(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord._of(self.rank, _join(self.letters, other.letters))
+        if type(other) is not type(self) or other.rank != self.rank:
+            size = "rank" if type(self) is FreeWord else "strand"
+            raise ValueError(f"{size} mismatch")
+        return self._of(self.rank, _join(self.letters, other.letters))
+
+    def __pow__(self, k):
+        # a reduced word need not be cyclically reduced: s1 s2 s1^-1
+        if k >= 0:
+            return self._of(self.rank, _reduce(self.letters * k))
+        return self.inverse() ** (-k)
 
     def inverse(self):
-        return FreeWord._of(self.rank, _inverse(self.letters))
+        return self._of(self.rank, _inverse(self.letters))
 
     def __len__(self):
         return len(self.letters)
 
     def __eq__(self, other):
         return (
-            isinstance(other, FreeWord)
+            type(other) is type(self)
             and self.rank == other.rank
             and self.letters == other.letters
         )
@@ -130,25 +137,55 @@ class FreeWord(_Immutable):
         return ".".join(f"g{abs(x)}" + ("'" if x < 0 else "") for x in self.letters)
 
 
-class ArtinAuto(_Immutable):
-    """A free-group automorphism given by the images of the generators.
+class BraidWord(FreeWord):
+    """A freely reduced word in the Artin generators of the braid group on
+    n strands: a free word of rank n-1 in sigma_1 .. sigma_{n-1}.
+
+    A letter is a signed integer, +i for sigma_i and -i for its inverse,
+    1 <= i <= n-1; the JSON form is the same array.  Equality and hashing
+    are syntactic on the reduced letters: exact for orbit bookkeeping
+    (equal words act alike under Hurwitz moves) and cheap for search
+    frontiers.  braid_equal decides equality in the braid group.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, strands, letters=()):
+        letters = tuple(map(int, letters))
+        if strands < 2:
+            raise ValueError("need at least 2 strands")
+        for x in letters:
+            if not 0 < abs(x) < strands:
+                # spelt (index,sign), as reports have always given it
+                sign = 1 if x > 0 else -1
+                raise ValueError(f"bad letter ({abs(x)},{sign}) on {strands} strands")
+        object.__setattr__(self, "rank", strands - 1)
+        object.__setattr__(self, "letters", _reduce(letters))
+
+    @property
+    def strands(self):
+        return self.rank + 1
+
+    def __repr__(self):
+        if not self.letters:
+            return f"<empty braid, n={self.strands}>"
+        body = " ".join(f"s{abs(x)}" + ("'" if x < 0 else "") for x in self.letters)
+        return f"<{body} n={self.strands}>"
+
+
+class ArtinAuto(NamedTuple):
+    """A free-group automorphism given by the tuple of generator images.
 
     Used as the canonical form of a braid: two braid words are equal iff
     their automorphisms agree on every (freely reduced) generator image.
     """
 
-    __slots__ = ("rank", "images")
-
-    def __init__(self, rank, images):
-        images = tuple(images)
-        if len(images) != rank:
-            raise ValueError("need one image per generator")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "images", images)
+    rank: int
+    images: tuple
 
     @classmethod
     def identity(cls, rank):
-        return cls(rank, [FreeWord(rank, [g]) for g in range(1, rank + 1)])
+        return cls(rank, tuple(FreeWord._of(rank, (g,)) for g in range(1, rank + 1)))
 
     def apply(self, word):
         """Substitute generator images into a FreeWord."""
@@ -160,78 +197,6 @@ class ArtinAuto(_Immutable):
 
     def total_letters(self):
         return sum(len(w) for w in self.images)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ArtinAuto)
-            and self.rank == other.rank
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.images))
-
-    def __repr__(self):
-        return f"ArtinAuto({self.rank}, {list(self.images)!r})"
-
-
-class BraidWord(_Immutable):
-    """A freely reduced word in the Artin generators of the braid group on
-    n strands.
-
-    A letter is a signed integer, +i for sigma_i and -i for its inverse,
-    1 <= i <= n-1; the JSON form is the same array.  Equality and hashing
-    are syntactic on the reduced letters: exact for orbit bookkeeping
-    (equal words act alike under Hurwitz moves) and cheap for search
-    frontiers.  braid_equal decides equality in the braid group.
-    """
-
-    __slots__ = ("strands", "letters")
-
-    def __init__(self, strands, letters=()):
-        letters = tuple(map(int, letters))
-        if strands < 2:
-            raise ValueError("need at least 2 strands")
-        for x in letters:
-            if not 0 < abs(x) < strands:
-                # spelt (index,sign), as reports have always given it
-                sign = 1 if x > 0 else -1
-                raise ValueError(f"bad letter ({abs(x)},{sign}) on {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", _reduce(letters))
-
-    def __mul__(self, other):
-        if self.strands != other.strands:
-            raise ValueError("strand mismatch")
-        return BraidWord._of(self.strands, _join(self.letters, other.letters))
-
-    def __pow__(self, k):
-        # a reduced word need not be cyclically reduced: s1 s2 s1^-1
-        if k >= 0:
-            return BraidWord._of(self.strands, _reduce(self.letters * k))
-        return self.inverse() ** (-k)
-
-    def inverse(self):
-        return BraidWord._of(self.strands, _inverse(self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BraidWord)
-            and self.strands == other.strands
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.strands, self.letters))
-
-    def __repr__(self):
-        if not self.letters:
-            return f"<empty braid, n={self.strands}>"
-        body = " ".join(f"s{abs(x)}" + ("'" if x < 0 else "") for x in self.letters)
-        return f"<{body} n={self.strands}>"
 
 
 def artin_rep(word, cap=DEFAULT_LETTER_CAP):

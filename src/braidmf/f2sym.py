@@ -11,11 +11,10 @@ dimensions we ever enumerate (<= 8 for closure, <= 24 for the Arf oracle).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import eq, index as operator_index, xor
+from operator import xor
 from typing import NamedTuple
 
 import numpy as np
@@ -398,16 +397,14 @@ CLOSURE_MAX_DIM = 8  # a packed key, dim columns of dim bits, fits one uint64
 _CHUNK = 1 << 16  # keys unpacked per numpy pass while iterating
 
 
-class OperatorSequence(Sequence):
-    """Read-only sequence of the F2Operators of a uint64 array of packed
-    keys (column i in bits dim*i and up), in array order.
+class OperatorSequence:
+    """The F2Operators of a uint64 array of packed keys (column i in bits
+    dim*i and up), in array order, as a read-only sized iterable.
 
     ``len()`` reads the array and builds no operator.  Iteration unpacks a
     chunk of keys into column lists at a time and builds the operators one
     by one as they are taken, so none outlives its use unless the caller
-    keeps it.  Indexing takes an int (negative from the end) or a slice,
-    which gives another OperatorSequence.  It equals a list, or another
-    OperatorSequence, holding equal operators in the same order.
+    keeps it.
     """
 
     __slots__ = ("_keys", "_dim")
@@ -433,21 +430,10 @@ class OperatorSequence(Sequence):
             self._operators(keys[s : s + _CHUNK]) for s in range(0, keys.size, _CHUNK)
         )
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return OperatorSequence(self._keys[i], self._dim)
-        # a one-element index array: numpy raises IndexError past either end
-        return next(self._operators(self._keys[[operator_index(i)]]))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, OperatorSequence)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
 
 def group_closure(gens, cap=CLOSURE_CAP):
     """Multiplicative closure of the generator set, as a level BFS, returned
-    as an OperatorSequence over the packed keys ([] for no generators).
+    as an OperatorSequence over the packed keys (empty for no generators).
 
     The distinct generators come first, in the given order; each later
     level is the set of new products, sorted by packed key (one uint64 per
@@ -461,7 +447,7 @@ def group_closure(gens, cap=CLOSURE_CAP):
     """
     gens = list(gens)
     if not gens:
-        return []
+        return OperatorSequence(np.empty(0, dtype=np.uint64), 0)
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("mixed dimensions")

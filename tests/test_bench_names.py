@@ -21,6 +21,18 @@ from pathlib import Path
 
 import pytest
 
+from braidmf import (
+    BraidWord,
+    F2Operator,
+    LetterCapExceeded,
+    SurfaceParams,
+    artin_rep,
+    cusp_cluster_factorization,
+    generate_bmf,
+    group_closure,
+    orbit_search,
+)
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = BENCH.parent / "src"
 
@@ -70,6 +82,38 @@ def test_tracer_name_resolves_to_a_function(name):
         if isinstance(raw, classmethod):
             raw = raw.__func__
         assert inspect.isfunction(raw)
+
+
+def test_tracer_hooks_read_real_results():
+    # Each hook reads the return value of the function it is named after;
+    # a changed return type would break only traced benchmark runs.
+    hooks = tracer._HOOKS
+    assert sorted(hooks) == [
+        "bmf.generate_bmf",
+        "braid.artin_rep",
+        "f2sym.group_closure",
+        "hurwitz.orbit_search",
+    ]
+    counts = tracer.Tracer().counts
+    hooks["braid.artin_rep"](counts, artin_rep(BraidWord(3, [1, 2])), None, 0)
+    assert counts["braid.image_letters_max"] > 3
+    hooks["braid.artin_rep"](counts, None, LetterCapExceeded("over cap"), 0)
+    assert counts["braid.cap_exceeded"] == 1
+
+    start, target, _ = cusp_cluster_factorization()
+    found = orbit_search(start, target, max_depth=8)
+    counts["hurwitz.move_calls"] = 7  # as the count wrapper would leave it
+    hooks["hurwitz.orbit_search"](counts, found, None, 2)
+    assert found.found and counts["hurwitz.search_nodes"] == found.visited > 0
+    assert counts["hurwitz.search_moves"] == 5
+
+    for gens in ([F2Operator.identity(2)], []):
+        hooks["f2sym.group_closure"](counts, group_closure(gens), None, 0)
+    assert counts["f2sym.closure_elements"] == 1
+
+    bmf = generate_bmf(SurfaceParams(1, 1, 1, 1))
+    hooks["bmf.generate_bmf"](counts, bmf, None, 0)
+    assert counts["bmf.factors_generated"] == len(bmf.factors) > 0
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

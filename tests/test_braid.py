@@ -47,6 +47,37 @@ def test_free_word_reduction():
     assert w == FreeWord(3)
 
 
+def test_braid_word_is_a_free_word_of_one_rank_less():
+    b, f = BraidWord(4, [1, -2, 3]), FreeWord(3, [1, -2, 3])
+    assert isinstance(b, FreeWord) and b.strands == b.rank + 1 == 4
+    for w in (b, f):
+        for out in (w * w, w ** 3, w ** 0, w ** -2, w.inverse()):
+            assert type(out) is type(w) and out.rank == w.rank
+        for name in ("rank", "letters", "strands"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, 2)
+    # same rank and letters, different types: unequal, and no product
+    assert b.letters == f.letters and b != f and f != b
+    assert BraidWord(4, [1]) != FreeWord(3, [1])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        f * b
+    with pytest.raises(ValueError, match="strand mismatch"):
+        b * f
+    with pytest.raises(ValueError, match="rank mismatch"):
+        f * FreeWord(4, [1])
+    with pytest.raises(ValueError, match="strand mismatch"):
+        b * BraidWord(5, [1])
+
+
+def test_artin_auto_is_a_tuple_of_rank_and_images():
+    auto = artin_rep(BraidWord(3, [1]))
+    assert auto == (3, auto.images) == ArtinAuto(auto.rank, auto.images)
+    # sigma_1: g1 -> g1 g2 g1^-1, g2 -> g1, g3 -> g3
+    assert [w.letters for w in auto.images] == [(1, 2, -1), (1,), (3,)]
+    assert auto.total_letters() == 5
+    assert ArtinAuto.identity(3).total_letters() == 3
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(2, [2])
@@ -130,7 +161,7 @@ def test_generator_images():
                 images[a - 1] = FreeWord(4, [b])
                 images[b - 1] = FreeWord(4, [-b, a, b])
             rep = artin_rep(BraidWord(4, [sign * i]))
-            assert rep == ArtinAuto(4, images)
+            assert rep == ArtinAuto(4, tuple(images))
 
 
 def test_sphere_relation_is_nontrivial_in_disk_group():
