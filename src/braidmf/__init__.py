@@ -56,7 +56,6 @@ from .hurwitz import (
 )
 from .perm import Perm, symmetric_group
 from .s4orbit import (
-    GeneratorAction,
     TauFactorization,
     apply_generator,
     in_hat_orbit,

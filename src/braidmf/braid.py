@@ -210,7 +210,7 @@ def artin_rep(word, cap=DEFAULT_LETTER_CAP):
         raise LetterCapExceeded(f"automorphism over cap {cap}")
     f = ArtinAuto.identity(word.strands).images
     for x in reversed(word.letters):
-        f = hurwitz_move(f, abs(x), inverse=x < 0)
+        f = hurwitz_move(f, x)
         if sum(len(w) for w in f) > cap:
             raise LetterCapExceeded(f"automorphism over cap {cap}")
     return ArtinAuto(word.strands, f)

@@ -7,11 +7,13 @@ Perm, BraidWord, FreeWord and F2Operator all satisfy this protocol.
 The functions below accept any sequence and return tuples; only the
 inner step `hurwitz_move` takes a tuple.
 
-The forward Hurwitz move at index i (1-based) is
+A move is a signed int, as a braid letter is: +i is the forward Hurwitz
+move at index i (1-based),
 
     (a_i, a_{i+1})  |->  (a_i a_{i+1} a_i^{-1}, a_i)
 
-which visibly preserves the product; the inverse move undoes it.
+which visibly preserves the product, and -i is the inverse move that
+undoes it.
 
 On factorizations in S4 (every element a Perm of degree 4) `act_moves`
 runs on indices into `symmetric_group(4)` with two 24x24 tables derived
@@ -47,13 +49,14 @@ def _move_index_error(i, m):
     return IndexError(f"move index {i} out of range 1..{m - 1}")
 
 
-def hurwitz_move(f, i, inverse=False):
-    """Hurwitz move at 1-based index i (acts on slots i, i+1) of a tuple."""
-    m = len(f)
+def hurwitz_move(f, k):
+    """Hurwitz move k of a tuple: +i forward, -i inverse at 1-based index
+    i (acts on slots i, i+1)."""
+    i, m = abs(k), len(f)
     if not (1 <= i <= m - 1):
         raise _move_index_error(i, m)
     a, b = f[i - 1], f[i]
-    pair = (b, b.inverse() * a * b) if inverse else (a * b * a.inverse(), a)
+    pair = (b, b.inverse() * a * b) if k < 0 else (a * b * a.inverse(), a)
     return f[: i - 1] + pair + f[i + 1 :]
 
 
@@ -75,7 +78,7 @@ def act_moves(f, moves):
     if f and all(type(x) is Perm and len(x.images) == 4 for x in f):
         return _act_moves_s4(f, moves)
     for k in moves:
-        f = hurwitz_move(f, abs(k), inverse=(k < 0))
+        f = hurwitz_move(f, k)
     return f
 
 
@@ -195,7 +198,7 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
         for f in frontiers[s]:
             for i in range(1, m):
                 for mv in (i, -i):
-                    child = hurwitz_move(f, i, inverse=mv < 0)
+                    child = hurwitz_move(f, mv)
                     if child in seen:
                         continue
                     seen[child] = (f, mv)

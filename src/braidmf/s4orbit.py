@@ -15,7 +15,8 @@ Bitset encoding.  In O-hat every slot holds one of the two values of its
 block, so a state is fixed by the slots where it differs from tau0:
 `HatBits` stores it as an n-bit int with bit i set when slot i (0-based)
 differs.  On these ints
-  - a chain twist (swap i, i+1, i) swaps bits i-1 and i+1;
+  - a chain twist (the swaps i, i+1, i), held as its slot i, swaps
+    bits i-1 and i+1;
   - a single pair swap at i swaps bits i-1 and i and flips both (it is
     applied to Perm factorizations only, at the entry states);
   - the snake is a lookup in a 16-entry table on bits 4d-2 .. 4d+1;
@@ -34,6 +35,7 @@ the reference the bitset walk is tested against.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -93,22 +95,11 @@ def in_hat_orbit(f):
     )
 
 
-@dataclass(frozen=True)
-class GeneratorAction:
-    """One generator of the stabilized monodromy group action.
-
-    kind 'trivial' covers the cube and full-twist generators that fix
-    every factorization in O-hat; 'swap' exchanges the commuting factors
-    at slots i, i+1 (i must not be the boundary index); 'snake' is the
-    boundary-crossing half twist.
-    """
-
-    kind: str
-    index: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("trivial", "swap", "snake"):
-            raise ValueError(f"unknown action kind {self.kind!r}")
+# An O-hat action is an int: i >= 1 swaps the factors at slots i, i+1
+# (i must not be the boundary index); TRIVIAL covers the cube and
+# full-twist generators that fix every factorization in O-hat; SNAKE is
+# the boundary-crossing half twist.
+TRIVIAL, SNAKE = -1, -2
 
 
 def hat_generator_words(b, d):
@@ -116,49 +107,43 @@ def hat_generator_words(b, d):
 
     Chain twists transpose factors on the same side at even distance;
     the minimal ones exchange slots (i, i+2), realized as three adjacent
-    swaps.  Plain adjacent pair swaps (the sigma_p / sigma_q actions) are
-    deliberately NOT here: only their squares lie in the group, and the
-    parity separation below rests on that.
+    swaps (i, i+1, i).  Plain adjacent pair swaps (the sigma_p / sigma_q
+    actions) are deliberately NOT here: only their squares lie in the
+    group, and the parity separation below rests on that.
     """
     n = 4 * (b + d)
     B = 4 * d
-    words = [(GeneratorAction("trivial"),), (GeneratorAction("snake"),)]
-    for i in [*range(1, B - 1), *range(B + 1, n - 1)]:
-        words.append(
-            (
-                GeneratorAction("swap", i),
-                GeneratorAction("swap", i + 1),
-                GeneratorAction("swap", i),
-            )
-        )
-    return words
+    chain = [*range(1, B - 1), *range(B + 1, n - 1)]
+    return [(TRIVIAL,), (SNAKE,), *((i, i + 1, i) for i in chain)]
 
 
 def sigma_q_action(b, d):
     """The pair swap at the innermost D-pair (any D-pair gives M = 1)."""
-    return GeneratorAction("swap", 1)
+    return 1
 
 
 def sigma_p_action(b, d):
     """The pair swap at the first B-pair, just past the boundary."""
-    return GeneratorAction("swap", 4 * d + 1)
+    return 4 * d + 1
 
 
 def apply_generator(f, action):
     if not in_hat_orbit(f):
         raise ValueError("factorization is not in the orbit superset")
-    if action.kind == "trivial":
+    if action == TRIVIAL:
         return f
-    if action.kind == "swap":
-        i = action.index
-        if i == f.boundary:
-            raise ValueError("swap at the boundary index is not a generator")
-        if not (1 <= i < f.length):
-            raise IndexError(f"swap index {i} out of range")
-        factors = list(f.factors)
-        factors[i - 1], factors[i] = factors[i], factors[i - 1]
-        return f.with_factors(factors)
-    return snake_direct(f)
+    if action == SNAKE:
+        return snake_direct(f)
+    if action < 0:
+        raise ValueError(f"unknown action {action}")
+    if action == f.boundary:
+        raise ValueError("swap at the boundary index is not a generator")
+    if not (1 <= action < f.length):
+        raise IndexError(f"swap index {action} out of range")
+    factors = list(f.factors)
+    i = action
+    factors[i - 1], factors[i] = factors[i], factors[i - 1]
+    return f.with_factors(factors)
 
 
 def snake_direct(f):
@@ -168,10 +153,7 @@ def snake_direct(f):
     equals pi = (14)(23), nothing moves; otherwise every window factor
     is conjugated by pi.
     """
-    B = f.boundary
-    if f.length < B + 2:
-        raise ValueError("window out of range")
-    lo, hi = B - 2, B + 2  # 0-based half-open slice of the 4-window
+    lo, hi = f.boundary - 2, f.boundary + 2  # 0-based half-open 4-window
     window = f.factors[lo:hi]
     prod = product(window)
     if prod.is_identity() or prod == PI:
@@ -267,13 +249,7 @@ def replay_derivation(start):
 
 def all_windows():
     """All 16 admissible window states (two D-slots, two B-slots)."""
-    out = []
-    for w1 in D_VALUES:
-        for w2 in D_VALUES:
-            for w3 in B_VALUES:
-                for w4 in B_VALUES:
-                    out.append((w1, w2, w3, w4))
-    return out
+    return list(itertools.product(D_VALUES, D_VALUES, B_VALUES, B_VALUES))
 
 
 def embed_window(window, b, d):
@@ -330,21 +306,18 @@ def _changed_bits(f, ref=None):
     return sum(1 << i for i in change_positions(f, ref))
 
 
-TRIVIAL_OP, SNAKE_OP = -1, -2
-
-
 class HatBits:
     """O-hat of (b, d) as n-bit ints (see the module docstring).
 
-    `ops` runs parallel to `hat_generator_words(b, d)`: TRIVIAL_OP,
-    SNAKE_OP, or the low bit a of a chain twist swapping bits a, a+2.
+    `ops` runs parallel to `hat_generator_words(b, d)`: each word's first
+    action, TRIVIAL, SNAKE, or the slot i of a chain twist.
     """
 
     def __init__(self, b, d):
         self.base = tau0(b, d)
         B = self.base.boundary
         self.lo = B - 2
-        self.ops = [_bit_op(word) for word in hat_generator_words(b, d)]
+        self.ops = [word[0] for word in hat_generator_words(b, d)]
         self.mask = sum(1 << i for i in range(B + 1, self.base.length, 2))
         # x ^ snake[window of x] is the snake of x
         self.snake = tuple(
@@ -363,21 +336,12 @@ class HatBits:
 
     def step(self, x, op):
         """The state after one generator op (an entry of `ops`)."""
-        if op >= 0:
-            if (x >> op ^ x >> op + 2) & 1:
-                x ^= 5 << op
-        elif op == SNAKE_OP:
+        if op > 0:  # chain twist at slot op: swap bits op-1, op+1
+            if (x >> op - 1 ^ x >> op + 1) & 1:
+                x ^= 5 << op - 1
+        elif op == SNAKE:
             x ^= self.snake[x >> self.lo & 15]
         return x
-
-
-def _bit_op(word):
-    first = word[0]
-    if first.kind == "trivial":
-        return TRIVIAL_OP
-    if first.kind == "snake":
-        return SNAKE_OP
-    return first.index - 1  # chain twist (swap i, i+1, i): bits i-1, i+1
 
 
 def _check_trials(trials):
@@ -440,8 +404,8 @@ def verify_nonconjugacy(b, d, trials=10_000, seed=0, left=None, right=None):
     """
     _check_trials(trials)
     rng = random.Random(seed)
-    left = left or sigma_p_action(b, d)
-    right = right or sigma_q_action(b, d)
+    left = sigma_p_action(b, d) if left is None else left
+    right = sigma_q_action(b, d) if right is None else right
     bits = HatBits(b, d)
 
     m_right = invariant_M(apply_generator(bits.base, right))

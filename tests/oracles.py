@@ -40,7 +40,7 @@ def one_sided_search(start, target, max_depth, node_cap=500_000):
             path = seen[f]
             for i in range(1, m):
                 for mv in (i, -i):
-                    child = hurwitz_move(f, i, inverse=mv < 0)
+                    child = hurwitz_move(f, mv)
                     if child in seen:
                         continue
                     seen[child] = path + [mv]

@@ -168,6 +168,46 @@ def test_traced_census_realize_counts_moves_and_products(tmp_path):
     assert layers["perm.mul_calls"] > 0
 
 
+# One nonconj and one s7 verdict of orbit round 0, traced in a fresh
+# interpreter as a benchmark worker runs them.
+_TRACED_ORBIT = """
+import json, sys
+from pathlib import Path
+import workloads
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+verdicts = workloads.WORKLOADS["orbit"].build_round(1, 0, Path(sys.argv[1]))
+tracer.active = True
+for kind in ("nonconj", "s7"):
+    verdict = next(v for v in verdicts if v.kind == kind)
+    assert verdict.check(verdict.run()), verdict.label
+tracer.active = False
+print(json.dumps(tracer.summary()))
+"""
+
+
+def test_traced_orbit_verdicts_count_layer_calls(tmp_path):
+    # bench/test_trace.py asserts these counters are non-zero on orbit: the
+    # verdicts must still send their entry states through the traced
+    # Perm-level functions, not only through the HatBits walk.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_ORBIT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout)
+    for name in (
+        "s4orbit.generator_steps",
+        "s4orbit.in_hat_orbit_calls",
+        "s4orbit.invariant_M_calls",
+        "perm.eq_calls",
+    ):
+        assert layers[name] > 0, name
+
+
 # The fibre round is built after the tracer is installed, so its vectors go
 # through the installed f2sym.F2Vec and F2Vec.basis.
 _TRACED_FIBRE = """

@@ -291,7 +291,7 @@ def test_realize_matches_generic_action():
                 continue
             generic = tuple(Perm(x.images) for x in tau.factors)
             for k in word.letters:
-                generic = hurwitz_move(generic, abs(k), inverse=k < 0)
+                generic = hurwitz_move(generic, k)
             assert act_moves(tau.factors, word.letters) == generic
             assert verdict == ("trivial" if generic == tau.factors else "nontrivial")
 

@@ -38,10 +38,10 @@ def test_move_preserves_product_and_inverts():
     for _ in range(200):
         f = _random_fact(rng)
         i = rng.randint(1, len(f) - 1)
-        g = hurwitz_move(f, i)
-        assert product(g) == product(f)
-        assert hurwitz_move(g, i, inverse=True) == f
-        assert hurwitz_move(hurwitz_move(f, i, inverse=True), i) == f
+        for k in (i, -i):
+            g = hurwitz_move(f, k)
+            assert product(g) == product(f)
+            assert hurwitz_move(g, -k) == f
 
 
 def test_move_index_bounds():
@@ -50,6 +50,9 @@ def test_move_index_bounds():
         hurwitz_move(f, 0)
     with pytest.raises(IndexError):
         hurwitz_move(f, len(f))
+    with pytest.raises(IndexError) as exc:
+        hurwitz_move(f, -len(f))
+    assert str(exc.value) == f"move index {len(f)} out of range 1..{len(f) - 1}"
 
 
 def test_act_word_matches_act_moves():
@@ -161,12 +164,13 @@ def test_orbit_search_errors_are_unchanged(args, message):
         assert str(exc.value) == message
 
 
-def _list_move(f, i, inverse=False):
+def _list_move(f, k):
     # the move as the removed Factorization wrapper built it: a list copy
     # with two slots overwritten
+    i = abs(k)
     a, b = f[i - 1], f[i]
     elems = list(f)
-    if not inverse:
+    if k > 0:
         elems[i - 1], elems[i] = a * b * a.inverse(), a
     else:
         elems[i - 1], elems[i] = b, b.inverse() * a * b
@@ -191,8 +195,8 @@ def test_factorizations_are_plain_tuples():
         for _ in range(50):
             f = tuple(make() for _ in range(rng.randint(2, 6)))
             i = rng.randint(1, len(f) - 1)
-            for inverse in (False, True):
-                assert hurwitz_move(f, i, inverse) == _list_move(f, i, inverse)
+            for k in (i, -i):
+                assert hurwitz_move(f, k) == _list_move(f, k)
 
     # lists and tuples go in alike; tuples come out
     f = _random_fact(rng, m=4)
@@ -219,7 +223,7 @@ def _chained(f, moves):
     # S4 index-table path of act_moves
     f = tuple(f)
     for k in moves:
-        f = hurwitz_move(f, abs(k), inverse=k < 0)
+        f = hurwitz_move(f, k)
     return f
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from braidmf import hurwitz
 from braidmf import (
-    GeneratorAction,
     apply_generator,
     in_hat_orbit,
     invariant_M,
@@ -20,13 +19,13 @@ from braidmf.s4orbit import (
     D_VALUES,
     PI,
     PROPERTY_WORD_MAX_LEN,
-    SNAKE_OP,
-    TRIVIAL_OP,
+    SNAKE,
     SNAKE_STEP_MOVES,
     T12,
     T13,
     T24,
     T34,
+    TRIVIAL,
     WINDOW_DERIVATIONS,
     all_windows,
     apply_action_word,
@@ -63,18 +62,23 @@ def test_invariant_m_reference_values():
 
 def test_swap_action():
     base = tau0(1, 1)
-    g = apply_generator(base, GeneratorAction("swap", 1))
+    g = apply_generator(base, 1)
     assert g.factors[0] == T34 and g.factors[1] == T12
     assert change_positions(g) == [0, 1]
+    with pytest.raises(ValueError) as exc:
+        apply_generator(base, base.boundary)
+    assert str(exc.value) == "swap at the boundary index is not a generator"
     with pytest.raises(ValueError):
-        apply_generator(base, GeneratorAction("swap", base.boundary))
-    with pytest.raises(ValueError):
-        GeneratorAction("rotate", 1)
+        apply_generator(base, -3)  # negative and neither TRIVIAL nor SNAKE
+    for i in (0, base.length):
+        with pytest.raises(IndexError) as exc:
+            apply_generator(base, i)
+        assert str(exc.value) == f"swap index {i} out of range"
 
 
 def test_trivial_action_and_orbit_guard():
     base = tau0(1, 2)
-    assert apply_generator(base, GeneratorAction("trivial")) == base
+    assert apply_generator(base, TRIVIAL) == base
     bad = base.with_factors((T13,) + base.factors[1:])  # B-value in D-block
     assert not in_hat_orbit(bad)
     with pytest.raises(ValueError):
@@ -128,16 +132,14 @@ def test_derivation_endpoints_match_case_rule():
 
 def test_hat_generators_exclude_adjacent_pair_swaps():
     words = hat_generator_words(1, 1)
-    kinds = {tuple(a.kind for a in w) for w in words}
-    assert ("trivial",) in kinds and ("snake",) in kinds
-    for w in words:
-        if len(w) == 3:  # chain transposition: slots (i, i+2)
-            assert [a.kind for a in w] == ["swap"] * 3
-            i = w[0].index
-            assert w[1].index == i + 1 and w[2].index == i
-            # stays on one side of the boundary
-            assert (i + 2 <= 4) or (i >= 5)
-    assert ("swap",) not in kinds
+    assert words[:2] == [(TRIVIAL,), (SNAKE,)]
+    for w in words[2:]:  # chain transpositions: slots (i, i+2)
+        i = w[0]
+        assert i >= 1 and w == (i, i + 1, i)
+        # stays on one side of the boundary
+        assert (i + 2 <= 4) or (i >= 5)
+    # no single swap is a generator
+    assert all(len(w) == 3 for w in words if w[0] >= 1)
 
 
 def test_hat_generators_preserve_m_parity():
@@ -212,8 +214,8 @@ def _perm_property_run(b, d, trials, seed):
 
 def _perm_verify_nonconjugacy(b, d, trials, seed, left=None, right=None):
     rng = random.Random(seed)
-    left = left or sigma_p_action(b, d)
-    right = right or sigma_q_action(b, d)
+    left = sigma_p_action(b, d) if left is None else left
+    right = sigma_q_action(b, d) if right is None else right
     base = tau0(b, d)
     gens = hat_generator_words(b, d)
     m_right = invariant_M(apply_generator(base, right))
@@ -288,9 +290,11 @@ def test_reports_match_perm_oracle():
 def test_entry_states_are_validated():
     base = tau0(1, 1)
     with pytest.raises(ValueError):
-        verify_nonconjugacy(1, 1, 10, left=GeneratorAction("swap", base.boundary))
+        verify_nonconjugacy(1, 1, 10, left=base.boundary)
     with pytest.raises(IndexError):
-        verify_nonconjugacy(1, 1, 10, right=GeneratorAction("swap", base.length))
+        verify_nonconjugacy(1, 1, 10, right=base.length)
+    with pytest.raises(IndexError):  # 0 is refused, not replaced by the default
+        verify_nonconjugacy(1, 1, 10, left=0)
     bad = base.with_factors((T13,) + base.factors[1:])
     with pytest.raises(ValueError):
         HatBits(1, 1).encode(bad)
@@ -342,19 +346,18 @@ def test_local_parity_certificate():
         bits = HatBits(b, d)
         B = bits.base.boundary
         for word, op in zip(hat_generator_words(b, d), bits.ops, strict=True):
+            assert op == word[0]
             if len(word) == 1:
-                kind = word[0].kind
-                assert op == {"trivial": TRIVIAL_OP, "snake": SNAKE_OP}[kind]
+                assert op in (TRIVIAL, SNAKE)
                 continue
-            a = word[0].index - 1  # the word exchanges slots a and a+2
-            assert op == a
+            a = op - 1  # the word exchanges 0-based slots a and a+2
             assert (a < B) == (a + 2 < B), ((b, d), a)
             assert bits.mask >> a & 1 == bits.mask >> a + 2 & 1, ((b, d), a)
             for x in (0, 1 << a, 4 << a, 5 << a):
-                assert bits.M(bits.step(x, a)) == bits.M(x)
+                assert bits.M(bits.step(x, op)) == bits.M(x)
         for w in range(16):
             x = w << bits.lo
-            assert (bits.M(bits.step(x, SNAKE_OP)) - bits.M(x)) % 2 == 0
+            assert (bits.M(bits.step(x, SNAKE)) - bits.M(x)) % 2 == 0
 
 
 def test_snake_bit_table_matches_case_rule():
