@@ -6,15 +6,15 @@ comparison shows two surfaces with identical classical invariants that
 the factorization arithmetic still tells apart.
 """
 
-from braidmf import (
+from braidmf.bmf import (
     SurfaceParams,
     distinguishable,
     factor_census,
     generate_bmf,
     stable_profile,
     surface_counts,
+    twist_str,
 )
-from braidmf.bmf import twist_str
 
 p = SurfaceParams(1, 2, 2, 1)
 f = generate_bmf(p)

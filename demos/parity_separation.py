@@ -7,8 +7,15 @@ them apart, and stays constant mod 2 under every generator of the
 stabilized monodromy group.
 """
 
-from braidmf import apply_generator, invariant_M, tau0, verify_nonconjugacy
-from braidmf.s4orbit import sigma_p_action, sigma_q_action, snake_table
+from braidmf.s4orbit import (
+    apply_generator,
+    invariant_M,
+    sigma_p_action,
+    sigma_q_action,
+    snake_table,
+    tau0,
+    verify_nonconjugacy,
+)
 
 b, d = 1, 1
 base = tau0(b, d)

@@ -7,10 +7,13 @@ parity of a+c.  At enumerable dimensions the closure sizes match the
 classical order formulas exactly.
 """
 
-from braidmf import (
+from braidmf.f2sym import (
     arf,
     arf_oracle,
+    build_cross_space,
     classify_cross,
+    e6_form,
+    form_from_edges,
     group_closure,
     orthogonal_group_order,
     q_eval,
@@ -18,7 +21,6 @@ from braidmf import (
     sp_group_order,
     transvection,
 )
-from braidmf.f2sym import e6_form, form_from_edges
 
 print("Cross-space classification:")
 for a, c in ((2, 2), (2, 3), (3, 3)):
@@ -28,8 +30,6 @@ for a, c in ((2, 2), (2, 3), (3, 3)):
 
 print("\nArf invariant vs the exhaustive zero-count oracle:")
 for a, c in ((2, 2), (2, 4), (3, 3)):
-    from braidmf import build_cross_space
-
     q = quadratic_from_basis(build_cross_space(a, c))
     print(f"  (a,c)=({a},{c}): arf={arf(q)} oracle={arf_oracle(q)} (a mod 2 = {a % 2})")
 

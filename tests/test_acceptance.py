@@ -8,44 +8,39 @@ record their trial counts in the assertion messages.
 import random
 import time
 
-from braidmf import (
-    BraidWord,
-    FreeWord,
+from braidmf.bmf import (
     SurfaceParams,
-    arf,
-    arf_oracle,
-    artin_rep,
-    braid_equal,
-    build_cross_space,
     cusp_cluster_factorization,
     distinguishable,
     factor_census,
     generate_bmf,
+    surface_counts,
+)
+from braidmf.braid import ArtinAuto, BraidWord, FreeWord, artin_rep, braid_equal
+from braidmf.f2sym import (
+    arf,
+    arf_oracle,
+    build_cross_space,
+    e6_form,
+    form_from_edges,
     group_closure,
-    invariant_M,
-    orbit_search,
+    omitted_vectors,
     orthogonal_group_order,
     preserves_q,
-    product,
-    property_run,
     q_eval,
     quadratic_from_basis,
     sp_group_order,
-    surface_counts,
-    tau0,
     transvection,
-    verify_nonconjugacy,
 )
-from braidmf.braid import ArtinAuto
-from braidmf.f2sym import e6_form, form_from_edges
-from braidmf.hurwitz import act_moves
+from braidmf.hurwitz import act_moves, orbit_search, product
 from braidmf.s4orbit import (
     WINDOW_DERIVATIONS,
-    apply_generator,
+    property_run,
     replay_derivation,
     sigma_p_action,
     sigma_q_action,
     snake_table,
+    verify_nonconjugacy,
 )
 
 
@@ -137,8 +132,6 @@ def test_c06_arf_results():
             if (a + c) % 2 == 0:
                 assert bit == a % 2, f"(a,c)=({a},{c}): Arf != a mod 2"
             # the omitted b-chain closer has q = 0 exactly when a+c is odd
-            from braidmf.f2sym import omitted_vectors
-
             closer = omitted_vectors(space)[f"b{2 * c - 1}"]
             assert q_eval(q, closer) == ((a + c + 1) % 2)
     assert oracle_runs == 6  # dims 10..18: a+c <= 6

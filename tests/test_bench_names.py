@@ -21,17 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from braidmf import (
-    BraidWord,
-    F2Operator,
-    LetterCapExceeded,
-    SurfaceParams,
-    artin_rep,
-    cusp_cluster_factorization,
-    generate_bmf,
-    group_closure,
-    orbit_search,
-)
+from braidmf.bmf import SurfaceParams, cusp_cluster_factorization, generate_bmf
+from braidmf.braid import BraidWord, LetterCapExceeded, artin_rep
+from braidmf.f2sym import F2Operator, group_closure
+from braidmf.hurwitz import orbit_search
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = BENCH.parent / "src"
@@ -132,9 +125,10 @@ def test_workload_verdicts_run(tmp_path, name):
     assert len(judged) >= 3
 
 
-# Runs in a fresh interpreter, as a benchmark worker does: braidmf is
-# imported, the tracer installed, then one census realize verdict traced.
-_TRACED_REALIZE = """
+# The traced tests run in a fresh interpreter, as a benchmark worker does:
+# braidmf is imported, the tracer installed, then the body runs with the
+# round's work directory in sys.argv[1] and prints one JSON object.
+_TRACED_HEADER = """
 import json, sys
 from pathlib import Path
 import workloads
@@ -142,6 +136,21 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
+"""
+
+
+def _traced(body, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_HEADER + body, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# One census realize verdict.
+_TRACED_REALIZE = """
 verdicts = workloads.WORKLOADS["census"].build_round(1, 0, Path(sys.argv[1]))
 verdict = next(v for v in verdicts if v.kind == "realize")
 tracer.active = True
@@ -157,27 +166,13 @@ def test_traced_census_realize_counts_moves_and_products(tmp_path):
     # The realize verdict reaches hurwitz_move and Perm.__mul__ only while
     # the S4 move tables are built, so that must happen on first use in the
     # traced verdict, not at import.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCH)])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_REALIZE, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    layers = json.loads(proc.stdout)
+    layers = _traced(_TRACED_REALIZE, tmp_path)
     assert layers["hurwitz.move_calls"] > 0
     assert layers["perm.mul_calls"] > 0
 
 
-# One nonconj and one s7 verdict of orbit round 0, traced in a fresh
-# interpreter as a benchmark worker runs them.
+# One nonconj and one s7 verdict of orbit round 0.
 _TRACED_ORBIT = """
-import json, sys
-from pathlib import Path
-import workloads
-from tracer import Tracer
-
-tracer = Tracer()
-tracer.install()
 verdicts = workloads.WORKLOADS["orbit"].build_round(1, 0, Path(sys.argv[1]))
 tracer.active = True
 for kind in ("nonconj", "s7"):
@@ -192,13 +187,7 @@ def test_traced_orbit_verdicts_count_layer_calls(tmp_path):
     # bench/test_trace.py asserts these counters are non-zero on orbit: the
     # verdicts must still send their entry states through the traced
     # Perm-level functions, not only through the HatBits walk.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCH)])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_ORBIT, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    layers = json.loads(proc.stdout)
+    layers = _traced(_TRACED_ORBIT, tmp_path)
     for name in (
         "s4orbit.generator_steps",
         "s4orbit.in_hat_orbit_calls",
@@ -211,13 +200,6 @@ def test_traced_orbit_verdicts_count_layer_calls(tmp_path):
 # The fibre round is built after the tracer is installed, so its vectors go
 # through the installed f2sym.F2Vec and F2Vec.basis.
 _TRACED_FIBRE = """
-import json, sys
-from pathlib import Path
-import workloads
-from tracer import Tracer
-
-tracer = Tracer()
-tracer.install()
 verdicts = workloads.WORKLOADS["fibre"].build_round(1, 0, Path(sys.argv[1]))
 kinds = {}
 tracer.active = True
@@ -233,12 +215,6 @@ print(json.dumps({"kinds": kinds, "layers": tracer.summary()}))
 def test_traced_fibre_closures_build_vectors_through_f2vec(tmp_path):
     # The tracer wraps every public module-level function, and its wrapper
     # has no attributes: a function-shaped F2Vec would lose F2Vec.basis.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCH)])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_FIBRE, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = _traced(_TRACED_FIBRE, tmp_path)
     assert out["kinds"] == {"chain-closure": 2, "sp4-closure": 2}
     assert out["layers"]["f2sym.closure_calls"] == 4

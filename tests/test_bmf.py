@@ -3,31 +3,30 @@ import json
 
 import pytest
 
-from braidmf import (
-    BraidWord,
+from braidmf.bmf import (
+    CUSP_CLUSTER_SCRAMBLE,
+    Block,
+    BmfFactor,
+    BmfFactorization,
+    CensusMismatch,
     SurfaceParams,
-    braid_equal,
     cusp_cluster_factorization,
     distinguishable,
     factor_census,
+    factor_count,
+    factor_word,
     generate_bmf,
     realize_s4_trivial_action,
     stable_profile,
     surface_counts,
     tangent_cluster_factorization,
-    tau0,
-)
-from braidmf.bmf import (
-    Block,
-    BmfFactor,
-    BmfFactorization,
-    CensusMismatch,
-    factor_count,
-    factor_word,
     twist_str,
     twist_word,
 )
-from braidmf.hurwitz import act_moves, product
+from braidmf.braid import BraidWord, braid_equal, word_permutation
+from braidmf.hurwitz import act_moves, hurwitz_move, product
+from braidmf.perm import Perm
+from braidmf.s4orbit import tau0
 
 
 def test_params_flags():
@@ -159,8 +158,6 @@ def test_twist_str():
 
 
 def test_twist_words_are_half_twists():
-    from braidmf.braid import word_permutation
-
     b, d = 2, 1
     for tag in (("p", 2), ("q", 1), ("a", 1, 3), ("c", 1, 2), ("b", 1, 2),
                 ("d", 1, 2), ("u", 2, 1), ("u'", 1, 2), ("u''", 1, 1)):
@@ -201,8 +198,6 @@ def test_cusp_cluster():
     assert braid_equal(product(target), product_word)
     assert braid_equal(product(start), product_word)
     # the scramble is a Hurwitz move word, so it is reversible
-    from braidmf.bmf import CUSP_CLUSTER_SCRAMBLE
-
     assert act_moves(target, CUSP_CLUSTER_SCRAMBLE) == start
 
 
@@ -277,9 +272,6 @@ def test_g_side_mirrors_f_side():
 def test_realize_matches_generic_action():
     # realize runs the S4 index tables; the oracle is one hurwitz_move per
     # letter on fresh Perms, which act_moves does not send to the tables
-    from braidmf.hurwitz import hurwitz_move
-    from braidmf.perm import Perm
-
     for abcd in ((1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3)):
         p = SurfaceParams(*abcd)
         tau = tau0(p.b, p.d)

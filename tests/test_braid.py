@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from braidmf import (
+from braidmf.braid import (
+    ArtinAuto,
     BraidWord,
     FreeWord,
     LetterCapExceeded,
@@ -10,9 +11,10 @@ from braidmf import (
     band_generator,
     braid_equal,
     snake_word,
+    sphere_relation_word,
     word_permutation,
 )
-from braidmf.braid import ArtinAuto, sphere_relation_word
+from braidmf.s4orbit import SNAKE_STEP_MOVES
 
 
 def _raw_letters(rng, top, max_len):
@@ -195,6 +197,17 @@ def test_snake_word_shape():
     assert word_permutation(w).is_transposition()
     with pytest.raises(ValueError):
         snake_word(1, 5)
+    # verify snake-table checks the n-strand word and the four worked
+    # derivations over SNAKE_STEP_MOVES: moved down to strands 1..4, the
+    # word is those step moves in order
+    steps = [k for step in SNAKE_STEP_MOVES for k in step]
+    assert steps == [2, 1, 1, 3, 3, 2, -3, -3, -1, -1, -2]
+    for d in range(1, 6):
+        shift = 4 * d - 2
+        for n in (4 * d + 2, 4 * d + 6):
+            letters = snake_word(d, n).letters
+            moved = [(abs(k) - shift) * (1 if k > 0 else -1) for k in letters]
+            assert moved == steps, (d, n)
 
 
 def test_letter_cap():

@@ -1,6 +1,10 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -414,3 +418,44 @@ def test_negative_max_depth_is_bad_input(tmp_path, capsys, sub):
     # depth 0 is a valid (if short) search
     code, out = _run(capsys, *sub.split(), *extra, "--max-depth", "0")
     assert code == (1 if sub == "verify cluster" else 0)
+
+
+# A fresh interpreter imports the package in three stages and reports which
+# braidmf submodules and whether numpy are loaded after each.
+_IMPORT_STAGES = """
+import json, sys
+
+def loaded():
+    subs = sorted(m for m in sys.modules if m.startswith("braidmf."))
+    return {"modules": subs, "numpy": "numpy" in sys.modules}
+
+import braidmf
+out = {"public": [n for n in vars(braidmf) if not n.startswith("_")],
+       "version": braidmf.__version__, "root": loaded()}
+import braidmf.braid, braidmf.hurwitz, braidmf.s4orbit, braidmf.bmf
+out["core"] = loaded()
+import braidmf.cli
+out["cli"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_names_have_one_import_path():
+    # The package root re-exports nothing, so each name is imported from
+    # its module, and the word, Hurwitz, orbit and census layers load
+    # without numpy.  The benchmark's set-up probe imports braidmf.cli,
+    # which still loads every module.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_STAGES],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["public"] == [] and out["version"]
+    assert out["root"] == {"modules": [], "numpy": False}
+    core = ["bmf", "braid", "hurwitz", "perm", "s4orbit"]
+    assert out["core"] == {"modules": [f"braidmf.{m}" for m in core], "numpy": False}
+    every = sorted([*core, "cli", "f2sym"])
+    assert out["cli"]["modules"] == [f"braidmf.{m}" for m in every]

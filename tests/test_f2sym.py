@@ -3,16 +3,22 @@ import random
 import numpy as np
 import pytest
 
-from braidmf import (
+from braidmf import f2sym
+from braidmf.f2sym import (
     F2BilinearForm,
     F2Operator,
     F2Quadratic,
+    F2Vec,
     arf,
     arf_oracle,
     build_cross_space,
     classify_cross,
+    cross_generators,
+    e6_form,
+    form_from_edges,
     group_closure,
     horizontal_obstruction,
+    omitted_vectors,
     orthogonal_group_order,
     preserves_q,
     q_eval,
@@ -21,14 +27,6 @@ from braidmf import (
     symplectic_basis,
     transvection,
     wajnryb_classify,
-)
-from braidmf import f2sym
-from braidmf.f2sym import (
-    F2Vec,
-    cross_generators,
-    e6_form,
-    form_from_edges,
-    omitted_vectors,
 )
 
 

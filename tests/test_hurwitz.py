@@ -2,21 +2,18 @@ import random
 
 import pytest
 
-from braidmf import (
-    BraidWord,
-    FreeWord,
-    Perm,
+from braidmf.bmf import cusp_cluster_factorization
+from braidmf.braid import BraidWord, FreeWord, snake_word
+from braidmf.f2sym import form_from_edges, transvection
+from braidmf.hurwitz import (
     SearchResult,
     act_moves,
     act_word,
     hurwitz_move,
     orbit_search,
     product,
-    symmetric_group,
-    transvection,
 )
-from braidmf.bmf import cusp_cluster_factorization
-from braidmf.f2sym import form_from_edges
+from braidmf.perm import Perm, symmetric_group
 from oracles import one_sided_search
 
 
@@ -292,7 +289,6 @@ def test_mixed_factorizations_take_the_generic_path(monkeypatch):
 
 
 def test_snake_via_word_matches_generic_action():
-    from braidmf.braid import snake_word
     from braidmf.s4orbit import all_windows, embed_window, snake_via_word
 
     for b in range(1, 4):

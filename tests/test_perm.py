@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidmf import Perm, symmetric_group
+from braidmf.perm import Perm, symmetric_group
 
 
 def test_identity_and_validation():

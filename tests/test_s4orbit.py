@@ -4,16 +4,6 @@ from itertools import product
 import pytest
 
 from braidmf import hurwitz
-from braidmf import (
-    apply_generator,
-    in_hat_orbit,
-    invariant_M,
-    property_run,
-    snake_direct,
-    snake_table,
-    snake_via_word,
-    tau0,
-)
 from braidmf.s4orbit import (
     B_VALUES,
     D_VALUES,
@@ -27,17 +17,25 @@ from braidmf.s4orbit import (
     T34,
     TRIVIAL,
     WINDOW_DERIVATIONS,
+    HatBits,
     all_windows,
     apply_action_word,
+    apply_generator,
     change_positions,
     embed_window,
-    HatBits,
     hat_generator_words,
+    in_hat_orbit,
+    invariant_M,
+    property_run,
     random_action_word,
     replay_derivation,
     sigma_p_action,
     sigma_q_action,
     snake_bit_table,
+    snake_direct,
+    snake_table,
+    snake_via_word,
+    tau0,
     verify_nonconjugacy,
 )
 
