@@ -6,6 +6,8 @@ A vector of F2^n is a plain int bitset, and so are Gram rows and operator
 columns.  The one pairing primitive is `F2BilinearForm.gram_image`: with
 it, (u, v) = parity(gram_image(u) & v).  Dense numpy paths cover the
 dimensions we ever enumerate (<= 8 for closure, <= 24 for the Arf oracle).
+numpy is imported on first use, by the closure, q-table and Arf-oracle
+paths, so the rest of the package and the CLI load without it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import xor
 from typing import NamedTuple
-
-import numpy as np
 
 
 def _parity(x: int) -> int:
@@ -127,6 +127,8 @@ class F2Quadratic:
     def _level_sets(self) -> tuple:
         """For each basis index i, the bitsets v with q(v) = q(e_i); built
         from the value table on first use (dimensions <= Q_TABLE_MAX_DIM)."""
+        import numpy as np
+
         vals = _q_values(self)
         return tuple(
             frozenset(np.flatnonzero(vals == b).tolist()) for b in self.basis_values
@@ -349,6 +351,8 @@ Q_TABLE_MAX_DIM = 8
 
 def _q_values(q: F2Quadratic):
     """uint8 array of q(v) for every v < 2^dim, indexed by the bitset v."""
+    import numpy as np
+
     vals = np.zeros(1, dtype=np.uint8)
     for k in range(q.form.dim):
         # q(v + e_k) = q(v) + q(e_k) + (v, e_k) for v supported below bit k
@@ -367,6 +371,8 @@ def arf_oracle(q: F2Quadratic) -> int:
         raise ValueError(f"oracle dimension cap {ARF_ORACLE_MAX_DIM} exceeded")
     if n % 2:
         raise ValueError("need even dimension")
+    import numpy as np
+
     zeros = int(np.count_nonzero(_q_values(q) == 0))
     g = n // 2
     if zeros == (1 << (n - 1)) + (1 << (g - 1)):
@@ -418,6 +424,8 @@ class OperatorSequence:
 
     def _operators(self, keys):
         """Lazy map from an array of keys to their operators."""
+        import numpy as np
+
         dim = self._dim
         mask = np.uint64((1 << dim) - 1)
         cols = [((keys >> np.uint64(dim * i)) & mask).tolist() for i in range(dim)]
@@ -439,7 +447,7 @@ def group_closure(gens, cap=CLOSURE_CAP):
     level is the set of new products, sorted by packed key (one uint64 per
     operator, column i in bits dim*i and up).  Raises RuntimeError("closure
     exceeded cap N") when the closure has more than `cap` elements, and
-    ValueError above CLOSURE_MAX_DIM, before any table is built.
+    ValueError above CLOSURE_MAX_DIM, before numpy is imported.
 
     Per level, the generator image tables give the candidates, which are
     sorted and deduplicated; `searchsorted` against the sorted seen keys
@@ -447,12 +455,16 @@ def group_closure(gens, cap=CLOSURE_CAP):
     """
     gens = list(gens)
     if not gens:
+        import numpy as np
+
         return OperatorSequence(np.empty(0, dtype=np.uint64), 0)
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("mixed dimensions")
     if dim > CLOSURE_MAX_DIM:
         raise ValueError(f"closure dimension cap {CLOSURE_MAX_DIM} exceeded")
+    import numpy as np
+
     mask = np.uint64((1 << dim) - 1)
     shifts = np.arange(0, dim * dim, dim, dtype=np.uint64)
     tables = []

@@ -435,6 +435,7 @@ out = {"public": [n for n in vars(braidmf) if not n.startswith("_")],
 import braidmf.braid, braidmf.hurwitz, braidmf.s4orbit, braidmf.bmf
 out["core"] = loaded()
 import braidmf.cli
+braidmf.cli.build_parser()
 out["cli"] = loaded()
 print(json.dumps(out))
 """
@@ -443,8 +444,8 @@ print(json.dumps(out))
 def test_names_have_one_import_path():
     # The package root re-exports nothing, so each name is imported from
     # its module, and the word, Hurwitz, orbit and census layers load
-    # without numpy.  The benchmark's set-up probe imports braidmf.cli,
-    # which still loads every module.
+    # without numpy.  The benchmark's set-up probe imports braidmf.cli and
+    # builds its parser, which loads every module but still not numpy.
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_STAGES],
@@ -458,4 +459,49 @@ def test_names_have_one_import_path():
     core = ["bmf", "braid", "hurwitz", "perm", "s4orbit"]
     assert out["core"] == {"modules": [f"braidmf.{m}" for m in core], "numpy": False}
     every = sorted([*core, "cli", "f2sym"])
-    assert out["cli"]["modules"] == [f"braidmf.{m}" for m in every]
+    assert out["cli"] == {"modules": [f"braidmf.{m}" for m in every], "numpy": False}
+
+
+_NUMPY_FREE = """
+import io, sys
+from contextlib import redirect_stdout
+from braidmf.cli import main
+
+def run(argv):
+    with redirect_stdout(io.StringIO()):
+        return main(argv.split())
+
+for argv in sys.argv[1:]:
+    assert run(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert run("arf --a 2 --c 2") == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_arf_oracle_command_loads_numpy():
+    # Every command but `arf` within the oracle's dimension cap runs
+    # without importing numpy; the last run shows that the check can see
+    # numpy being loaded.
+    argvs = [
+        "verify snake-table",
+        "verify nonconj --b 1 --d 1 --trials 5",
+        "verify s7 --b 1 --d 1 --trials 5",
+        "verify cluster",
+        "bmf gen --a 1 --b 2 --c 2 --d 1",
+        "bmf counts --a 1 --b 2 --c 2 --d 1",
+        "bmf distinguish --a 2 --b 3 --c 4 --d 3 --a2 3 --b2 3 --c2 3 --d2 3",
+        "braid eq --strands 3 --word1 1,2,1 --word2 2,1,2",
+        "hurwitz act --file fixtures/act_s4.json --moves 1,-2,2",
+        "hurwitz search --file fixtures/search_s4.json",
+        "classify --a 3 --c 3",
+        "obstruct --a 3 --c 3 --a2 3 --c2 3",
+        "arf --a 5 --c 5",
+    ]
+    root = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE, *argvs],
+        capture_output=True, text=True, cwd=root / "golden",
+        env={**os.environ, "PYTHONPATH": str(root.parent / "src")}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

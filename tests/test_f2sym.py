@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -248,8 +249,8 @@ def test_packed_closure_cap_message():
 
 def test_closure_refuses_dimensions_above_8(monkeypatch):
     gens = [transvection(1 << i, _chain_form(9)) for i in range(3)]
-    # refused before any table is built: f2sym's numpy is out of reach
-    monkeypatch.setattr(f2sym, "np", None)
+    # refused before numpy is imported: any numpy import here would raise
+    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ValueError, match=r"^closure dimension cap 8 exceeded$"):
         group_closure(gens)
     with pytest.raises(ValueError, match=r"^mixed dimensions$"):
