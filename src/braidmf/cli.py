@@ -3,9 +3,10 @@
 One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
-error or bad input, 3 a resource limit was hit (braid letter cap,
-search node cap, group closure cap or bmf factor cap) before a verdict
-was reached.
+error or bad input, 3 a resource limit was hit (search node cap, group
+closure cap or bmf factor cap) before a verdict was reached.  Braid
+equality compares Dynnikov coordinates, so no braid verdict meets the
+letter cap, which guards only braid.artin_rep.
 """
 
 from __future__ import annotations
@@ -328,6 +329,13 @@ def hurwitz_search(args):
     doc = _read_factorization_file(args.file, "start", "target")
     start = _load_elements(args.file, doc, "start")
     target = _load_elements(args.file, doc, "target")
+    if doc["group"] == "braid" and start and len(start) == len(target):
+        ps, pt = product(start), product(target)
+        if ps != pt and braid_equal(ps, pt):
+            raise ValueError(
+                "products are equal braids written differently; the search"
+                " compares words as written"
+            )
     res = orbit_search(start, target, max_depth=args.max_depth)
     details = (
         f"moves {list(res.moves)}, visited {res.visited}, "
@@ -429,7 +437,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # a letter, node, closure or factor cap was hit
+    except RuntimeError as exc:  # a node, closure or factor cap was hit
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if body is None:

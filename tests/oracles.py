@@ -4,11 +4,24 @@
 `hurwitz.orbit_search` replaced: one side grows from the start, and every
 node stores its whole move list.  Its `found` and path length are the
 ground truth for the bidirectional search.
+
+`artin_equal` is the braid equality that Dynnikov coordinates replaced:
+it compares the Artin free-group images, whose lengths grow
+exponentially with the word, under the letter cap of `artin_rep`.
 """
 
 from collections import deque
 
+from braidmf.braid import artin_rep
 from braidmf.hurwitz import SearchResult, hurwitz_move, product
+
+
+def artin_equal(w1, w2):
+    """Exact equality in the disk braid group via the Artin representation;
+    raises LetterCapExceeded once an image passes the letter cap."""
+    if w1.strands != w2.strands:
+        raise ValueError("strand mismatch")
+    return artin_rep(w1) == artin_rep(w2)
 
 
 def one_sided_search(start, target, max_depth, node_cap=500_000):

@@ -10,11 +10,13 @@ from braidmf.braid import (
     artin_rep,
     band_generator,
     braid_equal,
+    dynnikov,
     snake_word,
     sphere_relation_word,
     word_permutation,
 )
 from braidmf.s4orbit import SNAKE_STEP_MOVES
+from oracles import artin_equal
 
 
 def _raw_letters(rng, top, max_len):
@@ -115,6 +117,94 @@ def test_braid_relation_commuting():
     assert not braid_equal(
         BraidWord(5, [1, 2]), BraidWord(5, [2, 1])
     )
+
+
+def test_dynnikov_coordinates():
+    # sigma_1 sends pairs 1, 2 from (0,1), (0,1) to (1,0), (0,2); the pair
+    # above the letters stays (0,1), and sigma_1^-1 undoes it
+    assert dynnikov(BraidWord(5, []), 3) == (0, 1, 0, 1, 0, 1)
+    assert dynnikov(BraidWord(5, [1]), 3) == (1, 0, 0, 2, 0, 1)
+    assert dynnikov(BraidWord(5, [-1]), 3) == (-1, 0, 0, 2, 0, 1)
+    assert dynnikov(BraidWord(5, [2]), 3) == (0, 1, 1, 0, 0, 2)
+    assert dynnikov(BraidWord(5, [1]) * BraidWord(5, [-1]), 2) == (0, 1, 0, 1)
+    with pytest.raises(ValueError):  # pairs must exceed every index
+        dynnikov(BraidWord(5, [2]), 2)
+
+
+def _rewrite(rng, n, letters):
+    """The same braid written differently: up to three commuting swaps or
+    braid relations where the word allows them, then v.v^-1 inserted."""
+    w = list(letters)
+    for _ in range(3):
+        options = [
+            (p, [w[p + 1], w[p]])
+            for p in range(len(w) - 1)
+            if abs(abs(w[p]) - abs(w[p + 1])) >= 2
+        ] + [
+            (p, [w[p + 1], w[p], w[p + 1]])
+            for p in range(len(w) - 2)
+            if w[p] == w[p + 2]
+            and abs(abs(w[p]) - abs(w[p + 1])) == 1
+            and (w[p] > 0) == (w[p + 1] > 0)
+        ]
+        if not options:
+            break
+        p, new = rng.choice(options)
+        w[p : p + len(new)] = new
+    v = _raw_letters(rng, n - 1, 3)
+    pos = rng.randint(0, len(w))
+    w[pos:pos] = v + [-x for x in reversed(v)]
+    return w
+
+
+def test_braid_equal_matches_the_artin_oracle():
+    # 3,000 pairs on 2-7 strands, words of up to 12 letters: half of them
+    # relation rewrites of the first word; a quarter rewrites with one
+    # pair of neighbouring letters then swapped, which is a braid relation
+    # only when they commute; a quarter independent words
+    rng = random.Random(9)
+    equal_count = 0
+    for i in range(3000):
+        n = rng.randint(2, 7)
+        w1 = _raw_letters(rng, n - 1, 12)
+        if i % 4 == 0:
+            w2 = _raw_letters(rng, n - 1, 12)
+        else:
+            w2 = _rewrite(rng, n, w1)
+        if i % 4 == 2 and len(w2) > 1:
+            p = rng.randrange(len(w2) - 1)
+            w2[p], w2[p + 1] = w2[p + 1], w2[p]
+        u, v = BraidWord(n, w1), BraidWord(n, w2)
+        equal = braid_equal(u, v)
+        assert equal == artin_equal(u, v), (n, w1, w2)
+        assert equal or i % 2 == 0, (n, w1, w2)  # a rewrite is the same braid
+        equal_count += equal
+    assert 1500 < equal_count < 2500
+
+
+def test_every_braid_relation_up_to_8_strands():
+    # s_i s_i+1 s_i = s_i+1 s_i s_i+1 and s_i s_j = s_j s_i for |i-j| >= 2,
+    # with every letter inverted too, bare and between random words; the
+    # neighbours s_i s_i+1 and s_i+1 s_i never commute
+    rng = random.Random(10)
+    for n in range(2, 9):
+        for sign in (1, -1):
+            for i in range(1, n):
+                for j in range(i + 1, n):
+                    a, b = sign * i, sign * j
+                    if j == i + 1:
+                        pairs = [([a, b, a], [b, a, b], True), ([a, b], [b, a], False)]
+                    else:
+                        pairs = [([a, b], [b, a], True)]
+                    contexts = [([], [])] + [
+                        (_raw_letters(rng, n - 1, 4), _raw_letters(rng, n - 1, 4))
+                        for _ in range(3)
+                    ]
+                    for lhs, rhs, want in pairs:
+                        for u, v in contexts:
+                            x, y = BraidWord(n, u + lhs + v), BraidWord(n, u + rhs + v)
+                            assert braid_equal(x, y) is want, (n, u, lhs, rhs, v)
+                            assert artin_equal(x, y) is want
 
 
 def test_inverse_word_is_inverse():

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from braidmf.cli import main
+from braidmf.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -180,12 +181,21 @@ def test_only_a_blank_word_list_is_the_empty_word(capsys):
     assert json.loads(out)["params"] == {"strands": 3, "word1": [], "word2": []}
 
 
-def test_braid_eq_checks_the_letter_cap_before_building_images(capsys):
-    # one free generator per strand is already over the 10**6-letter cap
-    code = main(["braid", "eq", "--strands", "1000001", "--word1=", "--word2="])
+def test_braid_eq_memory_does_not_grow_with_strands(capsys):
+    # over the 10**6-letter cap of the Artin images, which hold one free
+    # generator per strand; the coordinates hold one pair per touched strand
+    build_parser()  # cached: the parser's own allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        code = main(["braid", "eq", "--strands", "1000001", "--word1=", "--word2="])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out, err = capsys.readouterr()
-    assert code == 3
-    assert out == "" and err == "error: automorphism over cap 1000000\n"
+    assert code == 0 and err == ""
+    assert "PASS    braid equality — words are equal as braids" in out
+    # a pointer per strand alone would be 8 MB
+    assert peak < 100_000
 
 
 def test_parser_is_built_once_per_process(capsys):

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from braidmf import braid
 from braidmf.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,6 +59,13 @@ CASES = {
     "braid-eq-json": "braid eq --strands 4 --word1 1,3 --word2 3,1 --json",
     "braid-eq-differ": "braid eq --strands 3 --word1 1 --word2 2",
     "braid-eq-differ-json": "braid eq --strands 3 --word1 1,2 --word2 2,1 --json",
+    # (s1 s2^-1)^20 against a copy with its tenth s1 s2^-1 rewritten as
+    # s2^-1 s1^-1 s2 s1: the Artin images of these words pass 10**6 letters
+    "braid-eq-long-json": "braid eq --strands 3 --word1 "
+    + ",".join(["1,-2"] * 20)
+    + " --word2 "
+    + ",".join(["1,-2"] * 9 + ["-2,-1,2,1"] + ["1,-2"] * 10)
+    + " --json",
     "hurwitz-act-s4": "hurwitz act --file fixtures/act_s4.json --moves 1,-2,2",
     "hurwitz-act-braid": "hurwitz act --file fixtures/act_braid.json --moves 2,-1",
     "hurwitz-search-s4": "hurwitz search --file fixtures/search_s4.json --max-depth 3",
@@ -79,6 +87,10 @@ CASES = {
     "error-missing-key": "hurwitz act --file fixtures/no_group.json --moves 1",
     "error-bad-json": "hurwitz search --file fixtures/not_json.json",
     "error-product-mismatch": "hurwitz search --file fixtures/search_mismatch.json",
+    # (s1 s2 s1, s1) and (s2 s1 s2, s1): equal braid products, written
+    # differently, which the search cannot compare
+    "error-product-rewritten": "hurwitz search"
+    " --file fixtures/search_rewritten_product.json",
     "error-bad-word": "braid eq --strands 3 --word1 3 --word2 1",
     "error-missing-flag": "verify nonconj --b 1",
 }
@@ -141,6 +153,21 @@ def in_golden(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_is_byte_identical(case, in_golden):
+    want = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert run_case(CASES[case].split()) == want
+
+
+def _no_artin_images(*_):
+    raise AssertionError("a verdict built Artin images")
+
+
+@pytest.mark.parametrize("case", sorted(
+    case for case, argv in CASES.items()
+    if argv.startswith(("braid eq", "verify cluster", "hurwitz search"))
+))
+def test_braid_verdicts_build_no_artin_images(case, in_golden, monkeypatch):
+    # braid_equal is the one primitive behind every braid verdict
+    monkeypatch.setattr(braid, "artin_rep", _no_artin_images)
     want = json.loads((GOLDEN / f"{case}.json").read_text())
     assert run_case(CASES[case].split()) == want
 
