@@ -116,10 +116,18 @@ class FreeWord:
         return self._of(self.rank, _join(self.letters, other.letters))
 
     def __pow__(self, k):
-        # a reduced word need not be cyclically reduced: s1 s2 s1^-1
-        if k >= 0:
-            return self._of(self.rank, _reduce(self.letters * k))
-        return self.inverse() ** (-k)
+        # split the reduced word as w = P C P^-1, P the longest prefix that
+        # cancels against the reversed suffix: the core C is then nonempty
+        # and cyclically reduced, so w^k = P C^k P^-1 is reduced as it stands
+        if k < 0:
+            return self.inverse() ** (-k)
+        w = self.letters
+        if not (w and k):
+            return self._of(self.rank, ())
+        p = 0
+        while w[p] == -w[-1 - p]:
+            p += 1
+        return self._of(self.rank, w[:p] + w[p : len(w) - p] * k + w[len(w) - p :])
 
     def inverse(self):
         return self._of(self.rank, _inverse(self.letters))
@@ -293,9 +301,8 @@ def band_generator(r, s, n):
     """
     if not (1 <= r < s <= n):
         raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={n}")
-    head = list(range(s - 1, r, -1))
-    tail = [-j for j in range(r + 1, s)]
-    return BraidWord(n, head + [r] + tail)
+    head = tuple(range(s - 1, r, -1))
+    return BraidWord._of(n - 1, (*head, r, *_inverse(head)))
 
 
 def snake_word(d, n):

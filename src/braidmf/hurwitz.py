@@ -15,10 +15,12 @@ move at index i (1-based),
 which visibly preserves the product, and -i is the inverse move that
 undoes it.
 
-On factorizations in S4 (every element a Perm of degree 4) `act_moves`
-runs on indices into `symmetric_group(4)` with two 24x24 tables derived
-from `hurwitz_move` on first use; a slot whose value changed comes back
-as the canonical Perm of that tuple.  Every other factorization goes
+A move word touches only the slots from its smallest index to one past
+its largest.  When every element in that window is a Perm of degree 4,
+`act_moves` runs the window on indices into `symmetric_group(4)` with
+two 24x24 tables derived from `hurwitz_move` on first use; a slot whose
+value changed comes back as the canonical Perm of that tuple, and the
+slots outside the window come back as given.  Every other move word goes
 through `hurwitz_move` once per move.
 """
 
@@ -73,10 +75,21 @@ def act_word(f, word):
 
 
 def act_moves(f, moves):
-    """Apply signed move indices: +i forward at i, -i inverse at i."""
-    f = tuple(f)
-    if f and all(type(x) is Perm and len(x.images) == 4 for x in f):
-        return _act_moves_s4(f, moves)
+    """Apply signed move indices: +i forward at i, -i inverse at i.
+
+    The moves touch only slots min|k|-1 .. max|k| (0-based).  When that
+    window holds only degree-4 Perms it runs through the S4 tables,
+    whatever lies outside it; otherwise, and on an out-of-range move, every
+    move goes through hurwitz_move, which raises the IndexError of the
+    first bad move.
+    """
+    f, moves = tuple(f), tuple(moves)
+    if moves:
+        lo, hi = min(map(abs, moves)) - 1, max(map(abs, moves)) + 1
+        if 0 <= lo and hi <= len(f) and all(
+            type(x) is Perm and len(x.images) == 4 for x in f[lo:hi]
+        ):
+            return _act_moves_s4(f, moves, lo, hi)
     for k in moves:
         f = hurwitz_move(f, k)
     return f
@@ -97,30 +110,29 @@ def _s4_tables():
     return index, fwd, bwd
 
 
-def _act_moves_s4(f, moves):
-    """act_moves on a tuple of degree-4 Perms, through the S4 tables."""
-    moves = tuple(moves)
-    m = len(f)
-    for k in moves:
-        if not 1 <= abs(k) <= m - 1:
-            raise _move_index_error(abs(k), m)
+def _act_moves_s4(f, moves, lo, hi):
+    """act_moves on the window f[lo:hi] of degree-4 Perms, through the S4
+    tables; every move's slots lie inside the window."""
     index, fwd, bwd = _s4_tables()
-    start = [index[x.images] for x in f]
+    start = [index[x.images] for x in f[lo:hi]]
     s = start.copy()
-    for k in moves:
+    for k in moves:  # f slot j is window slot j - lo
         if k > 0:  # slots k-1, k: (a, b) -> (a b a^-1, a)
-            a = s[k - 1]
-            s[k - 1] = fwd[a][s[k]]
-            s[k] = a
+            i = k - lo
+            a = s[i - 1]
+            s[i - 1] = fwd[a][s[i]]
+            s[i] = a
         else:  # slots -k-1, -k: (a, b) -> (b, b^-1 a b)
-            b = s[-k]
-            s[-k] = bwd[b][s[-k - 1]]
-            s[-k - 1] = b
+            i = -k - lo
+            b = s[i]
+            s[i] = bwd[b][s[i - 1]]
+            s[i - 1] = b
     # a slot that ends where it started keeps its Perm, as the generic path
     # keeps an untouched one, so comparing the result with f mostly compares
     # identical objects
     s4 = symmetric_group(4)
-    return tuple(x if i == j else s4[j] for x, i, j in zip(f, start, s))
+    window = tuple(x if i == j else s4[j] for x, i, j in zip(f[lo:hi], start, s))
+    return f[:lo] + window + f[hi:]
 
 
 @dataclass

@@ -8,11 +8,15 @@ ground truth for the bidirectional search.
 `artin_equal` is the braid equality that Dynnikov coordinates replaced:
 it compares the Artin free-group images, whose lengths grow
 exponentially with the word, under the letter cap of `artin_rep`.
+
+`reduce_power` is the power of a free or braid word as `FreeWord.__pow__`
+built it before the P C^k P^-1 split: k copies of the letters, reduced
+from scratch.
 """
 
 from collections import deque
 
-from braidmf.braid import artin_rep
+from braidmf.braid import _reduce, artin_rep
 from braidmf.hurwitz import SearchResult, hurwitz_move, product
 
 
@@ -22,6 +26,14 @@ def artin_equal(w1, w2):
     if w1.strands != w2.strands:
         raise ValueError("strand mismatch")
     return artin_rep(w1) == artin_rep(w2)
+
+
+def reduce_power(letters, k):
+    """The letters of w**k for a word with these reduced letters: the
+    letters of w^-1 stand in for a negative k."""
+    if k < 0:
+        letters, k = tuple(-x for x in reversed(letters)), -k
+    return _reduce(tuple(letters) * k)
 
 
 def one_sided_search(start, target, max_depth, node_cap=500_000):

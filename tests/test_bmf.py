@@ -270,9 +270,14 @@ def test_g_side_mirrors_f_side():
 
 
 def test_realize_matches_generic_action():
-    # realize runs the S4 index tables; the oracle is one hurwitz_move per
-    # letter on fresh Perms, which act_moves does not send to the tables
-    for abcd in ((1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3)):
+    # realize runs the S4 index tables on the window a word touches; the
+    # oracle is one hurwitz_move per letter on fresh Perms over every slot
+    # b != d splits the strands unequally between the D and B pairs
+    grid = (
+        (1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3),
+        (2, 5, 3, 1), (4, 2, 2, 6),
+    )
+    for abcd in grid:
         p = SurfaceParams(*abcd)
         tau = tau0(p.b, p.d)
         for factor in dict.fromkeys(generate_bmf(p).factors):

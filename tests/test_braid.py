@@ -16,7 +16,7 @@ from braidmf.braid import (
     word_permutation,
 )
 from braidmf.s4orbit import SNAKE_STEP_MOVES
-from oracles import artin_equal
+from oracles import artin_equal, reduce_power
 
 
 def _raw_letters(rng, top, max_len):
@@ -281,6 +281,23 @@ def test_band_generator():
         band_generator(3, 3, 5)
 
 
+def test_band_generator_matches_the_validated_word():
+    # band_generator builds its reduced, in-range letters without the
+    # BraidWord checks; the checked constructor is the oracle
+    for n in range(2, 13):
+        for s in range(2, n + 1):
+            for r in range(1, s):
+                head = list(range(s - 1, r, -1))
+                tail = [-j for j in range(r + 1, s)]
+                w = band_generator(r, s, n)
+                assert type(w) is BraidWord and type(w.letters) is tuple
+                assert w == BraidWord(n, head + [r] + tail) and w.strands == n
+    for r, s, n in ((3, 3, 5), (0, 2, 5), (2, 6, 5), (4, 2, 5), (1, 2, 1)):
+        with pytest.raises(ValueError) as exc:
+            band_generator(r, s, n)
+        assert str(exc.value) == f"need 1 <= r < s <= n, got r={r}, s={s}, n={n}"
+
+
 def test_snake_word_shape():
     w = snake_word(1, 8)
     assert len(w) == 11
@@ -380,3 +397,23 @@ def test_seam_products_match_full_reduction():
         for k in range(-3, 4):
             copies = w.letters if k >= 0 else [-a for a in reversed(w.letters)]
             assert (w**k).letters == _full_reduce(list(copies) * abs(k))
+
+
+def test_power_matches_the_reduce_power_oracle():
+    # w**k repeats only the core C of w = P C P^-1; the oracle reduces k
+    # copies of the whole word from scratch
+    rng = random.Random(24)
+    words = [(3, ()), (3, (1, 2, -1)), (3, (1, 2, 3, -2, -1)), (1, (1,))]
+    for _ in range(400):
+        rank = rng.randint(1, 6)
+        p = _random_free_word(rng, rank, 6).letters
+        c = _random_free_word(rng, rank, 6).letters
+        words.append((rank, FreeWord(rank, p + c + tuple(-x for x in p[::-1])).letters))
+        words.append((rank, _random_free_word(rng, rank, 12).letters))
+    for rank, letters in words:
+        for w in (FreeWord(rank, letters), BraidWord(rank + 1, letters)):
+            assert w.letters == letters
+            for k in range(-5, 7):
+                power = w**k
+                assert type(power) is type(w) and power.rank == rank
+                assert power.letters == reduce_power(letters, k)

@@ -266,26 +266,94 @@ def test_s4_path_index_error_matches_generic(bad):
 
 
 def test_mixed_factorizations_take_the_generic_path(monkeypatch):
+    # the S4 tables run exactly when every element in the window of slots
+    # the moves touch, min|k|-1 .. max|k| (0-based), is a degree-4 Perm;
+    # what lies outside the window does not matter
     from braidmf import hurwitz
 
-    def table_path(f, moves):
-        raise AssertionError("S4 table path taken")
+    windows = []
+    table_path = hurwitz._act_moves_s4
 
-    monkeypatch.setattr(hurwitz, "_act_moves_s4", table_path)
+    def spy(f, moves, lo, hi):
+        windows.append((lo, hi))
+        return table_path(f, moves, lo, hi)
+
+    monkeypatch.setattr(hurwitz, "_act_moves_s4", spy)
     rng = random.Random(19)
     s4_part = _fresh(_random_fact(rng, m=4, n=4))
     degree5 = rng.choice(symmetric_group(5))
+    braid = BraidWord(4, (1, -2))
     moves = [1, -2, 3, -1, 2]  # slots 1..4 only
-    for f in (
-        s4_part + (degree5,),
-        s4_part + (BraidWord(4, (1, -2)),),
-        _random_fact(rng, m=5, n=5),
+    shifted = [k + (1 if k > 0 else -1) for k in moves]  # slots 2..5 only
+    # a non-S4 element inside the window: generic path, even where no move
+    # touches it (moves 1 and 4 leave slot 3 alone)
+    for f, mv in (
+        (_random_fact(rng, m=5, n=5), moves),
+        (_random_fact(rng, m=3, n=5) + s4_part, [1, -2, 2]),
+        (s4_part[:2] + (degree5,) + s4_part[2:], [1, -1, 4, 1, -4]),
+        (s4_part[:2] + (braid,) + s4_part[2:], [4, 1, -4, -1]),
     ):
-        assert act_moves(f, moves) == _chained(f, moves)
-    with pytest.raises(ValueError, match="degree mismatch"):
-        act_moves(s4_part + (degree5,), [4])
-    with pytest.raises(AssertionError, match="S4 table path taken"):
-        act_moves(s4_part, moves)
+        assert act_moves(f, mv) == _chained(f, mv)
+    # at either end of the window
+    for f, mv in (((degree5,) + s4_part, [2, -1]), (s4_part + (degree5,), [4])):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            act_moves(f, mv)
+    assert windows == []
+    # non-S4 elements outside the window only: table path on the window
+    for f, mv, window in (
+        (s4_part, moves, (0, 4)),
+        (s4_part + (degree5,), moves, (0, 4)),
+        (s4_part + (braid,), moves, (0, 4)),
+        ((degree5,) + s4_part, shifted, (1, 5)),
+        ((braid,) + s4_part + (degree5,), shifted, (1, 5)),
+    ):
+        out = act_moves(f, mv)
+        assert windows.pop() == window
+        assert out == _chained(f, mv)
+        assert all(y is x for x, y in zip(f, out) if type(x) is not Perm)
+
+
+def _window_moves(rng, first, last, n):
+    # n signed moves whose indices all lie in first..last
+    return [rng.choice((1, -1)) * rng.randint(first, last) for _ in range(n)]
+
+
+def test_windowed_act_moves_matches_chained_moves():
+    rng = random.Random(23)
+    s4 = symmetric_group(4)
+    for m in [*range(2, 41), *(rng.randint(2, 40) for _ in range(80))]:
+        f = _fresh(_random_fact(rng, m=m, n=4))
+        first = rng.randint(1, m - 1)
+        last = rng.randint(first, m - 1)
+        cases = [
+            [],
+            [rng.choice((first, -first))],
+            _window_moves(rng, first, last, rng.randint(1, 30)),
+            _window_moves(rng, 1, rng.randint(1, m - 1), rng.randint(1, 30)),
+            _window_moves(rng, rng.randint(1, m - 1), m - 1, rng.randint(1, 30)),
+        ]
+        for moves in cases:
+            out = act_moves(f, moves)
+            assert out == _chained(f, moves)
+            lo = min(map(abs, moves), default=m) - 1
+            hi = max(map(abs, moves), default=0) + 1
+            for j, (x, y) in enumerate(zip(f, out)):
+                if y is not x:  # a changed slot lies in the window
+                    assert lo <= j < hi and y is s4[s4.index(y)]
+                    assert y != x
+    # the first out-of-range move is the one named, on either path
+    f = _fresh(_random_fact(random.Random(5), m=5, n=4))
+    mixed = f[:4] + (BraidWord(4, (1,)),)
+    for g in (f, mixed):
+        for act in (act_moves, _chained):
+            with pytest.raises(IndexError) as exc:
+                act(g, [1, 9, -12])
+            assert str(exc.value) == "move index 9 out of range 1..4"
+    for moves in ([1], [-1, 1], [0]):
+        with pytest.raises(IndexError) as exc:
+            act_moves(f[:1], moves)
+        want = f"move index {abs(moves[0])}: a factorization of length 1 has no moves"
+        assert str(exc.value) == want
 
 
 def test_snake_via_word_matches_generic_action():
