@@ -30,6 +30,15 @@ certificate is why the sampling loops of `verify_nonconjugacy` and
 (tau0, tau0 . left, tau0 . right) still go through `apply_generator`,
 `in_hat_orbit` and `invariant_M` on Perm factorizations, which also stay
 the reference the bitset walk is tested against.
+
+Sampling.  Each trial draws one word of ops with `random_action_word`
+and walks it with one `HatBits.walk` call, which returns the state
+after each op; `walk` is the only place the chain-twist and snake rule
+is written (`step` is a one-op walk).  `random_action_word` draws its
+length and letters in one `getrandbits` loop that takes from a
+`random.Random` exactly the numbers `randrange(max_len + 1)` and then
+`choice(gens)` per letter take, so a seed gives the same words, and the
+same reports, as those calls.
 """
 
 from __future__ import annotations
@@ -262,13 +271,20 @@ def embed_window(window, b, d):
 
 
 def snake_table(b=1, d=1):
-    """snake_direct vs snake_via_word on all 16 embedded windows."""
+    """snake_direct vs snake_via_word on all 16 embedded windows.
+
+    tau0(b, d) and the snake word are built once; each window is sliced
+    into tau0's factors, as `embed_window` does.
+    """
+    base = tau0(b, d)
+    word = snake_word(d, base.length)
+    lo = base.boundary - 2
+    head, tail = base.factors[:lo], base.factors[lo + 4 :]
     rows = []
     for window in all_windows():
-        f = embed_window(window, b, d)
+        f = base.with_factors(head + window + tail)
         direct = snake_direct(f)
-        via = snake_via_word(f)
-        lo = f.boundary - 2
+        via = f.with_factors(act_word(f.factors, word))
         rows.append(
             {
                 "window": window,
@@ -334,14 +350,23 @@ class HatBits:
         """invariant_M of the decoded state."""
         return x.bit_count() // 2 + (x & self.mask).bit_count()
 
+    def walk(self, x, word):
+        """The states after each op of `word` (entries of `ops`), from x."""
+        snake, lo = self.snake, self.lo
+        states = []
+        append = states.append
+        for op in word:
+            if op > 0:  # chain twist at slot op: swap bits op-1, op+1
+                if (x >> op - 1 ^ x >> op + 1) & 1:
+                    x ^= 5 << op - 1
+            elif op == SNAKE:
+                x ^= snake[x >> lo & 15]
+            append(x)
+        return states
+
     def step(self, x, op):
         """The state after one generator op (an entry of `ops`)."""
-        if op > 0:  # chain twist at slot op: swap bits op-1, op+1
-            if (x >> op - 1 ^ x >> op + 1) & 1:
-                x ^= 5 << op - 1
-        elif op == SNAKE:
-            x ^= self.snake[x >> self.lo & 15]
-        return x
+        return self.walk(x, (op,))[0]
 
 
 def _check_trials(trials):
@@ -363,16 +388,16 @@ def property_run(b, d, trials=10_000, seed=0):
     start = bits.encode(bits.base)
     parity = invariant_M(bits.base) % 2
     # every bitset is in O-hat (closure certificate, module docstring)
+    walk, ops, M = bits.walk, bits.ops, bits.M
     violations = {"orbit": 0, "evenness": 0, "m_parity": 0}
     words_applied = 0
     for _ in range(trials):
-        x = start
-        for op in random_action_word(rng, bits.ops, PROPERTY_WORD_MAX_LEN):
-            x = bits.step(x, op)
-            words_applied += 1
+        states = walk(start, random_action_word(rng, ops, PROPERTY_WORD_MAX_LEN))
+        words_applied += len(states)
+        for x in states:
             if x.bit_count() % 2:
                 violations["evenness"] += 1
-            if bits.M(x) % 2 != parity:
+            if M(x) % 2 != parity:
                 violations["m_parity"] += 1
     return {
         "b": b,
@@ -385,8 +410,35 @@ def property_run(b, d, trials=10_000, seed=0):
 
 
 def random_action_word(rng, gens, max_len=16):
-    """Random word over the generator action-words (list of tuples)."""
-    return [rng.choice(gens) for _ in range(rng.randrange(max_len + 1))]
+    """Random word of at most max_len entries of gens.
+
+    Draws from a `random.Random` the numbers that `randrange(max_len + 1)`
+    and then one `choice(gens)` per letter draw: each is a `getrandbits(k)`,
+    k the bit length of the range, drawn again while out of range.  So the
+    word and the state of rng after it are theirs, and so are the
+    ValueError and IndexError raised.
+    """
+    if max_len < 0:
+        raise ValueError("empty range for randrange()")
+    getrandbits = rng.getrandbits
+    k = (max_len + 1).bit_length()
+    length = getrandbits(k)
+    while length > max_len:
+        length = getrandbits(k)
+    if not length:
+        return []
+    m = len(gens)
+    if not m:
+        raise IndexError("Cannot choose from an empty sequence")
+    k = m.bit_length()
+    word = []
+    append = word.append
+    for _ in range(length):
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        append(gens[r])
+    return word
 
 
 def apply_action_word(f, word):
@@ -413,11 +465,10 @@ def verify_nonconjugacy(b, d, trials=10_000, seed=0, left=None, right=None):
     m_left0 = invariant_M(g)
     start = bits.encode(g)
     left_parities = {m_left0 % 2}
+    walk, ops, M = bits.walk, bits.ops, bits.M
     for _ in range(trials):
-        x = start
-        for op in random_action_word(rng, bits.ops):
-            x = bits.step(x, op)
-        left_parities.add(bits.M(x) % 2)
+        states = walk(start, random_action_word(rng, ops))
+        left_parities.add(M(states[-1] if states else start) % 2)
 
     separated = len(left_parities) == 1 and (m_right % 2) not in left_parities
     return {

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,7 @@ from braidmf.s4orbit import (
     tau0,
     verify_nonconjugacy,
 )
+from oracles import choice_action_word, window_snake_table
 
 
 def test_tau0_structure():
@@ -145,7 +151,7 @@ def test_hat_generators_preserve_m_parity():
     base = tau0(2, 2)
     gens = hat_generator_words(2, 2)
     for _ in range(300):
-        f = apply_action_word(base, [a for w in random_action_word(rng, gens, 6) for a in w])
+        f = apply_action_word(base, [a for w in choice_action_word(rng, gens, 6) for a in w])
         for gw in gens:
             m = invariant_M(apply_action_word(f, gw))
             assert m % 2 == invariant_M(f) % 2
@@ -191,7 +197,7 @@ def _perm_property_run(b, d, trials, seed):
     words_applied = 0
     for _ in range(trials):
         f = base
-        for gen_word in random_action_word(rng, gens, PROPERTY_WORD_MAX_LEN):
+        for gen_word in choice_action_word(rng, gens, PROPERTY_WORD_MAX_LEN):
             f = apply_action_word(f, gen_word)
             words_applied += 1
             if not in_hat_orbit(f):
@@ -221,7 +227,7 @@ def _perm_verify_nonconjugacy(b, d, trials, seed, left=None, right=None):
     left_parities = {m_left0 % 2}
     violations = 0
     for _ in range(trials):
-        word = [a for gw in random_action_word(rng, gens) for a in gw]
+        word = [a for gw in choice_action_word(rng, gens) for a in gw]
         g = apply_action_word(apply_generator(base, left), word)
         if not in_hat_orbit(g):
             violations += 1
@@ -276,7 +282,8 @@ def test_bitset_walk_matches_perm_walk():
 
 
 def test_reports_match_perm_oracle():
-    for (b, d), seed in product(((1, 1), (1, 3), (2, 1), (3, 2)), (0, 1, 2)):
+    grid = ((1, 1), (1, 3), (2, 1), (3, 2), (1, 6), (6, 1), (6, 6))
+    for (b, d), seed in product(grid, (0, 1, 2)):
         p, q = sigma_p_action(b, d), sigma_q_action(b, d)
         assert property_run(b, d, 200, seed) == _perm_property_run(b, d, 200, seed)
         for left, right in ((p, q), (q, p)):
@@ -370,3 +377,93 @@ def test_snake_bit_table_matches_case_rule():
             out = tuple(PI * t * PI for t in window)
         w, w_out = (bits.encode(embed_window(v, 1, 1)) for v in (window, out))
         assert table[w >> bits.lo] == w_out >> bits.lo, window
+
+
+def test_random_action_word_matches_choice_oracle():
+    # every (len(gens), max_len) pair in 1..70 x 0..16 is drawn at several
+    # seeds, each word continuing the stream of the one before
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            gens = [(i, -i) for i in range(n)]
+            max_len = (seed + n) % 17
+            word = random_action_word(new, gens, max_len)
+            assert word == choice_action_word(old, gens, max_len), (seed, n)
+            assert new.getstate() == old.getstate(), (seed, n, max_len)
+
+
+_DRAW_ERRORS = """
+import json, random
+from braidmf.s4orbit import random_action_word
+from oracles import choice_action_word
+
+def outcome(draw, seed, gens, max_len):
+    rng = random.Random(seed)
+    try:
+        result = draw(rng, gens, max_len)
+    except (ValueError, IndexError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, rng.getstate()
+
+seen = set()
+for seed in range(50):
+    for gens, max_len in (([1, 2], -1), ([], -1), ([], 0), ([], 1), ((), 16)):
+        new = outcome(random_action_word, seed, gens, max_len)
+        assert new == outcome(choice_action_word, seed, gens, max_len), (seed, max_len)
+        seen.add(repr(new[0]))
+print(json.dumps(sorted(seen)))
+"""
+
+
+def test_random_action_word_errors_match_choice_oracle():
+    # in a fresh interpreter with a timeout: a draw loop that never ends
+    # (getrandbits(0) is always 0) fails here instead of stalling the suite
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRAW_ERRORS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "('IndexError', 'Cannot choose from an empty sequence')",
+        "('ValueError', 'empty range for randrange()')",
+        "[]",
+    ]
+
+
+def test_walk_matches_perm_walk_state_by_state():
+    rng = random.Random(11)
+    for b, d in product(range(1, 5), repeat=2):
+        bits = HatBits(b, d)
+        gens = hat_generator_words(b, d)
+        picks = [[], [1] * 5, [0] * 5]  # empty, snake only, TRIVIAL only
+        picks += [
+            [rng.randrange(len(gens)) for _ in range(rng.randrange(1, 40))]
+            for _ in range(12)
+        ]
+        for start in (TRIVIAL, sigma_p_action(b, d), sigma_q_action(b, d)):
+            f = apply_generator(bits.base, start)
+            for js in picks:
+                states = bits.walk(bits.encode(f), [bits.ops[j] for j in js])
+                assert len(states) == len(js)
+                g = f
+                for j, x in zip(js, states):
+                    g = apply_action_word(g, gens[j])
+                    assert _decode(bits, x) == g, ((b, d), start, js)
+
+
+def test_step_is_a_one_op_walk():
+    rng = random.Random(12)
+    for b, d in product(range(1, 5), repeat=2):
+        bits = HatBits(b, d)
+        n = bits.base.length
+        for x in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))):
+            for op in bits.ops:
+                assert bits.step(x, op) == bits.walk(x, (op,))[0], ((b, d), x, op)
+
+
+def test_snake_table_matches_the_window_oracle():
+    for b, d in product(range(1, 7), repeat=2):
+        assert snake_table(b, d) == window_snake_table(b, d), (b, d)
