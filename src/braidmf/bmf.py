@@ -7,9 +7,9 @@ distinguishes surfaces with matching classical invariants.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .braid import BraidWord, band_generator
 from .hurwitz import act_moves, act_word
@@ -21,6 +21,38 @@ _FACTOR_INDENT = " " * 8  # indent=2 at the depth of blocks[i].factors[j]
 
 def _sign(x):
     return (x > 0) - (x < 0)
+
+
+def _indented_json(x, pad=""):
+    """json.dumps(x, indent=2, sort_keys=True), with every line after the
+    first indented by pad, for x built of dicts with str keys, lists,
+    tuples, str, bool, None and int (exact types; anything else is a
+    TypeError).  json's C encoder takes no indent, so json.dumps with one
+    runs its pure-Python encoder."""
+    t = type(x)
+    if t is str:
+        return _json_str(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    if t is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    if t is dict:
+        if not x:
+            return "{}"
+        # a key that is not a str is a TypeError from sorted or _json_str
+        items = [_json_str(k) + ": " + _indented_json(x[k], inner) for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        items = [_indented_json(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"{t.__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -158,9 +190,10 @@ class BmfFactorization:
         json.dumps(doc, indent=2, sort_keys=True) prints for the document
         {blocks: [{factors: [factor.to_json()...], kind, rep}...], census,
         excluded, params, toy}, without building that document: each
-        distinct factor is encoded once, each factor tuple (the repetitions
-        of a side share theirs) is joined once, and the whole text is
-        joined once."""
+        distinct factor is written once by `_indented_json` (dicts with str
+        keys, lists, tuples, str, bool, None and int), each factor tuple
+        (the repetitions of a side share theirs) is joined once, and the
+        whole text is joined once."""
         p = self.params
         fragments = {}  # factor -> its indented text
         lists = {}  # id(factors tuple) -> the text of its "factors" value
@@ -170,8 +203,7 @@ class BmfFactorization:
             if text is None:
                 for fac in blk.factors:
                     if fac not in fragments:
-                        one = json.dumps(fac.to_json(), indent=2, sort_keys=True)
-                        one = one.replace("\n", "\n" + _FACTOR_INDENT)
+                        one = _indented_json(fac.to_json(), _FACTOR_INDENT)
                         fragments[fac] = _FACTOR_INDENT + one
                 text = (
                     "[\n" + ",\n".join(fragments[f] for f in blk.factors) + "\n      ]"
@@ -183,14 +215,12 @@ class BmfFactorization:
                 ",\n    {\n" if k else "    {\n",
                 '      "factors": ',
                 text,
-                f',\n      "kind": {json.dumps(blk.kind)},'
+                f',\n      "kind": {_json_str(blk.kind)},'
                 f'\n      "rep": {blk.rep}\n    }}',
             )
-        head = json.dumps(
+        head = _indented_json(
             {"census": factor_census(self), "excluded": p.excluded,
-             "params": vars(p), "toy": p.toy},
-            indent=2,
-            sort_keys=True,
+             "params": vars(p), "toy": p.toy}
         )
         # "blocks" sorts before the head's keys: the head follows without its "{\n"
         parts.append("\n  ],\n" + head[2:])

@@ -18,6 +18,7 @@ import sys
 
 from .bmf import (
     SurfaceParams,
+    _indented_json,
     cusp_cluster_factorization,
     distinguishable,
     factor_census,
@@ -70,7 +71,10 @@ def _surface(args, suffix=""):
 
 
 def _print_json(doc):
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    """Print doc as json.dumps(doc, indent=2, sort_keys=True) would, through
+    bmf's `_indented_json` (dicts with str keys, lists, tuples, str, bool,
+    None and int)."""
+    print(_indented_json(doc))
 
 
 def verify_snake_table(args):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from braidmf.bmf import (
     BmfFactorization,
     CensusMismatch,
     SurfaceParams,
+    _indented_json,
     cusp_cluster_factorization,
     distinguishable,
     factor_census,
@@ -351,3 +353,53 @@ def test_json_text_matches_dict_encoder():
             assert '"factors": [],\n      "kind": "twists_p1"' in text
         if 2 * p.a == p.c:
             assert '"kind": "p_block"' not in text
+
+
+# keys that sort differently by case, punctuation and non-ASCII characters
+_KEYS = ("a", "A", "b", "B", "", "_", "-", "a b", "a-", "a_", "aa", "0", "10", "9",
+         "\u00e9", "e\u0301", "\u00ff", "z\u2028", "\U0001d11e", "\ufb01")
+_STRS = ('"', "\\", "\x00\x1f\n\t\r\b\f", "\x7f", "\u2028\u2029", "\U0001f600",
+         "\u00e9", "/", "plain", "")
+_INTS = (0, 1, -1, -7, 2**63, 2**64, 2**64 + 1, -(2**70), 3**80)
+
+
+def _random_doc(rng, depth):
+    """A seeded document of the types `_indented_json` takes, nested up to
+    depth containers deep; True and False turn up next to 1 and 0."""
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return rng.choice(_STRS) + rng.choice(_KEYS)
+    if kind == 1:
+        return rng.choice(_INTS)
+    if kind == 2:
+        return rng.choice((True, False, 1, 0))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice(({}, [], ()))
+    items = [_random_doc(rng, depth - 1) for _ in range(rng.randrange(6))]
+    if kind == 5:
+        return dict(zip(rng.sample(_KEYS, len(items)), items))
+    return items if kind == 6 else tuple(items)
+
+
+def test_indented_json_matches_json_dumps():
+    fixed = {"b": [True, 1, False, 0, None], "B": ({}, [], (), {"x": [[]]}),
+             "\u00e9": "\"\\\x01\u2028\U0001f600", "-": -(2**70), "": 2**64 + 1}
+    rng = random.Random(0)
+    docs = [fixed, *(_random_doc(rng, 5) for _ in range(1000))]
+    assert any(type(d) is dict and len(d) > 3 for d in docs)
+    for k, doc in enumerate(docs):
+        want = json.dumps(doc, indent=2, sort_keys=True)
+        assert _indented_json(doc) == want, doc
+        pad = " " * (k % 10)
+        assert _indented_json(doc, pad) == want.replace("\n", "\n" + pad), doc
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, {1, 2}, {1: "a"}, {"a": [0, {2: 1}]}, [{"x": 0.0}], {"a": 1, 1: "a"},
+    {True: 1},
+])
+def test_indented_json_refuses_other_types(doc):
+    with pytest.raises(TypeError, match="float|set|int|bool"):
+        _indented_json(doc)

@@ -172,6 +172,24 @@ def test_braid_verdicts_build_no_artin_images(case, in_golden, monkeypatch):
     assert run_case(CASES[case].split()) == want
 
 
+def _no_pure_python_encoder(*_):
+    raise AssertionError("a report went through json's pure-Python encoder")
+
+
+@pytest.mark.parametrize("case", sorted(
+    case for case, argv in CASES.items()
+    if "--json" in argv.split() or argv.startswith("hurwitz act")
+))
+def test_json_reports_skip_the_pure_python_encoder(case, in_golden, monkeypatch):
+    # json.dumps(indent=...) always builds its encoder with _make_iterencode
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _no_pure_python_encoder)
+    want = json.loads((GOLDEN / f"{case}.json").read_text())
+    got = run_case(CASES[case].split())
+    assert got == want
+    if got["stdout"]:
+        json.loads(got["stdout"])
+
+
 def test_parser_surface_is_unchanged():
     want = json.loads((GOLDEN / "parser.json").read_text())
     assert parser_surface(build_parser()) == want
