@@ -470,9 +470,7 @@ def stable_profile(p: SurfaceParams) -> dict:
 
 
 def _profile_key(p):
-    pr = stable_profile(p)
-    return tuple(pr[k] for k in ("ab_plus_cd", "ab", "cd", "a_plus_c",
-                                 "b_plus_d", "chi", "K2", "r"))
+    return tuple(v for k, v in stable_profile(p).items() if k != "depends_on")
 
 
 def distinguishable(p: SurfaceParams, p2: SurfaceParams) -> str:

@@ -18,7 +18,7 @@ to left: start from the free generators and apply its letters from last
 to first.  The representation is faithful on the disk braid group, but
 image lengths grow exponentially with the word, so artin_rep stops at a
 letter cap and no verdict uses it.  Neither representation quotients
-the sphere relation; sphere_relation_word(n) builds the relation word.
+the sphere relation sigma_1 ... sigma_{n-1} sigma_{n-1} ... sigma_1.
 
 There is one word class: a braid word on n strands is a free word of
 rank n-1 in sigma_1, ..., sigma_{n-1}, so BraidWord subclasses FreeWord
@@ -28,6 +28,7 @@ built, and compose left-to-right, like everything else in this package.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .hurwitz import hurwitz_move
@@ -61,22 +62,9 @@ def _join(a, b):
     return a[: len(a) - k] + b[k:]
 
 
-# letter -> inverse letter, one shared int per letter value: CPython caches
-# no int below -5, and a free word then costs a pointer a letter (8 bytes),
-# not a fresh int (28).
-class _Inverses(dict):
-    def __missing__(self, letter):
-        inverse = self[letter] = -letter
-        self[inverse] = letter
-        return inverse
-
-
-_INVERSE = _Inverses()
-
-
 def _inverse(letters):
-    """The letters of the inverse word, drawn from the shared table."""
-    return tuple(map(_INVERSE.__getitem__, reversed(letters)))
+    """The letters of the inverse word."""
+    return tuple(map(operator.neg, reversed(letters)))
 
 
 class FreeWord:
@@ -304,23 +292,3 @@ def band_generator(r, s, n):
     head = tuple(range(s - 1, r, -1))
     return BraidWord._of(n - 1, (*head, r, *_inverse(head)))
 
-
-def snake_word(d, n):
-    """The snake half twist crossing the D/B boundary, as an Artin word.
-
-    sigma_{4d} (sigma_{4d-1}^2 sigma_{4d+1}^2) sigma_{4d}
-    (sigma_{4d+1}^{-2} sigma_{4d-1}^{-2}) sigma_{4d}^{-1},
-    an 11-letter word once the squares are expanded.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n < 4 * d + 2:
-        raise ValueError(f"need n >= {4 * d + 2} strands, got {n}")
-    m = 4 * d
-    squares = [m - 1, m - 1, m + 1, m + 1]
-    return BraidWord(n, [m, *squares, m, *_inverse(squares), -m])
-
-
-def sphere_relation_word(n):
-    """sigma_1 ... sigma_{n-1} sigma_{n-1} ... sigma_1, trivial on the sphere."""
-    return BraidWord(n, [*range(1, n), *range(n - 1, 0, -1)])

@@ -70,13 +70,6 @@ def _surface(args, suffix=""):
     return SurfaceParams(*(getattr(args, f"{n}{suffix}") for n in "abcd"))
 
 
-def _print_json(doc):
-    """Print doc as json.dumps(doc, indent=2, sort_keys=True) would, through
-    bmf's `_indented_json` (dicts with str keys, lists, tuples, str, bool,
-    None and int)."""
-    print(_indented_json(doc))
-
-
 def verify_snake_table(args):
     agree = sum(r["agree"] for r in snake_table())
     details = f"{agree}/16 windows: direct rule == word action"
@@ -326,7 +319,7 @@ def hurwitz_act(args):
     result = {"group": doc["group"], "elements": dumped}
     if "strands" in doc:
         result["strands"] = doc["strands"]
-    _print_json(result)
+    print(_indented_json(result))
 
 
 def hurwitz_search(args):
@@ -457,7 +450,7 @@ def main(argv=None) -> int:
         **body,
     }
     if args.json:
-        _print_json(report)
+        print(_indented_json(report))
     else:
         _print_text(report)
     return 1 if any(c["status"] == "fail" for c in report["checks"]) else 0

@@ -505,8 +505,9 @@ def group_closure(gens, cap=CLOSURE_CAP):
     return OperatorSequence(np.concatenate(levels), dim)
 
 
-def _diagram_shape(vecs, form):
-    """(is_tree, is_chain, is_fork) for the intersection diagram of vecs.
+def _is_non_special_tree(vecs, form):
+    """Whether the intersection diagram of vecs is a spanning tree that is
+    neither a chain nor a fork.
 
     A fork means: a tree with exactly one degree-3 node which has at
     least two leaf neighbours (the D-family shape).
@@ -524,17 +525,12 @@ def _diagram_shape(vecs, form):
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    is_tree = len(seen) == n and nedges == n - 1
     degs = [len(a) for a in adj]
-    is_chain = is_tree and max(degs) <= 2
-    forks = [i for i, d in enumerate(degs) if d == 3]
-    is_fork = (
-        is_tree
-        and max(degs) == 3
-        and len(forks) == 1
-        and sum(1 for j in adj[forks[0]] if degs[j] == 1) >= 2
-    )
-    return is_tree, is_chain, is_fork
+    if len(seen) != n or nedges != n - 1 or max(degs) <= 2:
+        return False  # not a spanning tree, or a chain
+    hubs = [i for i, d in enumerate(degs) if d > 2]
+    leaves = sum(degs[j] == 1 for j in adj[hubs[0]])
+    return not (len(hubs) == 1 and degs[hubs[0]] == 3 and leaves >= 2)
 
 
 def wajnryb_classify(gens, q: F2Quadratic) -> str:
@@ -552,8 +548,7 @@ def wajnryb_classify(gens, q: F2Quadratic) -> str:
     basis = [vecs[k] for k in keep]
     if any(q_eval(q, v) == 0 for v in vecs):
         return "full_symplectic"
-    is_tree, is_chain, is_fork = _diagram_shape(basis, q.form)
-    if is_tree and not is_chain and not is_fork:
+    if _is_non_special_tree(basis, q.form):
         return "orthogonal_of_q"
     return "special_basis"
 

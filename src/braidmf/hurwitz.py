@@ -27,7 +27,7 @@ through `hurwitz_move` once per move.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .perm import Perm, symmetric_group
 
@@ -42,21 +42,16 @@ def product(f):
     return out
 
 
-def _move_index_error(i, m):
-    """The IndexError for move index i on a factorization of length m."""
-    if m < 2:
-        return IndexError(
-            f"move index {i}: a factorization of length {m} has no moves"
-        )
-    return IndexError(f"move index {i} out of range 1..{m - 1}")
-
-
 def hurwitz_move(f, k):
     """Hurwitz move k of a tuple: +i forward, -i inverse at 1-based index
     i (acts on slots i, i+1)."""
     i, m = abs(k), len(f)
     if not (1 <= i <= m - 1):
-        raise _move_index_error(i, m)
+        if m < 2:
+            raise IndexError(
+                f"move index {i}: a factorization of length {m} has no moves"
+            )
+        raise IndexError(f"move index {i} out of range 1..{m - 1}")
     a, b = f[i - 1], f[i]
     pair = (b, b.inverse() * a * b) if k < 0 else (a * b * a.inverse(), a)
     return f[: i - 1] + pair + f[i + 1 :]
@@ -138,9 +133,9 @@ def _act_moves_s4(f, moves, lo, hi):
 @dataclass
 class SearchResult:
     found: bool
-    moves: list = field(default_factory=list)
-    visited: int = 0
-    depth_reached: int = 0
+    moves: list
+    visited: int
+    depth_reached: int
 
 
 def _moves_to_root(seen, node):

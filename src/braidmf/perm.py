@@ -60,8 +60,7 @@ class Perm:
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 im[a - 1] = b - 1
-        p = cls(im)
-        return p
+        return cls(im)
 
     def __call__(self, point):
         """Image of a 1-based point."""

@@ -34,11 +34,10 @@ the reference the bitset walk is tested against.
 Sampling.  Each trial draws one word of ops with `random_action_word`
 and walks it with one `HatBits.walk` call, which returns the state
 after each op; `walk` is the only place the chain-twist and snake rule
-is written (`step` is a one-op walk).  `random_action_word` draws its
-length and letters in one `getrandbits` loop that takes from a
-`random.Random` exactly the numbers `randrange(max_len + 1)` and then
-`choice(gens)` per letter take, so a seed gives the same words, and the
-same reports, as those calls.
+is written.  `random_action_word` draws its length and letters in one
+`getrandbits` loop that takes from a `random.Random` exactly the numbers
+`randrange(max_len + 1)` and then `choice(gens)` per letter take, so a
+seed gives the same words, and the same reports, as those calls.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .braid import snake_word
+from .braid import BraidWord
 from .hurwitz import act_moves, act_word, product
 from .perm import Perm
 
@@ -198,11 +197,27 @@ def invariant_M(f):
     return len(diffs) // 2 + beyond_even
 
 
-# The five-step decomposition of the snake word acting on the window,
-# as local Hurwitz moves (window slots 1..4): the boundary generator,
-# two squared neighbours, the boundary again, the inverse squares, and
-# the inverse boundary generator.
+# The snake word, spelt once: five steps of local Hurwitz moves on the
+# window slots 1..4, which `snake_word` shifts onto strands 4d-1 .. 4d+2.
+# The boundary generator, two squared neighbours, the boundary again,
+# the inverse squares, and the inverse boundary generator.
 SNAKE_STEP_MOVES = ((2,), (1, 1, 3, 3), (2,), (-3, -3, -1, -1), (-2,))
+
+
+def snake_word(d, n):
+    """The snake half twist crossing the D/B boundary, as an Artin word.
+
+    sigma_{4d} (sigma_{4d-1}^2 sigma_{4d+1}^2) sigma_{4d}
+    (sigma_{4d+1}^{-2} sigma_{4d-1}^{-2}) sigma_{4d}^{-1}, an 11-letter
+    word: SNAKE_STEP_MOVES with window slot k on strand k + 4d-2.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if n < 4 * d + 2:
+        raise ValueError(f"need n >= {4 * d + 2} strands, got {n}")
+    s = 4 * d - 2
+    steps = itertools.chain.from_iterable(SNAKE_STEP_MOVES)
+    return BraidWord(n, [k + s if k > 0 else k - s for k in steps])
 
 
 def _t(i, j):
@@ -363,10 +378,6 @@ class HatBits:
                 x ^= snake[x >> lo & 15]
             append(x)
         return states
-
-    def step(self, x, op):
-        """The state after one generator op (an entry of `ops`)."""
-        return self.walk(x, (op,))[0]
 
 
 def _check_trials(trials):

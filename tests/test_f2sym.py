@@ -432,6 +432,30 @@ def test_wajnryb_nonspecial_tree():
         wajnryb_classify(vecs[:5], q)  # does not span
 
 
+@pytest.mark.parametrize(
+    "dim,edges,verdict",
+    [
+        (4, [(0, 1), (0, 2), (0, 3)], "special_basis"),  # D4 star
+        (5, [(0, 1), (1, 2), (2, 3), (2, 4)], "special_basis"),  # D5
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], "special_basis"),  # 4-cycle
+        (4, [(0, 1), (2, 3)], "special_basis"),  # two disjoint edges
+        (1, [], "special_basis"),  # one vertex
+        # a triangle with a tail has a degree-3 node, a cycle and n edges;
+        # beside a lone vertex it has n-1 edges but is not connected
+        (4, [(0, 1), (1, 2), (2, 0), (2, 3)], "special_basis"),
+        (5, [(0, 1), (1, 2), (2, 0), (2, 3)], "special_basis"),
+        # two degree-3 nodes
+        (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)], "orthogonal_of_q"),
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], "orthogonal_of_q"),  # cross
+        # E7: a chain of six with a seventh node on its third
+        (7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)], "orthogonal_of_q"),
+    ],
+)
+def test_wajnryb_diagram_shapes(dim, edges, verdict):
+    q = quadratic_from_basis(form_from_edges(dim, edges))
+    assert wajnryb_classify([1 << i for i in range(dim)], q) == verdict
+
+
 def test_classify_cross():
     info = classify_cross(2, 3)  # a+c odd: some generator has q = 0
     assert info["verdict"] == "full_symplectic"

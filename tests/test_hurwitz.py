@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidmf.bmf import cusp_cluster_factorization
-from braidmf.braid import BraidWord, FreeWord, snake_word
+from braidmf.braid import BraidWord, FreeWord
 from braidmf.f2sym import form_from_edges, transvection
 from braidmf.hurwitz import (
     SearchResult,
@@ -357,7 +357,12 @@ def test_windowed_act_moves_matches_chained_moves():
 
 
 def test_snake_via_word_matches_generic_action():
-    from braidmf.s4orbit import all_windows, embed_window, snake_via_word
+    from braidmf.s4orbit import (
+        all_windows,
+        embed_window,
+        snake_via_word,
+        snake_word,
+    )
 
     for b in range(1, 4):
         for d in range(1, 4):

@@ -1,0 +1,63 @@
+"""Guards against leftovers in src/braidmf: an import no line of its module
+uses, or a private module-level function, class or constant that nothing
+in the package refers to, is dead code that a deletion left behind.
+
+Both checks read the source with `ast` and import nothing.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "braidmf"
+MODULES = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _references(node):
+    """Names that nodes under `node` read: plain names (not assignment
+    targets), attribute names, and the names an import takes from another
+    module."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    total = sum((_references(tree) for tree in MODULES.values()), Counter())
+    unreferenced = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a reference from inside its own body (recursion) does not count
+                defined = {node.name: _references(node)[node.name]}
+            elif isinstance(node, ast.Assign):
+                defined = {t.id: 0 for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            for key, own in defined.items():
+                private = key.startswith("_") and not key.endswith("__")
+                if private and total[key] <= own:
+                    unreferenced.append(f"{name}: {key}")
+    assert unreferenced == []

@@ -275,7 +275,7 @@ def test_bitset_walk_matches_perm_walk():
             for _ in range(150):
                 j = rng.randrange(len(gens))
                 f = apply_action_word(f, gens[j])
-                x = bits.step(x, bits.ops[j])
+                x = bits.walk(x, (bits.ops[j],))[0]
                 assert _decode(bits, x) == f, ((b, d), gens[j])
                 assert bits.encode(f) == x
                 assert bits.M(x) == invariant_M(f)
@@ -312,7 +312,7 @@ def _bit_orbit(bits, start):
         nxt = []
         for x in frontier:
             for op in bits.ops:
-                y = bits.step(x, op)
+                y = bits.walk(x, (op,))[0]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -359,10 +359,10 @@ def test_local_parity_certificate():
             assert (a < B) == (a + 2 < B), ((b, d), a)
             assert bits.mask >> a & 1 == bits.mask >> a + 2 & 1, ((b, d), a)
             for x in (0, 1 << a, 4 << a, 5 << a):
-                assert bits.M(bits.step(x, op)) == bits.M(x)
+                assert bits.M(bits.walk(x, (op,))[0]) == bits.M(x)
         for w in range(16):
             x = w << bits.lo
-            assert (bits.M(bits.step(x, SNAKE)) - bits.M(x)) % 2 == 0
+            assert (bits.M(bits.walk(x, (SNAKE,))[0]) - bits.M(x)) % 2 == 0
 
 
 def test_snake_bit_table_matches_case_rule():
@@ -452,16 +452,6 @@ def test_walk_matches_perm_walk_state_by_state():
                 for j, x in zip(js, states):
                     g = apply_action_word(g, gens[j])
                     assert _decode(bits, x) == g, ((b, d), start, js)
-
-
-def test_step_is_a_one_op_walk():
-    rng = random.Random(12)
-    for b, d in product(range(1, 5), repeat=2):
-        bits = HatBits(b, d)
-        n = bits.base.length
-        for x in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))):
-            for op in bits.ops:
-                assert bits.step(x, op) == bits.walk(x, (op,))[0], ((b, d), x, op)
 
 
 def test_snake_table_matches_the_window_oracle():
