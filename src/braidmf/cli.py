@@ -255,11 +255,14 @@ def braid_eq(args):
     }
 
 
-def _read_factorization_file(path, *keys):
-    """The JSON object in `path`, holding "group" and each of `keys`.
+def _load_factorizations(path, *keys):
+    """The JSON object in `path` and, per key, its integer lists as
+    permutations of 1..4 (s4) or signed braid words (braid).
 
-    A braid file also needs "strands".  Bad JSON or a missing key raises
-    ValueError naming the file.
+    The object holds "group" and each of `keys`, and "strands" for a braid
+    file.  Bad JSON, a missing key or a malformed value raises ValueError
+    naming the file (and the key and the element as written); a JSON
+    boolean is no integer.
     """
     try:
         with open(path) as fh:
@@ -268,49 +271,45 @@ def _read_factorization_file(path, *keys):
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level")
-    if doc.get("group") == "braid":
-        keys = ("strands", *keys)
-    for key in ("group", *keys):
+    group = doc.get("group")
+    braid = group == "braid"
+    for key in ("group", "strands", *keys) if braid else ("group", *keys):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
-    return doc
-
-
-def _load_elements(path, doc, key):
-    """The integer lists under `key` as permutations of 1..4 (s4) or signed
-    braid words (braid).  A malformed value raises ValueError naming the
-    file, the key and the element as written; a JSON boolean is no integer."""
-    group, items = doc["group"], doc[key]
     if group not in ("s4", "braid"):
         raise ValueError(f"unsupported factorization group {group!r}")
-    if group == "braid":
+    if braid:
         n = doc["strands"]
         if type(n) is not int:
             raise ValueError(f"{path}: 'strands' must be an integer")
         if n < 2:
             raise ValueError(f"{path}: 'strands' must be at least 2; it is {n}")
-    if not isinstance(items, list):
-        raise ValueError(f"{path}: {key!r} must be a list of integer lists")
-    for k, e in enumerate(items, start=1):
-        if not isinstance(e, list) or any(type(x) is not int for x in e):
-            what = "a list of integer lists"
-        elif group == "s4" and sorted(e) != [1, 2, 3, 4]:
-            what = "a list of permutations of 1..4"
-        elif group == "braid" and not all(0 < abs(x) < n for x in e):
-            what = f"a list of braid words on {n} strands"
+    loaded = [doc]
+    for key in keys:
+        items = doc[key]
+        if not isinstance(items, list):
+            raise ValueError(f"{path}: {key!r} must be a list of integer lists")
+        for k, e in enumerate(items, start=1):
+            if not isinstance(e, list) or any(type(x) is not int for x in e):
+                what = "a list of integer lists"
+            elif not braid and sorted(e) != [1, 2, 3, 4]:
+                what = "a list of permutations of 1..4"
+            elif braid and not all(0 < abs(x) < n for x in e):
+                what = f"a list of braid words on {n} strands"
+            else:
+                continue
+            raise ValueError(
+                f"{path}: {key!r} must be {what}; element {k} is {json.dumps(e)}"
+            )
+        if braid:
+            loaded.append(tuple(BraidWord(n, e) for e in items))
         else:
-            continue
-        raise ValueError(
-            f"{path}: {key!r} must be {what}; element {k} is {json.dumps(e)}"
-        )
-    if group == "s4":
-        return tuple(Perm.from_json(e) for e in items)
-    return tuple(BraidWord(n, e) for e in items)
+            loaded.append(tuple(Perm.from_json(e) for e in items))
+    return loaded
 
 
 def hurwitz_act(args):
-    doc = _read_factorization_file(args.file, "elements")
-    elements = _load_elements(args.file, doc, "elements")
+    doc, elements = _load_factorizations(args.file, "elements")
     out = act_moves(elements, _ints(args.moves, "--moves"))
     if doc["group"] == "s4":
         dumped = [e.to_json() for e in out]
@@ -323,9 +322,7 @@ def hurwitz_act(args):
 
 
 def hurwitz_search(args):
-    doc = _read_factorization_file(args.file, "start", "target")
-    start = _load_elements(args.file, doc, "start")
-    target = _load_elements(args.file, doc, "target")
+    doc, start, target = _load_factorizations(args.file, "start", "target")
     if doc["group"] == "braid" and start and len(start) == len(target):
         ps, pt = product(start), product(target)
         if ps != pt and braid_equal(ps, pt):
@@ -431,7 +428,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         body = args.run(args)
-    except (ValueError, OSError, LookupError) as exc:
+    except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a node, closure or factor cap was hit

@@ -405,7 +405,8 @@ _CHUNK = 1 << 16  # keys unpacked per numpy pass while iterating
 
 class OperatorSequence:
     """The F2Operators of a uint64 array of packed keys (column i in bits
-    dim*i and up), in array order, as a read-only sized iterable.
+    dim*i and up), in array order (sorted, from group_closure), as a
+    read-only sized iterable.
 
     ``len()`` reads the array and builds no operator.  Iteration unpacks a
     chunk of keys into column lists at a time and builds the operators one
@@ -443,9 +444,8 @@ def group_closure(gens, cap=CLOSURE_CAP):
     """Multiplicative closure of the generator set, as a level BFS, returned
     as an OperatorSequence over the packed keys (empty for no generators).
 
-    The distinct generators come first, in the given order; each later
-    level is the set of new products, sorted by packed key (one uint64 per
-    operator, column i in bits dim*i and up).  Raises RuntimeError("closure
+    The elements come back sorted by packed key (one uint64 per operator,
+    column i in bits dim*i and up), each once.  Raises RuntimeError("closure
     exceeded cap N") when the closure has more than `cap` elements, and
     ValueError above CLOSURE_MAX_DIM, before numpy is imported.
 
@@ -476,12 +476,8 @@ def group_closure(gens, cap=CLOSURE_CAP):
             t = np.concatenate([t, t ^ np.uint64(g.cols[i])])
         tables.append(t << shifts[:, None])
 
-    first = dict.fromkeys(
-        sum(c << (dim * i) for i, c in enumerate(g.cols)) for g in gens
-    )
-    frontier = np.array(list(first), dtype=np.uint64)
-    levels = [frontier]
-    seen = np.sort(frontier)
+    first = {sum(c << (dim * i) for i, c in enumerate(g.cols)) for g in gens}
+    frontier = seen = np.array(sorted(first), dtype=np.uint64)
     while frontier.size:
         digits = [((frontier >> sh) & mask).astype(np.intp) for sh in shifts]
         cands = []
@@ -500,9 +496,8 @@ def group_closure(gens, cap=CLOSURE_CAP):
         seen = np.insert(seen, pos[~known], fresh)
         if seen.size > cap:
             raise RuntimeError(f"closure exceeded cap {cap}")
-        levels.append(fresh)
         frontier = fresh
-    return OperatorSequence(np.concatenate(levels), dim)
+    return OperatorSequence(seen, dim)
 
 
 def _is_non_special_tree(vecs, form):

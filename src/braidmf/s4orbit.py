@@ -89,6 +89,7 @@ class TauFactorization:
         return TauFactorization(self.b, self.d, tuple(factors))
 
 
+@functools.cache
 def tau0(b, d):
     """The reference factorization: D-pairs then B-pairs."""
     factors = (T12, T34) * (2 * d) + (T13, T24) * (2 * b)
@@ -178,10 +179,10 @@ def snake_via_word(f):
     return f.with_factors(act_word(f.factors, word))
 
 
-def change_positions(f, ref=None):
+def change_positions(f):
     """0-based slots where f differs from its reference tau0."""
-    ref = ref or tau0(f.b, f.d)
-    return [i for i, (x, y) in enumerate(zip(f.factors, ref.factors)) if x != y]
+    ref = tau0(f.b, f.d).factors
+    return [i for i, (x, y) in enumerate(zip(f.factors, ref)) if x != y]
 
 
 def invariant_M(f):
@@ -204,6 +205,7 @@ def invariant_M(f):
 SNAKE_STEP_MOVES = ((2,), (1, 1, 3, 3), (2,), (-3, -3, -1, -1), (-2,))
 
 
+@functools.cache
 def snake_word(d, n):
     """The snake half twist crossing the D/B boundary, as an Artin word.
 
@@ -286,20 +288,13 @@ def embed_window(window, b, d):
 
 
 def snake_table(b=1, d=1):
-    """snake_direct vs snake_via_word on all 16 embedded windows.
-
-    tau0(b, d) and the snake word are built once; each window is sliced
-    into tau0's factors, as `embed_window` does.
-    """
-    base = tau0(b, d)
-    word = snake_word(d, base.length)
-    lo = base.boundary - 2
-    head, tail = base.factors[:lo], base.factors[lo + 4 :]
+    """snake_direct vs snake_via_word on all 16 embedded windows."""
     rows = []
     for window in all_windows():
-        f = base.with_factors(head + window + tail)
+        f = embed_window(window, b, d)
         direct = snake_direct(f)
-        via = f.with_factors(act_word(f.factors, word))
+        via = snake_via_word(f)
+        lo = f.boundary - 2
         rows.append(
             {
                 "window": window,
@@ -333,8 +328,8 @@ def snake_bit_table():
     return tuple(table)
 
 
-def _changed_bits(f, ref=None):
-    return sum(1 << i for i in change_positions(f, ref))
+def _changed_bits(f):
+    return sum(1 << i for i in change_positions(f))
 
 
 class HatBits:
@@ -359,7 +354,7 @@ class HatBits:
         """The bitset of a factorization in O-hat."""
         if not in_hat_orbit(f):
             raise ValueError("factorization is not in the orbit superset")
-        return _changed_bits(f, self.base)
+        return _changed_bits(f)
 
     def M(self, x):
         """invariant_M of the decoded state."""

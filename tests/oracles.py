@@ -16,17 +16,12 @@ from scratch.
 `choice_action_word` is the random word drawn through `randrange` and
 `choice`, as `s4orbit.random_action_word` drew it before its one
 `getrandbits` loop.
-
-`window_snake_table` is `s4orbit.snake_table` as it was before tau0 and
-the snake word were built once per call: each window is embedded with
-`embed_window` and acted on by `snake_direct` and `snake_via_word`.
 """
 
 from collections import deque
 
 from braidmf.braid import _reduce, artin_rep
 from braidmf.hurwitz import SearchResult, hurwitz_move, product
-from braidmf.s4orbit import all_windows, embed_window, snake_direct, snake_via_word
 
 
 def artin_equal(w1, w2):
@@ -48,25 +43,6 @@ def reduce_power(letters, k):
 def choice_action_word(rng, gens, max_len=16):
     """Random word of at most max_len entries of gens."""
     return [rng.choice(gens) for _ in range(rng.randrange(max_len + 1))]
-
-
-def window_snake_table(b=1, d=1):
-    """snake_direct vs snake_via_word on all 16 embedded windows."""
-    rows = []
-    for window in all_windows():
-        f = embed_window(window, b, d)
-        direct = snake_direct(f)
-        via = snake_via_word(f)
-        lo = f.boundary - 2
-        rows.append(
-            {
-                "window": window,
-                "direct": direct.factors[lo : lo + 4],
-                "via_word": via.factors[lo : lo + 4],
-                "agree": direct == via,
-            }
-        )
-    return rows
 
 
 def one_sided_search(start, target, max_depth, node_cap=500_000):

@@ -334,6 +334,16 @@ def test_resource_limit_exit_code(monkeypatch, capsys):
     assert out == "" and err == "error: automorphism over cap 5\n"
 
 
+def test_a_key_error_is_a_bug_not_bad_input(monkeypatch):
+    # only an out-of-range move (an IndexError) is a lookup error of bad input
+    def broken(a, c):
+        raise KeyError("x")
+
+    monkeypatch.setattr("braidmf.cli.classify_cross", broken)
+    with pytest.raises(KeyError, match="x"):
+        main(["classify", "--a", "3", "--c", "3"])
+
+
 @pytest.mark.parametrize("sub, doc, key", [
     ("act", {"elements": [[2, 1, 3, 4]]}, "group"),
     ("search", {"group": "s4", "target": [[2, 1, 3, 4]]}, "start"),

@@ -196,6 +196,11 @@ def _reference_closure(gens, dim, cap):
     return [tuple((k >> (dim * i)) & mask for i in range(dim)) for k in order]
 
 
+def _packed_key(cols):
+    """The packed key of an operator's columns: column i in bits dim*i."""
+    return sum(c << (len(cols) * i) for i, c in enumerate(cols))
+
+
 def _random_generators(rng, dim):
     """A few transvections of a random (possibly degenerate) form, and
     sometimes a permutation matrix, the identity or a repeated generator."""
@@ -228,7 +233,10 @@ def test_packed_closure_matches_reference():
                 capped += 1
                 continue
             closed += 1
-            assert [g.cols for g in group_closure(gens, cap)] == want
+            keys = [_packed_key(g.cols) for g in group_closure(gens, cap)]
+            # strictly increasing keys: sorted, and no element twice
+            assert keys == sorted(set(keys))
+            assert keys == sorted(map(_packed_key, want))
             # the cap raises exactly when the closure outgrows it
             for small in (len(want) - 1, len(want) // 2):
                 with pytest.raises(RuntimeError, match=f"^closure exceeded cap {small}$"):
@@ -285,7 +293,7 @@ def test_closure_sequence_matches_list_and_reference(monkeypatch):
             checked += 1
             c = group_closure(gens)
             ops = list(c)
-            assert [g.cols for g in ops] == want
+            assert [g.cols for g in ops] == sorted(want, key=_packed_key)
             assert list(c) == ops  # a second iteration gives the same
             assert len(c) == len(ops) and list(group_closure(gens)) == ops
     assert checked > 20

@@ -1,16 +1,21 @@
-"""Guards against leftovers in src/braidmf: an import no line of its module
-uses, or a private module-level function, class or constant that nothing
-in the package refers to, is dead code that a deletion left behind.
+"""Guards against leftovers in src/braidmf, tests and demos: an import no
+line of its module uses, or a private module-level function, class or
+constant that nothing in its directory refers to, is dead code that a
+deletion left behind.  So is an oracle in tests/oracles.py that no test
+uses.
 
-Both checks read the source with `ast` and import nothing.
+The checks read the source with `ast` and import nothing.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "braidmf"
-MODULES = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+DIRS = {
+    d: {p.name: ast.parse(p.read_text(), str(p)) for p in sorted((ROOT / d).glob("*.py"))}
+    for d in ("src/braidmf", "tests", "demos")
+}
 
 
 def _references(node):
@@ -30,34 +35,50 @@ def _references(node):
 
 def test_every_import_is_used():
     unused = []
-    for name, tree in MODULES.items():
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                if bound not in used:
-                    unused.append(f"{name}: {bound}")
+    for d, modules in DIRS.items():
+        for name, tree in modules.items():
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{d}/{name}: {bound}")
     assert unused == []
 
 
 def test_every_private_definition_is_referenced():
-    total = sum((_references(tree) for tree in MODULES.values()), Counter())
     unreferenced = []
-    for name, tree in MODULES.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                # a reference from inside its own body (recursion) does not count
-                defined = {node.name: _references(node)[node.name]}
-            elif isinstance(node, ast.Assign):
-                defined = {t.id: 0 for t in node.targets if isinstance(t, ast.Name)}
-            else:
-                continue
-            for key, own in defined.items():
-                private = key.startswith("_") and not key.endswith("__")
-                if private and total[key] <= own:
-                    unreferenced.append(f"{name}: {key}")
+    for d, modules in DIRS.items():
+        total = sum((_references(tree) for tree in modules.values()), Counter())
+        for name, tree in modules.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    # a reference from inside its own body (recursion) does not count
+                    defined = {node.name: _references(node)[node.name]}
+                elif isinstance(node, ast.Assign):
+                    defined = {t.id: 0 for t in node.targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                for key, own in defined.items():
+                    private = key.startswith("_") and not key.endswith("__")
+                    if private and total[key] <= own:
+                        unreferenced.append(f"{d}/{name}: {key}")
     assert unreferenced == []
+
+
+def test_every_oracle_is_used_by_a_test():
+    tests = DIRS["tests"]
+    used = sum(
+        (_references(tree) for name, tree in tests.items() if name.startswith("test_")),
+        Counter(),
+    )
+    oracles = [
+        node.name
+        for node in tests["oracles.py"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert [name for name in oracles if not used[name]] == []
