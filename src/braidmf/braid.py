@@ -78,7 +78,7 @@ class FreeWord:
 
     __slots__ = ("rank", "letters")
 
-    def __init__(self, rank, letters=()):
+    def __init__(self, rank, letters):
         letters = tuple(letters)
         for x in letters:
             if not 0 < abs(x) <= rank:
@@ -153,7 +153,7 @@ class BraidWord(FreeWord):
 
     __slots__ = ()
 
-    def __init__(self, strands, letters=()):
+    def __init__(self, strands, letters):
         letters = tuple(map(int, letters))
         if strands < 2:
             raise ValueError("need at least 2 strands")

@@ -50,7 +50,7 @@ from .s4orbit import (
 SCHEMA = 1
 
 
-def _check(name, ok, details=""):
+def _check(name, ok, details):
     return {"name": name, "status": "pass" if ok else "fail", "details": details}
 
 
@@ -71,7 +71,7 @@ def _surface(args, suffix=""):
 
 
 def verify_snake_table(args):
-    agree = sum(r["agree"] for r in snake_table())
+    agree = sum(r["agree"] for r in snake_table(1, 1))
     details = f"{agree}/16 windows: direct rule == word action"
     checks = [_check("snake window table", agree == 16, details)]
     for idx, lines in enumerate(WINDOW_DERIVATIONS, start=1):
@@ -82,7 +82,7 @@ def verify_snake_table(args):
 
 
 def _nonconjugacy(args):
-    rep = verify_nonconjugacy(args.b, args.d, trials=args.trials, seed=args.seed)
+    rep = verify_nonconjugacy(args.b, args.d, args.trials, args.seed)
     return rep, rep["verdict"].startswith("not conjugate")
 
 
@@ -100,7 +100,7 @@ def verify_nonconj(args):
 
 def verify_s7(args):
     agree = sum(r["agree"] for r in snake_table(args.b, args.d))
-    v = property_run(args.b, args.d, trials=args.trials, seed=args.seed)["violations"]
+    v = property_run(args.b, args.d, args.trials, args.seed)["violations"]
     rep, ok = _nonconjugacy(args)
     checks = [_check("snake window table", agree == 16, f"{agree}/16 windows")]
     for name, key, tail in (
@@ -260,14 +260,14 @@ def _load_factorizations(path, *keys):
     permutations of 1..4 (s4) or signed braid words (braid).
 
     The object holds "group" and each of `keys`, and "strands" for a braid
-    file.  Bad JSON, a missing key or a malformed value raises ValueError
-    naming the file (and the key and the element as written); a JSON
-    boolean is no integer.
+    file.  Bad JSON (or JSON nested too deep to parse), a missing key or a
+    malformed value raises ValueError naming the file (and the key and the
+    element as written); a JSON boolean is no integer.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level")

@@ -257,11 +257,8 @@ class CrossSpace:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def basis_vec(self, label: str) -> int:
-        return 1 << self.index(label)
-
     def vec(self, *labels) -> int:
-        return reduce(xor, map(self.basis_vec, labels))
+        return reduce(xor, (1 << self.index(label) for label in labels))
 
 
 def build_cross_space(a, c) -> CrossSpace:
@@ -286,9 +283,8 @@ def build_cross_space(a, c) -> CrossSpace:
     return CrossSpace(a, c, tuple(labels), form_from_edges(dim, edges))
 
 
-def symplectic_basis(space_or_form):
+def symplectic_basis(form):
     """F2 Gram-Schmidt: hyperbolic pairs (e_i, f_i) with (e_i,f_j)=delta_ij."""
-    form = getattr(space_or_form, "form", space_or_form)
     rest = [1 << i for i in range(form.dim)]
     pairs = []
     while rest:
@@ -309,13 +305,11 @@ def symplectic_basis(space_or_form):
     return pairs
 
 
-def quadratic_from_basis(space_or_form, values=None) -> F2Quadratic:
+def quadratic_from_basis(space_or_form) -> F2Quadratic:
     """The quadratic refinement with q = 1 on every basis vector (the
-    geometric q of the fibre), unless other values are given."""
+    geometric q of the fibre); other values go through F2Quadratic."""
     form = getattr(space_or_form, "form", space_or_form)
-    if values is None:
-        values = (1,) * form.dim
-    return F2Quadratic(form, tuple(values))
+    return F2Quadratic(form, (1,) * form.dim)
 
 
 def omitted_vectors(space: CrossSpace):

@@ -287,22 +287,12 @@ def embed_window(window, b, d):
     return f.with_factors(factors)
 
 
-def snake_table(b=1, d=1):
+def snake_table(b, d):
     """snake_direct vs snake_via_word on all 16 embedded windows."""
     rows = []
     for window in all_windows():
         f = embed_window(window, b, d)
-        direct = snake_direct(f)
-        via = snake_via_word(f)
-        lo = f.boundary - 2
-        rows.append(
-            {
-                "window": window,
-                "direct": direct.factors[lo : lo + 4],
-                "via_word": via.factors[lo : lo + 4],
-                "agree": direct == via,
-            }
-        )
+        rows.append({"window": window, "agree": snake_direct(f) == snake_via_word(f)})
     return rows
 
 
@@ -384,7 +374,7 @@ def _check_trials(trials):
 PROPERTY_WORD_MAX_LEN = 8
 
 
-def property_run(b, d, trials=10_000, seed=0):
+def property_run(b, d, trials, seed):
     """Randomized conservation run from tau0: orbit-superset closure,
     change-count evenness and M-parity checked after every generator of
     every random word (up to PROPERTY_WORD_MAX_LEN generator words each)."""
@@ -405,14 +395,7 @@ def property_run(b, d, trials=10_000, seed=0):
                 violations["evenness"] += 1
             if M(x) % 2 != parity:
                 violations["m_parity"] += 1
-    return {
-        "b": b,
-        "d": d,
-        "trials": trials,
-        "seed": seed,
-        "generator_words": words_applied,
-        "violations": violations,
-    }
+    return {"generator_words": words_applied, "violations": violations}
 
 
 def random_action_word(rng, gens, max_len=16):
@@ -453,7 +436,7 @@ def apply_action_word(f, word):
     return f
 
 
-def verify_nonconjugacy(b, d, trials=10_000, seed=0, left=None, right=None):
+def verify_nonconjugacy(b, d, trials, seed, left=None, right=None):
     """Parity separation showing sigma_p^2 and sigma_q^2 are not conjugate.
 
     Samples tau0 . left . h for random generator words h and checks that
@@ -478,11 +461,7 @@ def verify_nonconjugacy(b, d, trials=10_000, seed=0, left=None, right=None):
 
     separated = len(left_parities) == 1 and (m_right % 2) not in left_parities
     return {
-        "b": b,
-        "d": d,
         "convention": "D-block first, boundary 4d; labels p/q per this convention",
-        "trials": trials,
-        "seed": seed,
         "M_left": m_left0,
         "M_right": m_right,
         "left_parities": sorted(left_parities),

@@ -18,6 +18,7 @@ from braidmf.bmf import (
 )
 from braidmf.braid import ArtinAuto, BraidWord, FreeWord, artin_rep, braid_equal
 from braidmf.f2sym import (
+    F2Quadratic,
     arf,
     arf_oracle,
     build_cross_space,
@@ -50,7 +51,7 @@ def _done(n, text):
 
 def test_c01_snake_twist_table():
     t0 = time.monotonic()
-    rows = snake_table()
+    rows = snake_table(1, 1)
     assert len(rows) == 16
     for r in rows:
         assert r["agree"], f"window {r['window']}: direct rule != word action"
@@ -194,7 +195,7 @@ def test_c08_transvection_group_classification():
     chain4 = form_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     sizes = {}
     for eps, values in ((1, (1, 0, 1, 0)), (-1, (1, 1, 1, 1))):
-        q4 = quadratic_from_basis(chain4, values)
+        q4 = F2Quadratic(chain4, values)
         assert arf(q4) == (0 if eps == 1 else 1)
         sp4 = group_closure(
             [transvection(1 << i, chain4) for i in range(4)]

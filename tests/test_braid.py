@@ -46,7 +46,7 @@ def _random_free_word(rng, rank, max_len):
 def test_free_word_reduction():
     w = FreeWord(3, [1, 2, -2, -1])
     assert len(w) == 0
-    assert w == FreeWord(3)
+    assert w == FreeWord(3, ())
 
 
 def test_braid_word_is_a_free_word_of_one_rank_less():

@@ -362,11 +362,17 @@ def test_missing_key_names_file_and_key(tmp_path, capsys, sub, doc, key):
 
 def test_bad_json_names_file(tmp_path, capsys):
     path = tmp_path / "fact.json"
-    path.write_text('{"group": "s4", "elements": [[2, 1, 3, 4]')
-    code = main(["hurwitz", "search", "--file", str(path)])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == "" and err.startswith(f"error: {path}: Expecting ',' delimiter")
+    for text, message in (
+        ('{"group": "s4", "elements": [[2, 1, 3, 4]', "Expecting ',' delimiter"),
+        # too deep for the parser: a usage error, not a resource limit
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ):
+        path.write_text(text)
+        for sub in (["search"], ["act", "--moves", "1"]):
+            code = main(["hurwitz", *sub, "--file", str(path)])
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == "" and err.startswith(f"error: {path}: {message}")
 
 
 @pytest.mark.parametrize("sub", ["act", "search"])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -332,7 +333,7 @@ def test_preserves_q_matches_q_eval():
         + [transvection(0b0101, form)]
     )
     for values in ((1, 1, 1, 1), (1, 0, 1, 0), (0, 0, 0, 0)):
-        q = quadratic_from_basis(form, values)
+        q = F2Quadratic(form, values)
         verdicts = [preserves_q(g, q) for g in sp4]
         assert verdicts == [_preserves_q_by_definition(g, q) for g in sp4]
         assert sum(verdicts) in (72, 120)
@@ -341,7 +342,7 @@ def test_preserves_q_matches_q_eval():
         form = form_from_edges(
             dim, [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.5]
         )
-        q = quadratic_from_basis(form, [rng.randrange(2) for _ in range(dim)])
+        q = F2Quadratic(form, tuple(rng.randrange(2) for _ in range(dim)))
         for _ in range(200):
             g = F2Operator(dim, tuple(rng.randrange(1 << dim) for _ in range(dim)))
             assert preserves_q(g, q) == _preserves_q_by_definition(g, q)
@@ -373,7 +374,7 @@ def test_cross_space_shape():
     assert space.form.rank() == space.dim
     # s meets the first cycle of each chain, once
     for ch in "abcd":
-        assert space.form.pairing(space.basis_vec("s"), space.basis_vec(f"{ch}1")) == 1
+        assert space.form.pairing(space.vec("s"), space.vec(f"{ch}1")) == 1
     with pytest.raises(ValueError):
         build_cross_space(1, 2)
 
@@ -381,7 +382,7 @@ def test_cross_space_shape():
 def test_symplectic_basis_is_symplectic():
     for a, c in ((2, 2), (2, 3), (3, 3)):
         space = build_cross_space(a, c)
-        pairs = symplectic_basis(space)
+        pairs = symplectic_basis(space.form)
         assert len(pairs) == space.dim // 2
         flat = [v for pair in pairs for v in pair]
         for i, u in enumerate(flat):
@@ -400,7 +401,7 @@ def test_omitted_vectors_pairings():
             v = omitted[f"{ch}{2 * (c if ch in 'bd' else a) - 1}"]
             for lbl in space.labels:
                 want = 1 if lbl == last else 0
-                assert space.form.pairing(v, space.basis_vec(lbl)) == want
+                assert space.form.pairing(v, space.vec(lbl)) == want
 
 
 def test_omitted_b_closer_q_value():
@@ -539,7 +540,7 @@ def test_gram_image_matches_support_walk_oracles():
             form = form_from_edges(
                 dim, [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.5]
             )
-            q = quadratic_from_basis(form, [rng.randrange(2) for _ in range(dim)])
+            q = F2Quadratic(form, tuple(rng.randrange(2) for _ in range(dim)))
             for _ in range(20):
                 u, v = rng.randrange(1 << dim), rng.randrange(1 << dim)
                 want = _pairing_by_support(form, u, v)
@@ -620,7 +621,7 @@ def test_quadratic_rejects_values_outside_f2():
         with pytest.raises(ValueError, match="must be 0 or 1"):
             F2Quadratic(plane, values)
         with pytest.raises(ValueError, match="must be 0 or 1"):
-            quadratic_from_basis(plane, values)
+            dataclasses.replace(quadratic_from_basis(plane), basis_values=values)
 
 
 def test_q_eval_and_classify_reject_vectors_beyond_the_form():

@@ -82,3 +82,54 @@ def test_every_oracle_is_used_by_a_test():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     assert [name for name in oracles if not used[name]] == []
+
+
+def _default_params(tree):
+    """(callee name, positional index or None, parameter name) for every
+    parameter default of a module's functions and methods.  A method's
+    index does not count self, and __init__ is called by its class name;
+    a keyword-only parameter has no index."""
+    funcs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs.append((node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            funcs += [
+                (node.name if m.name == "__init__" else m.name, m, 1)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef)
+            ]
+    for name, fn, skip in funcs:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        for k in range(len(positional) - len(a.defaults), len(positional)):
+            yield name, k - skip, positional[k].arg
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield name, None, p.arg
+
+
+def test_every_default_is_left_out_by_some_caller():
+    # a default that every call in the package, the benchmark and the demos
+    # overrides is dead; a function nothing there calls is not judged
+    trees = [*DIRS["src/braidmf"].values(), *DIRS["demos"].values()]
+    trees += [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    calls = {}
+    for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        unpacks = any(isinstance(x, ast.Starred) for x in node.args) or any(
+            k.arg is None for k in node.keywords
+        )
+        npos = float("inf") if unpacks else len(node.args)
+        calls.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    dead = [
+        f"{module}: {name}({param}=...)"
+        for module, tree in DIRS["src/braidmf"].items()
+        for name, index, param in _default_params(tree)
+        if name in calls
+        and not any(
+            param not in keys and (index is None or npos <= index)
+            for npos, keys in calls[name]
+        )
+    ]
+    assert dead == []

@@ -128,6 +128,7 @@ def test_snake_table_agrees_everywhere():
     for b, d in product(range(1, 7), repeat=2):
         rows = snake_table(b, d)
         assert len(rows) == 16
+        assert all(r.keys() == {"window", "agree"} for r in rows)
         assert all(r["agree"] for r in rows), (b, d)
 
 
@@ -174,12 +175,17 @@ def test_hat_generators_preserve_m_parity():
 
 def test_property_run_counts_words():
     rep = property_run(1, 1, trials=500, seed=3)
+    assert rep.keys() == {"generator_words", "violations"}
     assert rep["violations"] == {"orbit": 0, "evenness": 0, "m_parity": 0}
     assert rep["generator_words"] > 0
 
 
 def test_verify_nonconjugacy_report():
     rep = verify_nonconjugacy(1, 1, trials=500, seed=0)
+    assert rep.keys() == {
+        "convention", "M_left", "M_right", "left_parities", "right_parity",
+        "orbit_violations", "verdict",
+    }
     assert rep["verdict"] == "not conjugate in stabilized monodromy group"
     assert rep["left_parities"] == [0]
     assert rep["right_parity"] == 1
@@ -219,14 +225,7 @@ def _perm_property_run(b, d, trials, seed):
                 violations["evenness"] += 1
             if invariant_M(f) % 2 != 0:
                 violations["m_parity"] += 1
-    return {
-        "b": b,
-        "d": d,
-        "trials": trials,
-        "seed": seed,
-        "generator_words": words_applied,
-        "violations": violations,
-    }
+    return {"generator_words": words_applied, "violations": violations}
 
 
 def _perm_verify_nonconjugacy(b, d, trials, seed, left=None, right=None):
@@ -252,11 +251,7 @@ def _perm_verify_nonconjugacy(b, d, trials, seed, left=None, right=None):
         and (m_right % 2) not in left_parities
     )
     return {
-        "b": b,
-        "d": d,
         "convention": "D-block first, boundary 4d; labels p/q per this convention",
-        "trials": trials,
-        "seed": seed,
         "M_left": m_left0,
         "M_right": m_right,
         "left_parities": sorted(left_parities),
@@ -308,11 +303,11 @@ def test_reports_match_perm_oracle():
 def test_entry_states_are_validated():
     base = tau0(1, 1)
     with pytest.raises(ValueError):
-        verify_nonconjugacy(1, 1, 10, left=base.boundary)
+        verify_nonconjugacy(1, 1, 10, 0, left=base.boundary)
     with pytest.raises(IndexError):
-        verify_nonconjugacy(1, 1, 10, right=base.length)
+        verify_nonconjugacy(1, 1, 10, 0, right=base.length)
     with pytest.raises(IndexError):  # 0 is refused, not replaced by the default
-        verify_nonconjugacy(1, 1, 10, left=0)
+        verify_nonconjugacy(1, 1, 10, 0, left=0)
     bad = base.with_factors((T13,) + base.factors[1:])
     with pytest.raises(ValueError):
         HatBits(1, 1).encode(bad)
