@@ -4,10 +4,14 @@ transvection-group classification and the horizontal-fibration obstruction.
 
 A vector of F2^n is a plain int bitset, and so are Gram rows and operator
 columns.  The one pairing primitive is `F2BilinearForm.gram_image`: with
-it, (u, v) = parity(gram_image(u) & v).  Dense numpy paths cover the
+it, (u, v) = parity(gram_image(u) & v).  `group_closure` builds a
+Schreier-Sims stabilizer chain of a group of invertible operators, with
+the basis vectors as base points, checks its cap against the chain's
+order and only then enumerates the group.  Dense numpy paths cover the
 dimensions we ever enumerate (<= 8 for closure, <= 24 for the Arf oracle).
-numpy is imported on first use, by the closure, q-table and Arf-oracle
-paths, so the rest of the package and the CLI load without it.
+numpy is imported on first use, by the closure's enumeration and the
+q-table and Arf-oracle paths, so the rest of the package and the CLI load
+without it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,36 @@ def _combine(rows, bits: int) -> int:
         out ^= rows[low.bit_length() - 1]
         bits ^= low
     return out
+
+
+def _inverse_cols(cols) -> tuple:
+    """Columns of the inverse of the operator with these columns, by
+    Gauss-Jordan elimination; ValueError("operator is singular") if none."""
+    n = len(cols)
+    rows = list(cols)
+    inv = [1 << i for i in range(n)]
+    for r in range(n):
+        piv = next((k for k in range(r, n) if (rows[k] >> r) & 1), None)
+        if piv is None:
+            raise ValueError("operator is singular")
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv[r], inv[piv] = inv[piv], inv[r]
+        for k in range(n):
+            if k != r and (rows[k] >> r) & 1:
+                rows[k] ^= rows[r]
+                inv[k] ^= inv[r]
+    # the rows are now the identity, so inv holds the coordinates of each
+    # e_r in the old columns: the columns of the inverse
+    return tuple(inv)
+
+
+def _images(cols) -> list:
+    """The image of every v < 2^n under the operator with these n columns,
+    indexed by v, built by subset doubling."""
+    t = [0]
+    for c in cols:
+        t += [x ^ c for x in t]
+    return t
 
 
 def _independent(rows):
@@ -183,24 +217,7 @@ class F2Operator(NamedTuple):
         return F2Operator(self.dim, tuple(map(other.apply, self.cols)))
 
     def inverse(self):
-        n = self.dim
-        rows = list(self.cols)
-        inv = [1 << i for i in range(n)]
-        r = 0
-        for col in range(n):
-            piv = next((k for k in range(r, n) if (rows[k] >> col) & 1), None)
-            if piv is None:
-                raise ValueError("operator is singular")
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv[r], inv[piv] = inv[piv], inv[r]
-            for k in range(n):
-                if k != r and (rows[k] >> col) & 1:
-                    rows[k] ^= rows[r]
-                    inv[k] ^= inv[r]
-            r += 1
-        # rows of the inverse in column form: the reduced system is I,
-        # so inv now holds coordinates of e_col in the old basis
-        return F2Operator(n, tuple(inv))
+        return F2Operator(self.dim, _inverse_cols(self.cols))
 
     def is_identity(self):
         return all(c == (1 << i) for i, c in enumerate(self.cols))
@@ -261,9 +278,20 @@ class CrossSpace:
         return reduce(xor, (1 << self.index(label) for label in labels))
 
 
+# Work on a cross space grows as the cube of its dimension: at 998
+# (a + c = 251) `classify` takes about 0.4 s and `arf` 0.3 s (2-core host).
+CROSS_MAX_DIM = 1_000
+
+
 def build_cross_space(a, c) -> CrossSpace:
+    """The (a,c) cross space; RuntimeError("cross space dimension D exceeds
+    cap N") above CROSS_MAX_DIM, before anything is built."""
     if a < 2 or c < 2:
         raise ValueError("cross space needs a, c >= 2")
+    if 4 * (a + c) - 6 > CROSS_MAX_DIM:
+        raise RuntimeError(
+            f"cross space dimension {4 * (a + c) - 6} exceeds cap {CROSS_MAX_DIM}"
+        )
     chains = {
         "a": 2 * a - 1,
         "b": 2 * c - 2,
@@ -347,13 +375,20 @@ def _q_values(q: F2Quadratic):
     """uint8 array of q(v) for every v < 2^dim, indexed by the bitset v."""
     import numpy as np
 
-    vals = np.zeros(1, dtype=np.uint8)
-    for k in range(q.form.dim):
-        # q(v + e_k) = q(v) + q(e_k) + (v, e_k) for v supported below bit k
-        idx = np.arange(1 << k, dtype=np.uint64)
-        low = np.uint64(q.form.gram[k] & ((1 << k) - 1))
-        pair = (np.bitwise_count(idx & low) & 1).astype(np.uint8)
-        vals = np.concatenate([vals, vals ^ q.basis_values[k] ^ pair])
+    n = q.form.dim
+    vals = np.zeros(1 << n, dtype=np.uint8)
+    pair = np.zeros(1 << n >> 1, dtype=np.uint8)
+    one = np.uint8(1)
+    for k in range(n):
+        # pair[v] = q(e_k) + (v, e_k) for v < 2^k, by the same doubling
+        pair[0] = q.basis_values[k]
+        for j in range(k):
+            if (q.form.gram[k] >> j) & 1:
+                np.bitwise_xor(pair[: 1 << j], one, out=pair[1 << j : 2 << j])
+            else:
+                pair[1 << j : 2 << j] = pair[: 1 << j]
+        # q(v + e_k) = q(v) + q(e_k) + (v, e_k) for v < 2^k
+        np.bitwise_xor(vals[: 1 << k], pair[: 1 << k], out=vals[1 << k : 2 << k])
     return vals
 
 
@@ -393,17 +428,18 @@ def preserves_q(g: F2Operator, q: F2Quadratic) -> bool:
 # Group closure and classification
 
 CLOSURE_CAP = 2_000_000
-CLOSURE_MAX_DIM = 8  # a packed key, dim columns of dim bits, fits one uint64
+CLOSURE_MAX_DIM = 8  # a packed key, one byte per column, fits one uint64
 _CHUNK = 1 << 16  # keys unpacked per numpy pass while iterating
 
 
 class OperatorSequence:
-    """The F2Operators of a uint64 array of packed keys (column i in bits
-    dim*i and up), in array order (sorted, from group_closure), as a
-    read-only sized iterable.
+    """The F2Operators of a little-endian uint64 array of packed keys
+    (column i in byte i, so key order is the order of the column tuples
+    read from the last column), in array order (sorted, from
+    group_closure), as a read-only sized iterable.
 
-    ``len()`` reads the array and builds no operator.  Iteration unpacks a
-    chunk of keys into column lists at a time and builds the operators one
+    ``len()`` reads the array and builds no operator.  Iteration reads a
+    chunk of keys as column lists at a time and builds the operators one
     by one as they are taken, so none outlives its use unless the caller
     keeps it.
     """
@@ -419,11 +455,8 @@ class OperatorSequence:
 
     def _operators(self, keys):
         """Lazy map from an array of keys to their operators."""
-        import numpy as np
-
         dim = self._dim
-        mask = np.uint64((1 << dim) - 1)
-        cols = [((keys >> np.uint64(dim * i)) & mask).tolist() for i in range(dim)]
+        cols = keys.view("u1").reshape(-1, 8)[:, :dim].T.tolist()
         # tuple.__new__ skips the NamedTuple's Python-level __new__
         return map(tuple.__new__, repeat(F2Operator), zip(repeat(dim), zip(*cols)))
 
@@ -434,18 +467,89 @@ class OperatorSequence:
         )
 
 
+def _transversals(gens, dim, cap):
+    """Transversals of a stabilizer chain, with base e_0..e_{dim-1}, of the
+    group the column tuples `gens` generate (incremental Schreier-Sims).
+
+    Level i maps each point p of the orbit of e_i under the stabilizer of
+    e_0..e_{i-1} to the columns of an element u_p taking e_i to p and to
+    the image table (`_images`) of its inverse.  Operators act on the
+    right, v^g = g(v), and ``g * h`` applies g first.  Only strong
+    generators are inverted by elimination: (u_p * s)^-1 is the table of
+    s^-1 composed with that of u_p^-1.
+
+    Each (orbit point, strong generator) pair of a level is taken once:
+    it extends the orbit in place (a tree edge, trivial Schreier
+    generator) or its Schreier generator is sifted through the deeper
+    levels, and a residue stopping at level j joins the strong generators
+    of the levels below the current one down to j.  Passed sifts stay
+    valid, as transversals only grow.  The product of the orbit lengths
+    bounds the order from below and is exact at the end; RuntimeError
+    ("closure exceeded cap N") as soon as it passes `cap`.
+    """
+    orbits = [{1 << i: (tuple(1 << k for k in range(dim)), range(1 << dim))}
+              for i in range(dim)]
+    strong = [[] for _ in range(dim)]
+    pending = [[] for _ in range(dim)]
+
+    def sift(h, i):
+        """(residue, level) of h fixing e_0..e_{i-1}, or (None, dim)."""
+        for k in range(i, dim):
+            p = h[k]
+            if p != 1 << k:
+                if p not in orbits[k]:
+                    return h, k
+                h = tuple(map(orbits[k][p][1].__getitem__, h))
+        return None, dim
+
+    def add(h, lo, hi):
+        gen = (_images(h), _images(_inverse_cols(h)))
+        for lv in range(lo, hi + 1):
+            strong[lv].append(gen)
+            pending[lv] += [(p, gen) for p in orbits[lv]]
+
+    for g in gens:
+        h, i = sift(g, 0)
+        if h is None:
+            continue
+        add(h, 0, i)
+        while i >= 0:
+            if not pending[i]:
+                i -= 1
+                continue
+            p, (image, inv) = pending[i].pop()
+            orbit = orbits[i]
+            u, u_inv = orbit[p]
+            q = image[p]
+            if q not in orbit:
+                orbit[q] = (tuple(map(image.__getitem__, u)),
+                            tuple(map(u_inv.__getitem__, inv)))
+                pending[i] += [(q, gen) for gen in strong[i]]
+                if math.prod(map(len, orbits)) > cap:
+                    raise RuntimeError(f"closure exceeded cap {cap}")
+                continue
+            schreier = tuple(map(orbit[q][1].__getitem__, map(image.__getitem__, u)))
+            h, j = sift(schreier, i + 1)
+            if h is not None:
+                add(h, i + 1, j)
+                i = j
+    if math.prod(map(len, orbits)) > cap:
+        raise RuntimeError(f"closure exceeded cap {cap}")
+    return [[u for u, _ in orbit.values()] for orbit in orbits]
+
+
 def group_closure(gens, cap=CLOSURE_CAP):
-    """Multiplicative closure of the generator set, as a level BFS, returned
-    as an OperatorSequence over the packed keys (empty for no generators).
+    """The group generated by invertible operators, as an OperatorSequence
+    over packed keys (one uint64 per operator, column i in byte i) sorted
+    and each once; empty for no generators.
 
-    The elements come back sorted by packed key (one uint64 per operator,
-    column i in bits dim*i and up), each once.  Raises RuntimeError("closure
-    exceeded cap N") when the closure has more than `cap` elements, and
-    ValueError above CLOSURE_MAX_DIM, before numpy is imported.
-
-    Per level, the generator image tables give the candidates, which are
-    sorted and deduplicated; `searchsorted` against the sorted seen keys
-    keeps the new ones.
+    ValueError above CLOSURE_MAX_DIM or for a singular generator
+    ("operator is singular"), and RuntimeError("closure exceeded cap N")
+    for more than `cap` elements, checked from the stabilizer chain's
+    order (`_transversals`); all three before numpy is imported.  The
+    elements are then enumerated from the deepest level up: all elements
+    so far times all of a level's transversal at once, through image
+    tables, and sorted once.
     """
     gens = list(gens)
     if not gens:
@@ -457,41 +561,23 @@ def group_closure(gens, cap=CLOSURE_CAP):
         raise ValueError("mixed dimensions")
     if dim > CLOSURE_MAX_DIM:
         raise ValueError(f"closure dimension cap {CLOSURE_MAX_DIM} exceeded")
+    levels = _transversals([g.cols for g in gens], dim, cap)
     import numpy as np
 
-    mask = np.uint64((1 << dim) - 1)
-    shifts = np.arange(0, dim * dim, dim, dtype=np.uint64)
-    tables = []
-    for g in gens:
-        # t[x] = image bitset of x under g, built by subset doubling; row i
-        # holds it shifted into column i's place in a packed key
-        t = np.zeros(1, dtype=np.uint64)
-        for i in range(dim):
-            t = np.concatenate([t, t ^ np.uint64(g.cols[i])])
-        tables.append(t << shifts[:, None])
-
-    first = {sum(c << (dim * i) for i, c in enumerate(g.cols)) for g in gens}
-    frontier = seen = np.array(sorted(first), dtype=np.uint64)
-    while frontier.size:
-        digits = [((frontier >> sh) & mask).astype(np.intp) for sh in shifts]
-        cands = []
-        for t in tables:
-            out = t[0][digits[0]]
-            for row, d in zip(t[1:], digits[1:]):
-                out |= row[d]
-            cands.append(out)
-        # sort plus an adjacent-difference mask, not np.unique: on 3M uint64
-        # keys np.unique takes 4.4 s and this 0.06 s (numpy 2.4.6)
-        cands = np.sort(np.concatenate(cands))
-        cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
-        pos = np.searchsorted(seen, cands)
-        known = seen[np.minimum(pos, seen.size - 1)] == cands
-        fresh = cands[~known]
-        seen = np.insert(seen, pos[~known], fresh)
-        if seen.size > cap:
-            raise RuntimeError(f"closure exceeded cap {cap}")
-        frontier = fresh
-    return OperatorSequence(seen, dim)
+    cols = [np.array([1 << k], dtype=np.uint8) for k in range(dim)]
+    for level in reversed(levels):
+        u = np.array(level, dtype=np.uint8)
+        # images[m, v] is transversal element m applied to v
+        images = np.zeros((len(level), 1), dtype=np.uint8)
+        for k in range(dim):
+            images = np.concatenate([images, images ^ u[:, k : k + 1]], axis=1)
+        cols = [images[:, c].ravel() for c in cols]
+    keys = np.zeros(cols[0].size, dtype="<u8")
+    view = keys.view("u1").reshape(-1, 8)
+    for k, c in enumerate(cols):
+        view[:, k] = c
+    keys.sort()
+    return OperatorSequence(keys, dim)
 
 
 def _is_non_special_tree(vecs, form):

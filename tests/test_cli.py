@@ -131,6 +131,16 @@ def test_arf_oracle_skipped_beyond_cap(capsys):
     assert names["arf parity"] == "pass"
 
 
+@pytest.mark.parametrize("command", ["arf", "classify"])
+def test_cross_space_over_the_dimension_cap_exits_3(capsys, command):
+    # a + c = 252 gives dimension 1002, just above CROSS_MAX_DIM = 1000
+    code = main([command, "--a", "126", "--c", "126", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "error: cross space dimension 1002 exceeds cap 1000\n"
+
+
 def test_classify_and_obstruct(capsys):
     code, out = _run(capsys, "classify", "--a", "2", "--c", "3", "--json")
     assert code == 0

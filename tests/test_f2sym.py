@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from braidmf import f2sym
 from braidmf.f2sym import (
+    CLOSURE_CAP,
     F2BilinearForm,
     F2Operator,
     F2Quadratic,
@@ -101,6 +103,28 @@ def test_hyperbolic_plane_arf():
     for vals in ((1, 1), (0, 0), (0, 1)):
         q = F2Quadratic(plane, vals)
         assert arf(q) == arf_oracle(q)
+
+
+def test_q_table_matches_q_eval():
+    rng = random.Random(53)
+    for dim in range(1, 13):
+        for _ in range(4):
+            edges = [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.5]
+            q = F2Quadratic(
+                form_from_edges(dim, edges), tuple(rng.randrange(2) for _ in range(dim))
+            )
+            table = f2sym._q_values(q)
+            assert table.dtype == np.uint8 and table.size == 1 << dim
+            assert table.tolist() == [q_eval(q, v) for v in range(1 << dim)]
+
+
+@pytest.mark.parametrize("total", range(4, 8))
+def test_arf_oracle_matches_arf_on_cross_spaces(total):
+    # a + c = 4..7: dimensions 10, 14, 18 and 22
+    for a in range(2, total - 1):
+        q = quadratic_from_basis(build_cross_space(a, total - a))
+        assert q.form.dim == 4 * total - 6
+        assert arf_oracle(q) == arf(q)
 
 
 def test_operator_algebra():
@@ -306,6 +330,85 @@ def test_closure_sequence_matches_list_and_reference(monkeypatch):
     assert len(none) == 0 and list(none) == []
 
 
+def _closure_keys(gens):
+    return [_packed_key(g.cols) for g in group_closure(gens)]
+
+
+def _reference_keys(gens):
+    return sorted(map(_packed_key, _reference_closure(gens, gens[0].dim, CLOSURE_CAP)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_chain_closure_is_symmetric_group(n):
+    # the basis transvections of an n-chain generate S_{n+1}
+    gens = [transvection(1 << i, _chain_form(n)) for i in range(n)]
+    keys = _closure_keys(gens)
+    assert len(keys) == math.factorial(n + 1)
+    assert keys == _reference_keys(gens)
+
+
+def test_e6_closure_is_orthogonal_minus():
+    gens = [transvection(1 << i, e6_form()) for i in range(6)]
+    keys = _closure_keys(gens)
+    assert len(keys) == orthogonal_group_order(3, -1) == 51_840
+    assert keys == _reference_keys(gens)
+
+
+@pytest.mark.parametrize("values, arf_bit", [((1, 1, 1, 1), 1), ((1, 0, 1, 1), 0)])
+def test_sp4_closure_in_both_arf_classes(values, arf_bit):
+    form = _chain_form(4)
+    q = F2Quadratic(form, values)
+    assert arf(q) == arf_bit
+    ones = [v for v in range(1, 16) if q_eval(q, v) == 1]
+    zero = next(v for v in range(1, 16) if q_eval(q, v) == 0)
+    # the q-one transvections lie in O(q); one q-zero transvection more
+    # gives all of Sp(4,2)
+    o_gens = [transvection(v, form) for v in ones]
+    assert _closure_keys(o_gens) == _reference_keys(o_gens)
+    sp_gens = [*o_gens, transvection(zero, form)]
+    keys = _closure_keys(sp_gens)
+    assert len(keys) == sp_group_order(2)
+    assert keys == _reference_keys(sp_gens)
+
+
+def test_closure_keys_strictly_increase():
+    form = e6_form()
+    gens = [transvection(1 << i, form) for i in range(6)]
+    for group in (gens, [*gens, transvection(0b101, form)]):
+        keys = group_closure(group)._keys
+        assert keys.size in (51_840, 1_451_520)
+        assert bool(np.all(keys[1:] > keys[:-1]))
+
+
+def test_closure_refuses_a_singular_generator():
+    form = _chain_form(3)
+    singular = F2Operator(3, (1, 1, 4))
+    for gens in ([singular], [transvection(1, form), singular]):
+        with pytest.raises(ValueError, match=r"^operator is singular$"):
+            group_closure(gens)
+
+
+def test_closure_cap_is_checked_from_the_order(monkeypatch):
+    # E8 diagram: a 7-chain with one node on its third vertex; its basis
+    # transvections and one q-zero transvection generate Sp(8,2), of
+    # 47,377,612,800 elements, far above the cap
+    form = form_from_edges(8, [(i, i + 1) for i in range(6)] + [(2, 7)])
+    q = quadratic_from_basis(form)
+    assert q_eval(q, 0b101) == 0
+    assert wajnryb_classify([*(1 << i for i in range(8)), 0b101], q) == "full_symplectic"
+    gens = [transvection(v, form) for v in (*(1 << i for i in range(8)), 0b101)]
+    # refused before numpy is imported: any numpy import here would raise
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(RuntimeError, match=f"^closure exceeded cap {CLOSURE_CAP}$"):
+        group_closure(gens)
+    # just below the exact order, and a trivial group that grows no orbit
+    e6 = [transvection(1 << i, e6_form()) for i in range(6)]
+    with pytest.raises(RuntimeError, match=r"^closure exceeded cap 51839$"):
+        group_closure(e6, cap=51_839)
+    with pytest.raises(RuntimeError, match=r"^closure exceeded cap 0$"):
+        group_closure([F2Operator.identity(3)], cap=0)
+
+
 def test_operator_is_a_tuple_of_dim_and_cols():
     op = F2Operator(2, (1, 3))
     assert repr(op) == "F2Operator(dim=2, cols=(1, 3))"
@@ -463,6 +566,17 @@ def test_wajnryb_nonspecial_tree():
 def test_wajnryb_diagram_shapes(dim, edges, verdict):
     q = quadratic_from_basis(form_from_edges(dim, edges))
     assert wajnryb_classify([1 << i for i in range(dim)], q) == verdict
+
+
+def test_cross_space_dimension_cap(monkeypatch):
+    with pytest.raises(RuntimeError, match=r"^cross space dimension 1002 exceeds cap 1000$"):
+        build_cross_space(126, 126)
+    # the cap is read at each call; the form is never built above it
+    monkeypatch.setattr(f2sym, "CROSS_MAX_DIM", 10)
+    assert build_cross_space(2, 2).dim == 10
+    monkeypatch.setattr(f2sym, "form_from_edges", None)
+    with pytest.raises(RuntimeError, match=r"^cross space dimension 14 exceeds cap 10$"):
+        build_cross_space(2, 3)
 
 
 def test_classify_cross():
