@@ -4,8 +4,8 @@ One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
 error or bad input, 3 a resource limit was hit (search node cap, group
-closure cap, bmf factor cap or cross-space dimension cap) before a verdict
-was reached.  Braid
+closure cap, bmf factor cap, cross-space dimension cap or the tau0 slot
+cap of `verify nonconj`/`verify s7`) before a verdict was reached.  Braid
 equality compares Dynnikov coordinates, so no braid verdict meets the
 letter cap, which guards only braid.artin_rep.
 """
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # a node, closure, factor or dimension cap
+    except RuntimeError as exc:  # a node, closure, factor, dimension or slot cap
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if body is None:

@@ -7,10 +7,12 @@ columns.  The one pairing primitive is `F2BilinearForm.gram_image`: with
 it, (u, v) = parity(gram_image(u) & v).  `group_closure` builds a
 Schreier-Sims stabilizer chain of a group of invertible operators, with
 the basis vectors as base points, checks its cap against the chain's
-order and only then enumerates the group.  Dense numpy paths cover the
-dimensions we ever enumerate (<= 8 for closure, <= 24 for the Arf oracle).
-numpy is imported on first use, by the closure's enumeration and the
-q-table and Arf-oracle paths, so the rest of the package and the CLI load
+order and returns the chain: its length is the order, and iterating it
+enumerates the group coset by coset.  Dense numpy paths cover the
+dimensions we ever enumerate (<= 8 for closure, where a column fits one
+uint8 and an image table has 2^dim entries; <= 24 for the Arf oracle).
+numpy is imported on first use, by a closure's iteration and the q-table
+and Arf-oracle paths, so the rest of the package and the CLI load
 without it.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from operator import xor
 from typing import NamedTuple
 
@@ -111,14 +113,21 @@ class F2BilinearForm:
     gram: tuple
 
     def __post_init__(self):
-        if len(self.gram) != self.dim:
+        n = self.dim
+        if len(self.gram) != n:
             raise ValueError("gram must have dim rows")
+        transpose = [0] * n
         for i, row in enumerate(self.gram):
             if (row >> i) & 1:
                 raise ValueError("form must be alternating (zero diagonal)")
-            for j in range(self.dim):
-                if ((row >> j) & 1) != ((self.gram[j] >> i) & 1):
-                    raise ValueError("form must be symmetric")
+            if not 0 <= row < 1 << n:  # no row mirrors a bit at or past dim
+                raise ValueError("form must be symmetric")
+            while row:
+                low = row & -row
+                transpose[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        if transpose != list(self.gram):
+            raise ValueError("form must be symmetric")
 
     def gram_image(self, u: int) -> int:
         """G u, the XOR of the Gram rows on u's support: bit j is (u, e_j),
@@ -299,15 +308,14 @@ def build_cross_space(a, c) -> CrossSpace:
         "d": 2 * c - 2,
     }
     labels = ["s"]
-    for ch, ln in chains.items():
-        labels += [f"{ch}{k}" for k in range(1, ln + 1)]
-    dim = len(labels)
-    assert dim == 4 * (a + c) - 6
     edges = []
     for ch, ln in chains.items():
-        idx = [labels.index(f"{ch}{k}") for k in range(1, ln + 1)]
+        idx = range(len(labels), len(labels) + ln)
+        labels += [f"{ch}{k}" for k in range(1, ln + 1)]
         edges.append((0, idx[0]))  # s meets each chain's first cycle once
-        edges += list(zip(idx, idx[1:]))
+        edges += zip(idx, idx[1:])
+    dim = len(labels)
+    assert dim == 4 * (a + c) - 6
     return CrossSpace(a, c, tuple(labels), form_from_edges(dim, edges))
 
 
@@ -428,43 +436,42 @@ def preserves_q(g: F2Operator, q: F2Quadratic) -> bool:
 # Group closure and classification
 
 CLOSURE_CAP = 2_000_000
-CLOSURE_MAX_DIM = 8  # a packed key, one byte per column, fits one uint64
-_CHUNK = 1 << 16  # keys unpacked per numpy pass while iterating
+CLOSURE_MAX_DIM = 8  # a column fits one uint8; an image table has 2^dim entries
 
 
 class OperatorSequence:
-    """The F2Operators of a little-endian uint64 array of packed keys
-    (column i in byte i, so key order is the order of the column tuples
-    read from the last column), in array order (sorted, from
-    group_closure), as a read-only sized iterable.
+    """The group of a stabilizer chain, held as its transversals (the
+    levels of `_transversals`): a read-only sized iterable of F2Operators,
+    each once, in chain order.
 
-    ``len()`` reads the array and builds no operator.  Iteration reads a
-    chunk of keys as column lists at a time and builds the operators one
-    by one as they are taken, so none outlives its use unless the caller
-    keeps it.
+    ``len()`` is the product of the level lengths and builds nothing.
+    Iteration imports numpy, enumerates the stabilizer of e_0 once as a
+    uint8 column matrix (row k holds each element's image of e_k) and
+    yields the operators one level-0 coset at a time.
     """
 
-    __slots__ = ("_keys", "_dim")
+    __slots__ = ("_levels", "_dim")
 
-    def __init__(self, keys, dim):
-        self._keys = keys
+    def __init__(self, levels, dim):
+        self._levels = levels
         self._dim = dim
 
     def __len__(self):
-        return self._keys.size
-
-    def _operators(self, keys):
-        """Lazy map from an array of keys to their operators."""
-        dim = self._dim
-        cols = keys.view("u1").reshape(-1, 8)[:, :dim].T.tolist()
-        # tuple.__new__ skips the NamedTuple's Python-level __new__
-        return map(tuple.__new__, repeat(F2Operator), zip(repeat(dim), zip(*cols)))
+        return math.prod(map(len, self._levels))
 
     def __iter__(self):
-        keys = self._keys
-        return chain.from_iterable(
-            self._operators(keys[s : s + _CHUNK]) for s in range(0, keys.size, _CHUNK)
-        )
+        import numpy as np
+
+        dim = self._dim
+        tables = [np.array([_images(u) for u in lv], np.uint8) for lv in self._levels]
+        # an element applies the deepest level's transversal first
+        cols = np.array([[1 << k] for k in range(dim)], dtype=np.uint8)
+        for images in reversed(tables[1:]):
+            cols = images.T[cols].reshape(dim, -1)
+        for table in tables[0]:
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            ops = zip(repeat(dim), zip(*table[cols].tolist()))
+            yield from map(tuple.__new__, repeat(F2Operator), ops)
 
 
 def _transversals(gens, dim, cap):
@@ -540,44 +547,25 @@ def _transversals(gens, dim, cap):
 
 def group_closure(gens, cap=CLOSURE_CAP):
     """The group generated by invertible operators, as an OperatorSequence
-    over packed keys (one uint64 per operator, column i in byte i) sorted
-    and each once; empty for no generators.
+    over its stabilizer chain (`_transversals`); empty for no generators.
 
-    ValueError above CLOSURE_MAX_DIM or for a singular generator
-    ("operator is singular"), and RuntimeError("closure exceeded cap N")
-    for more than `cap` elements, checked from the stabilizer chain's
-    order (`_transversals`); all three before numpy is imported.  The
-    elements are then enumerated from the deepest level up: all elements
-    so far times all of a level's transversal at once, through image
-    tables, and sorted once.
+    ValueError for mixed dimensions, a dimension outside
+    1..CLOSURE_MAX_DIM or a singular generator ("operator is singular"),
+    and RuntimeError("closure exceeded cap N") for more than `cap`
+    elements, checked from the chain's order.  Neither these checks nor
+    ``len()`` import numpy; only iteration does.
     """
     gens = list(gens)
     if not gens:
-        import numpy as np
-
-        return OperatorSequence(np.empty(0, dtype=np.uint64), 0)
+        return OperatorSequence([[]], 0)
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("mixed dimensions")
     if dim > CLOSURE_MAX_DIM:
         raise ValueError(f"closure dimension cap {CLOSURE_MAX_DIM} exceeded")
-    levels = _transversals([g.cols for g in gens], dim, cap)
-    import numpy as np
-
-    cols = [np.array([1 << k], dtype=np.uint8) for k in range(dim)]
-    for level in reversed(levels):
-        u = np.array(level, dtype=np.uint8)
-        # images[m, v] is transversal element m applied to v
-        images = np.zeros((len(level), 1), dtype=np.uint8)
-        for k in range(dim):
-            images = np.concatenate([images, images ^ u[:, k : k + 1]], axis=1)
-        cols = [images[:, c].ravel() for c in cols]
-    keys = np.zeros(cols[0].size, dtype="<u8")
-    view = keys.view("u1").reshape(-1, 8)
-    for k, c in enumerate(cols):
-        view[:, k] = c
-    keys.sort()
-    return OperatorSequence(keys, dim)
+    if dim < 1:
+        raise ValueError("closure dimension must be >= 1")
+    return OperatorSequence(_transversals([g.cols for g in gens], dim, cap), dim)
 
 
 def _is_non_special_tree(vecs, form):

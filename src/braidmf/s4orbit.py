@@ -70,8 +70,6 @@ class TauFactorization:
     factors: tuple
 
     def __post_init__(self):
-        if self.b < 1 or self.d < 1:
-            raise ValueError("b and d must be >= 1")
         if len(self.factors) != self.length:
             raise ValueError(
                 f"expected {self.length} factors, got {len(self.factors)}"
@@ -89,9 +87,21 @@ class TauFactorization:
         return TauFactorization(self.b, self.d, tuple(factors))
 
 
+# `verify s7` at its default 10,000 trials takes 0.8 s at 100,000 slots,
+# 24 s at 1,000,000 and 266 s at 4,000,000 (2-core host).
+TAU_MAX_SLOTS = 100_000
+
+
 @functools.cache
 def tau0(b, d):
-    """The reference factorization: D-pairs then B-pairs."""
+    """The reference factorization: D-pairs then B-pairs.  ValueError
+    unless b, d >= 1, and RuntimeError("factorization of N slots exceeds
+    cap M") above TAU_MAX_SLOTS slots 4(b+d), before anything is built."""
+    if b < 1 or d < 1:
+        raise ValueError("b and d must be >= 1")
+    n = 4 * (b + d)
+    if n > TAU_MAX_SLOTS:
+        raise RuntimeError(f"factorization of {n} slots exceeds cap {TAU_MAX_SLOTS}")
     factors = (T12, T34) * (2 * d) + (T13, T24) * (2 * b)
     return TauFactorization(b, d, factors)
 

@@ -141,6 +141,32 @@ def test_cross_space_over_the_dimension_cap_exits_3(capsys, command):
     assert err == "error: cross space dimension 1002 exceeds cap 1000\n"
 
 
+@pytest.mark.parametrize("command", ["nonconj", "s7"])
+@pytest.mark.parametrize("b", ["25000", "99999999999999999999"])
+def test_verify_over_the_slot_cap_exits_3(monkeypatch, capsys, command, b):
+    # 4(b+d) slots above TAU_MAX_SLOTS = 100,000 are refused before any
+    # factorization is built, however large the int
+    def build(*args):
+        raise AssertionError("a factorization was built")
+
+    monkeypatch.setattr("braidmf.s4orbit.TauFactorization", build)
+    code = main(["verify", command, "--b", b, "--d", "1", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+    slots = 4 * (int(b) + 1)  # 100004 at b = 25000, just above the cap
+    assert err == f"error: factorization of {slots} slots exceeds cap 100000\n"
+
+
+def test_braid_eq_on_a_huge_strand_count(capsys):
+    # the coordinates grow only with the strands the letters touch
+    code = main(["braid", "eq", "--strands", "99999999999999999999",
+                 "--word1", "1", "--word2", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert "PASS    braid equality — words are equal as braids" in out
+
+
 def test_classify_and_obstruct(capsys):
     code, out = _run(capsys, "classify", "--a", "2", "--c", "3", "--json")
     assert code == 0

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,11 @@ def test_form_validation():
         F2BilinearForm(2, (0b01, 0b10))  # nonzero diagonal
     with pytest.raises(ValueError):
         F2BilinearForm(2, (0b10, 0b00))  # asymmetric
+    # bit 2 lies beyond dim 2: no row mirrors it
+    with pytest.raises(ValueError, match=r"^form must be symmetric$"):
+        F2BilinearForm(2, (0b110, 0b001))
+    with pytest.raises(ValueError, match=r"^form must be symmetric$"):
+        F2BilinearForm(2, (-2, 0b001))
     f = form_from_edges(3, [(0, 1)])
     assert f.rank() == 2 and f.rank() != f.dim
     assert _chain_form(4).rank() == 4
@@ -221,9 +229,12 @@ def _reference_closure(gens, dim, cap):
     return [tuple((k >> (dim * i)) & mask for i in range(dim)) for k in order]
 
 
-def _packed_key(cols):
-    """The packed key of an operator's columns: column i in bits dim*i."""
-    return sum(c << (len(cols) * i) for i, c in enumerate(cols))
+def _assert_each_once(closure, want):
+    """The closure yields exactly the column tuples `want`, each once;
+    its order is not compared."""
+    got = [g.cols for g in closure]
+    assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(want)
 
 
 def _random_generators(rng, dim):
@@ -258,10 +269,7 @@ def test_packed_closure_matches_reference():
                 capped += 1
                 continue
             closed += 1
-            keys = [_packed_key(g.cols) for g in group_closure(gens, cap)]
-            # strictly increasing keys: sorted, and no element twice
-            assert keys == sorted(set(keys))
-            assert keys == sorted(map(_packed_key, want))
+            _assert_each_once(group_closure(gens, cap), want)
             # the cap raises exactly when the closure outgrows it
             for small in (len(want) - 1, len(want) // 2):
                 with pytest.raises(RuntimeError, match=f"^closure exceeded cap {small}$"):
@@ -300,12 +308,12 @@ def test_closure_len_builds_no_operator(monkeypatch):
         raise AssertionError("an operator was built")
 
     monkeypatch.setattr(f2sym, "F2Operator", broken)
+    # nor is numpy imported: any numpy import here would raise
+    monkeypatch.setitem(sys.modules, "numpy", None)
     assert len(group_closure(gens)) == 51_840
 
 
-def test_closure_sequence_matches_list_and_reference(monkeypatch):
-    # a small chunk makes iteration cross many chunk boundaries
-    monkeypatch.setattr(f2sym, "_CHUNK", 7)
+def test_closure_sequence_matches_list_and_reference():
     rng = random.Random(47)
     checked = 0
     for dim in range(1, 7):
@@ -318,7 +326,7 @@ def test_closure_sequence_matches_list_and_reference(monkeypatch):
             checked += 1
             c = group_closure(gens)
             ops = list(c)
-            assert [g.cols for g in ops] == sorted(want, key=_packed_key)
+            _assert_each_once(ops, want)
             assert list(c) == ops  # a second iteration gives the same
             assert len(c) == len(ops) and list(group_closure(gens)) == ops
     assert checked > 20
@@ -330,28 +338,24 @@ def test_closure_sequence_matches_list_and_reference(monkeypatch):
     assert len(none) == 0 and list(none) == []
 
 
-def _closure_keys(gens):
-    return [_packed_key(g.cols) for g in group_closure(gens)]
-
-
-def _reference_keys(gens):
-    return sorted(map(_packed_key, _reference_closure(gens, gens[0].dim, CLOSURE_CAP)))
+def _checked_closure_size(gens):
+    """|<gens>|, after checking the closure against the reference, each
+    element once."""
+    closure = group_closure(gens)
+    _assert_each_once(closure, _reference_closure(gens, gens[0].dim, CLOSURE_CAP))
+    return len(closure)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_chain_closure_is_symmetric_group(n):
     # the basis transvections of an n-chain generate S_{n+1}
     gens = [transvection(1 << i, _chain_form(n)) for i in range(n)]
-    keys = _closure_keys(gens)
-    assert len(keys) == math.factorial(n + 1)
-    assert keys == _reference_keys(gens)
+    assert _checked_closure_size(gens) == math.factorial(n + 1)
 
 
 def test_e6_closure_is_orthogonal_minus():
     gens = [transvection(1 << i, e6_form()) for i in range(6)]
-    keys = _closure_keys(gens)
-    assert len(keys) == orthogonal_group_order(3, -1) == 51_840
-    assert keys == _reference_keys(gens)
+    assert _checked_closure_size(gens) == orthogonal_group_order(3, -1) == 51_840
 
 
 @pytest.mark.parametrize("values, arf_bit", [((1, 1, 1, 1), 1), ((1, 0, 1, 1), 0)])
@@ -364,20 +368,51 @@ def test_sp4_closure_in_both_arf_classes(values, arf_bit):
     # the q-one transvections lie in O(q); one q-zero transvection more
     # gives all of Sp(4,2)
     o_gens = [transvection(v, form) for v in ones]
-    assert _closure_keys(o_gens) == _reference_keys(o_gens)
+    _checked_closure_size(o_gens)
     sp_gens = [*o_gens, transvection(zero, form)]
-    keys = _closure_keys(sp_gens)
-    assert len(keys) == sp_group_order(2)
-    assert keys == _reference_keys(sp_gens)
+    assert _checked_closure_size(sp_gens) == sp_group_order(2)
 
 
-def test_closure_keys_strictly_increase():
+def test_closure_yields_each_element_once():
     form = e6_form()
     gens = [transvection(1 << i, form) for i in range(6)]
-    for group in (gens, [*gens, transvection(0b101, form)]):
-        keys = group_closure(group)._keys
-        assert keys.size in (51_840, 1_451_520)
+    sp6 = [*gens, transvection(0b101, form)]
+    for group, order in ((gens, 51_840), (sp6, 1_451_520)):
+        closure = group_closure(group)
+        # one little-endian uint64 key per element, column i in byte i
+        packed = b"".join(bytes(g.cols + (0, 0)) for g in closure)
+        keys = np.sort(np.frombuffer(packed, dtype="<u8"))
+        assert len(closure) == keys.size == order
         assert bool(np.all(keys[1:] > keys[:-1]))
+
+
+def test_closure_refuses_dimension_0(monkeypatch):
+    def build(*args):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(f2sym, "_transversals", build)
+    with pytest.raises(ValueError, match=r"^closure dimension must be >= 1$"):
+        group_closure([F2Operator(0, ())])
+
+
+_ITERATION_DIGEST = """
+import hashlib
+from braidmf.f2sym import e6_form, group_closure, transvection
+gens = [transvection(1 << i, e6_form()) for i in range(6)]
+print(hashlib.sha256(repr([g.cols for g in group_closure(gens)]).encode()).hexdigest())
+"""
+
+
+def test_closure_order_does_not_depend_on_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", _ITERATION_DIGEST],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_closure_refuses_a_singular_generator():

@@ -21,6 +21,7 @@ from braidmf.s4orbit import (
     T13,
     T24,
     T34,
+    TAU_MAX_SLOTS,
     TRIVIAL,
     WINDOW_DERIVATIONS,
     HatBits,
@@ -57,6 +58,14 @@ def test_tau0_structure():
     assert hurwitz.product(f.factors).is_identity()
     with pytest.raises(ValueError):
         tau0(0, 1)
+    # the slot cap counts 4(b+d); huge ints of either sign are refused
+    # before any tuple is built
+    assert tau0(24_999, 1).length == TAU_MAX_SLOTS == 100_000
+    cap = r"^factorization of 100004 slots exceeds cap 100000$"
+    with pytest.raises(RuntimeError, match=cap):
+        tau0(25_000, 1)
+    with pytest.raises(ValueError, match=r"^b and d must be >= 1$"):
+        tau0(-10**20, 10**20)
 
 
 def test_tau0_and_snake_word_are_built_once():
