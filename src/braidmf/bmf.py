@@ -8,7 +8,6 @@ distinguishes surfaces with matching classical invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .braid import BraidWord, band_generator
@@ -55,16 +54,31 @@ def _indented_json(x, pad=""):
     raise TypeError(f"{t.__name__} is not JSON serializable")
 
 
-@dataclass(frozen=True)
 class SurfaceParams:
-    a: int
-    b: int
-    c: int
-    d: int
+    """The positive integers (a, b, c, d) of a surface; immutable and
+    hashable, and vars() gives the fields in order."""
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 1:
+    def __init__(self, a, b, c, d):
+        if min(a, b, c, d) < 1:
             raise ValueError("parameters must be positive")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SurfaceParams is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is SurfaceParams and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"SurfaceParams(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @property
     def toy(self):
@@ -81,22 +95,43 @@ class SurfaceParams:
         return SurfaceParams(self.c, self.d, self.a, self.b)
 
 
-@dataclass(frozen=True)
 class Counts:
-    m: int          # proper nodes
-    k: int          # cusps
-    nu: int         # signed node count (only the difference is determined)
-    t_f: int
-    t_g: int
-    t: int          # vertical tangents
-    gR: int
-    chi: int
-    K2: int
-    r: int          # canonical divisibility
-    dim_lower: int
-    dim_upper: int
-    weighted_p: int
-    weighted_q: int
+    """The closed-form counts of a surface; immutable and hashable, and
+    vars() gives the fields in order."""
+
+    def __init__(
+        self, m, k, nu, t_f, t_g, t, gR, chi, K2, r,
+        dim_lower, dim_upper, weighted_p, weighted_q,
+    ):
+        object.__setattr__(self, "m", m)  # proper nodes
+        object.__setattr__(self, "k", k)  # cusps
+        # signed node count (only the difference is determined)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "t_f", t_f)
+        object.__setattr__(self, "t_g", t_g)
+        object.__setattr__(self, "t", t)  # vertical tangents
+        object.__setattr__(self, "gR", gR)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "K2", K2)
+        object.__setattr__(self, "r", r)  # canonical divisibility
+        object.__setattr__(self, "dim_lower", dim_lower)
+        object.__setattr__(self, "dim_upper", dim_upper)
+        object.__setattr__(self, "weighted_p", weighted_p)
+        object.__setattr__(self, "weighted_q", weighted_q)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Counts is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is Counts and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"Counts({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def surface_counts(p: SurfaceParams) -> Counts:
@@ -146,15 +181,37 @@ def twist_str(tag) -> str:
     return f"{tag[0]}_{{{tag[1]},{tag[2]}}}"
 
 
-@dataclass(frozen=True)
 class BmfFactor:
-    twist: tuple
-    exponent: int
-    conjugator: tuple = ()  # sequence of (twist tag, power), applied as x^g
+    """One twist of a factorization: twist^exponent, conjugated by the
+    sequence of (twist tag, power) pairs `conjugator`, applied as x^g."""
 
-    def __post_init__(self):
-        if self.exponent not in GEOM_BY_EXP:
-            raise ValueError(f"exponent {self.exponent} has no geometric type")
+    __slots__ = ("twist", "exponent", "conjugator")
+
+    def __init__(self, twist, exponent, conjugator=()):
+        if exponent not in GEOM_BY_EXP:
+            raise ValueError(f"exponent {exponent} has no geometric type")
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "conjugator", conjugator)
+
+    def __setattr__(self, *a):
+        raise AttributeError("BmfFactor is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is BmfFactor and (
+            self.twist, self.exponent, self.conjugator
+        ) == (other.twist, other.exponent, other.conjugator)
+
+    def __hash__(self):
+        return hash((self.twist, self.exponent, self.conjugator))
+
+    def __repr__(self):
+        return (
+            f"BmfFactor(twist={self.twist!r}, exponent={self.exponent!r}, "
+            f"conjugator={self.conjugator!r})"
+        )
 
     @property
     def geom_type(self):
@@ -169,17 +226,57 @@ class BmfFactor:
         }
 
 
-@dataclass(frozen=True)
 class Block:
-    kind: str
-    rep: int
-    factors: tuple
+    """`rep`-th block of kind `kind`: a tuple of BmfFactors."""
+
+    __slots__ = ("kind", "rep", "factors")
+
+    def __init__(self, kind, rep, factors):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Block is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is Block and (self.kind, self.rep, self.factors) == (
+            other.kind, other.rep, other.factors
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.rep, self.factors))
+
+    def __repr__(self):
+        return f"Block(kind={self.kind!r}, rep={self.rep!r}, factors={self.factors!r})"
 
 
-@dataclass(frozen=True)
 class BmfFactorization:
-    params: SurfaceParams
-    blocks: tuple
+    """The blocks of the factorization of the surface `params`."""
+
+    __slots__ = ("params", "blocks")
+
+    def __init__(self, params, blocks):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, *a):
+        raise AttributeError("BmfFactorization is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is BmfFactorization and (self.params, self.blocks) == (
+            other.params, other.blocks
+        )
+
+    def __hash__(self):
+        return hash((self.params, self.blocks))
+
+    def __repr__(self):
+        return f"BmfFactorization(params={self.params!r}, blocks={self.blocks!r})"
 
     @property
     def factors(self):

@@ -29,7 +29,7 @@ built, and compose left-to-right, like everything else in this package.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from .hurwitz import hurwitz_move
 from .perm import Perm
@@ -176,15 +176,14 @@ class BraidWord(FreeWord):
         return f"<{body} n={self.strands}>"
 
 
-class ArtinAuto(NamedTuple):
+class ArtinAuto(namedtuple("ArtinAuto", "rank images")):
     """A free-group automorphism given by the tuple of generator images.
 
     Two braid words are equal iff their automorphisms agree on every
     (freely reduced) generator image.
     """
 
-    rank: int
-    images: tuple
+    __slots__ = ()
 
     @classmethod
     def identity(cls, rank):

@@ -4,10 +4,10 @@ One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
 error or bad input, 3 a resource limit was hit (search node cap, group
-closure cap, bmf factor cap, cross-space dimension cap or the tau0 slot
-cap of `verify nonconj`/`verify s7`) before a verdict was reached.  Braid
-equality compares Dynnikov coordinates, so no braid verdict meets the
-letter cap, which guards only braid.artin_rep.
+closure cap, bmf factor cap, cross-space dimension cap, or the tau0 slot
+cap or trials cap of `verify nonconj`/`verify s7`) before a verdict was
+reached.  Braid equality compares Dynnikov coordinates, so no braid
+verdict meets the letter cap, which guards only braid.artin_rep.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ def verify_nonconj(args):
 
 
 def verify_s7(args):
-    agree = sum(r["agree"] for r in snake_table(args.b, args.d))
+    # property_run checks the trials before anything is built
     v = property_run(args.b, args.d, args.trials, args.seed)["violations"]
+    agree = sum(r["agree"] for r in snake_table(args.b, args.d))
     rep, ok = _nonconjugacy(args)
     checks = [_check("snake window table", agree == 16, f"{agree}/16 windows")]
     for name, key, tail in (
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # a node, closure, factor, dimension or slot cap
+    except RuntimeError as exc:  # a resource cap
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if body is None:

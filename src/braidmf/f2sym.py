@@ -19,11 +19,10 @@ without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import xor
-from typing import NamedTuple
 
 
 def _parity(x: int) -> int:
@@ -105,29 +104,44 @@ class F2Vec:
         return cls(dim, 1 << i)
 
 
-@dataclass(frozen=True)
 class F2BilinearForm:
     """Alternating symmetric form; gram rows stored as int bitsets."""
 
-    dim: int
-    gram: tuple
+    __slots__ = ("dim", "gram")
 
-    def __post_init__(self):
-        n = self.dim
-        if len(self.gram) != n:
+    def __init__(self, dim, gram):
+        if len(gram) != dim:
             raise ValueError("gram must have dim rows")
-        transpose = [0] * n
-        for i, row in enumerate(self.gram):
+        transpose = [0] * dim
+        for i, row in enumerate(gram):
             if (row >> i) & 1:
                 raise ValueError("form must be alternating (zero diagonal)")
-            if not 0 <= row < 1 << n:  # no row mirrors a bit at or past dim
+            if not 0 <= row < 1 << dim:  # no row mirrors a bit at or past dim
                 raise ValueError("form must be symmetric")
             while row:
                 low = row & -row
                 transpose[low.bit_length() - 1] |= 1 << i
                 row ^= low
-        if transpose != list(self.gram):
+        if transpose != list(gram):
             raise ValueError("form must be symmetric")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gram", gram)
+
+    def __setattr__(self, *a):
+        raise AttributeError("F2BilinearForm is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is F2BilinearForm and (self.dim, self.gram) == (
+            other.dim, other.gram
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.gram))
+
+    def __repr__(self):
+        return f"F2BilinearForm(dim={self.dim!r}, gram={self.gram!r})"
 
     def gram_image(self, u: int) -> int:
         """G u, the XOR of the Gram rows on u's support: bit j is (u, e_j),
@@ -152,19 +166,33 @@ def form_from_edges(dim, edges):
     return F2BilinearForm(dim, tuple(gram))
 
 
-@dataclass(frozen=True)
 class F2Quadratic:
     """Quadratic refinement determined by its values on the basis:
     q(u+v) = q(u) + q(v) + (u,v)."""
 
-    form: F2BilinearForm
-    basis_values: tuple
-
-    def __post_init__(self):
-        if len(self.basis_values) != self.form.dim:
+    def __init__(self, form, basis_values):
+        if len(basis_values) != form.dim:
             raise ValueError("need one value per basis vector")
-        if any(b not in (0, 1) for b in self.basis_values):
+        if any(b not in (0, 1) for b in basis_values):
             raise ValueError("q values on the basis must be 0 or 1")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "basis_values", basis_values)
+
+    def __setattr__(self, *a):
+        raise AttributeError("F2Quadratic is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is F2Quadratic and (self.form, self.basis_values) == (
+            other.form, other.basis_values
+        )
+
+    def __hash__(self):
+        return hash((self.form, self.basis_values))
+
+    def __repr__(self):
+        return f"F2Quadratic(form={self.form!r}, basis_values={self.basis_values!r})"
 
     @cached_property
     def _level_sets(self) -> tuple:
@@ -201,16 +229,15 @@ def q_eval(q: F2Quadratic, v: int) -> int:
     return val
 
 
-class F2Operator(NamedTuple):
+class F2Operator(namedtuple("F2Operator", "dim cols")):
     """Linear map; cols[i] is the image of basis vector i as a bitset.
 
-    A NamedTuple, so an operator costs one tuple.  Operators compare and
+    A namedtuple, so an operator costs one tuple.  Operators compare and
     hash by (dim, cols); being a tuple, an operator also equals its plain
     ``(dim, cols)`` tuple, and ``len(op) == 2``.
     """
 
-    dim: int
-    cols: tuple
+    __slots__ = ()
 
     def apply(self, v: int) -> int:
         return _combine(self.cols, v)
@@ -265,16 +292,37 @@ def transvection(u: int, form: F2BilinearForm) -> F2Operator:
 # The cross space
 
 
-@dataclass(frozen=True)
 class CrossSpace:
     """Homology of the horizontal fibre: four chains a, b, c, d of cycles
     joined through the central cycle s.  Chain lengths 2a-1, 2c-2, 2a-2,
     2c-2; dim = 4(a+c) - 6 = twice the fibre genus."""
 
-    a: int
-    c: int
-    labels: tuple
-    form: F2BilinearForm
+    __slots__ = ("a", "c", "labels", "form")
+
+    def __init__(self, a, c, labels, form):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "form", form)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CrossSpace is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is CrossSpace and (
+            self.a, self.c, self.labels, self.form
+        ) == (other.a, other.c, other.labels, other.form)
+
+    def __hash__(self):
+        return hash((self.a, self.c, self.labels, self.form))
+
+    def __repr__(self):
+        return (
+            f"CrossSpace(a={self.a!r}, c={self.c!r}, labels={self.labels!r}, "
+            f"form={self.form!r})"
+        )
 
     @property
     def dim(self):
@@ -469,7 +517,7 @@ class OperatorSequence:
         for images in reversed(tables[1:]):
             cols = images.T[cols].reshape(dim, -1)
         for table in tables[0]:
-            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            # tuple.__new__ skips the namedtuple's Python-level __new__
             ops = zip(repeat(dim), zip(*table[cols].tolist()))
             yield from map(tuple.__new__, repeat(F2Operator), ops)
 

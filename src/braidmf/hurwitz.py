@@ -27,7 +27,6 @@ through `hurwitz_move` once per move.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .perm import Perm, symmetric_group
 
@@ -130,12 +129,35 @@ def _act_moves_s4(f, moves, lo, hi):
     return f[:lo] + window + f[hi:]
 
 
-@dataclass
 class SearchResult:
-    found: bool
-    moves: list
-    visited: int
-    depth_reached: int
+    """What `orbit_search` returns; immutable, and unhashable because
+    `moves` is a list."""
+
+    __slots__ = ("found", "moves", "visited", "depth_reached")
+
+    def __init__(self, found, moves, visited, depth_reached):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "visited", visited)
+        object.__setattr__(self, "depth_reached", depth_reached)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SearchResult is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is SearchResult and (
+            self.found, self.moves, self.visited, self.depth_reached
+        ) == (other.found, other.moves, other.visited, other.depth_reached)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"SearchResult(found={self.found!r}, moves={self.moves!r}, "
+            f"visited={self.visited!r}, depth_reached={self.depth_reached!r})"
+        )
 
 
 def _moves_to_root(seen, node):

@@ -302,6 +302,29 @@ def test_trials_below_one_is_usage_error(capsys, argv):
     assert out == "" and err.startswith("error: trials must be >= 1")
 
 
+@pytest.mark.parametrize("command", ["nonconj", "s7"])
+@pytest.mark.parametrize("trials", ["1000001", "100000000000000000000"])
+def test_trials_over_the_cap_exit_3(monkeypatch, capsys, command, trials):
+    # more than TRIALS_MAX = 1,000,000 trials is refused before anything is
+    # built, so a huge --trials no longer runs until killed
+    def build(*args):
+        raise AssertionError("a factorization was built")
+
+    monkeypatch.setattr("braidmf.s4orbit.TauFactorization", build)
+    monkeypatch.setattr("braidmf.s4orbit.HatBits", build)
+    code = main(["verify", command, "--b", "1", "--d", "1", "--trials", trials])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err == f"error: {trials} trials exceed cap 1000000\n"
+
+
+def test_trials_cap_admits_its_value():
+    from braidmf.s4orbit import TRIALS_MAX, _check_trials
+
+    assert TRIALS_MAX == 1_000_000
+    assert _check_trials(TRIALS_MAX) is None
+
+
 def test_hurwitz_act_move_out_of_range(tmp_path, capsys):
     path = tmp_path / "fact.json"
     path.write_text(json.dumps({"group": "s4", "elements": [[2, 1, 3, 4]] * 2}))
@@ -483,13 +506,14 @@ def test_negative_max_depth_is_bad_input(tmp_path, capsys, sub):
 
 
 # A fresh interpreter imports the package in three stages and reports which
-# braidmf submodules and whether numpy are loaded after each.
+# braidmf submodules, and which of some costly modules, are loaded after each.
 _IMPORT_STAGES = """
 import json, sys
 
 def loaded():
     subs = sorted(m for m in sys.modules if m.startswith("braidmf."))
-    return {"modules": subs, "numpy": "numpy" in sys.modules}
+    costly = ("dataclasses", "inspect", "numpy", "random", "typing")
+    return {"modules": subs, "costly": [m for m in costly if m in sys.modules]}
 
 import braidmf
 out = {"public": [n for n in vars(braidmf) if not n.startswith("_")],
@@ -503,25 +527,37 @@ print(json.dumps(out))
 """
 
 
-def test_names_have_one_import_path():
-    # The package root re-exports nothing, so each name is imported from
-    # its module, and the word, Hurwitz, orbit and census layers load
-    # without numpy.  The benchmark's set-up probe imports braidmf.cli and
-    # builds its parser, which loads every module but still not numpy.
+def _import_stages(*flags):
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_STAGES],
+        [sys.executable, *flags, "-c", _IMPORT_STAGES],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_names_have_one_import_path():
+    # The package root re-exports nothing, so each name is imported from
+    # its module, and the word, Hurwitz, orbit and census layers load
+    # without numpy.  The benchmark's set-up probe imports braidmf.cli and
+    # builds its parser, which loads every module but still not numpy,
+    # and not dataclasses or inspect either.
+    out = _import_stages()
     assert out["public"] == [] and out["version"]
-    assert out["root"] == {"modules": [], "numpy": False}
+    assert out["root"]["modules"] == []
     core = ["bmf", "braid", "hurwitz", "perm", "s4orbit"]
-    assert out["core"] == {"modules": [f"braidmf.{m}" for m in core], "numpy": False}
+    assert out["core"]["modules"] == [f"braidmf.{m}" for m in core]
     every = sorted([*core, "cli", "f2sym"])
-    assert out["cli"] == {"modules": [f"braidmf.{m}" for m in every], "numpy": False}
+    assert out["cli"]["modules"] == [f"braidmf.{m}" for m in every]
+    for stage in ("root", "core", "cli"):
+        assert not {"dataclasses", "inspect", "numpy"} & set(out[stage]["costly"])
+    # Without the site module no .pth file preloads typing or random, so
+    # the package's own imports show: none of the costly modules.
+    bare = _import_stages("-S")
+    for stage in ("root", "core", "cli"):
+        assert bare[stage] == {"modules": out[stage]["modules"], "costly": []}
 
 
 _NUMPY_FREE = """

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -769,8 +768,11 @@ def test_quadratic_rejects_values_outside_f2():
     for values in ((2, 1), (0, -1), (1, 3)):
         with pytest.raises(ValueError, match="must be 0 or 1"):
             F2Quadratic(plane, values)
-        with pytest.raises(ValueError, match="must be 0 or 1"):
-            dataclasses.replace(quadratic_from_basis(plane), basis_values=values)
+    # nor can a built refinement take them: its fields cannot be assigned
+    q = quadratic_from_basis(plane)
+    with pytest.raises(AttributeError):
+        q.basis_values = (2, 1)
+    assert q.basis_values == (1, 1)
 
 
 def test_q_eval_and_classify_reject_vectors_beyond_the_form():

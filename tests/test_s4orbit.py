@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from itertools import product
 from pathlib import Path
 
@@ -71,7 +70,7 @@ def test_tau0_structure():
 def test_tau0_and_snake_word_are_built_once():
     f = tau0(2, 3)
     assert tau0(2, 3) is f
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         f.factors = ()
     w = snake_word(3, 20)
     assert snake_word(3, 20) is w
