@@ -12,6 +12,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .braid import BraidWord, band_generator
 from .hurwitz import act_moves, act_word
+from .perm import Record
 
 GEOM_BY_EXP = {1: "tangency", 2: "pos_node", -2: "neg_node", 3: "cusp"}
 
@@ -54,9 +55,11 @@ def _indented_json(x, pad=""):
     raise TypeError(f"{t.__name__} is not JSON serializable")
 
 
-class SurfaceParams:
+class SurfaceParams(Record):
     """The positive integers (a, b, c, d) of a surface; immutable and
     hashable, and vars() gives the fields in order."""
+
+    _fields = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         if min(a, b, c, d) < 1:
@@ -65,20 +68,6 @@ class SurfaceParams:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SurfaceParams is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is SurfaceParams and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"SurfaceParams(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @property
     def toy(self):
@@ -95,9 +84,14 @@ class SurfaceParams:
         return SurfaceParams(self.c, self.d, self.a, self.b)
 
 
-class Counts:
+class Counts(Record):
     """The closed-form counts of a surface; immutable and hashable, and
     vars() gives the fields in order."""
+
+    _fields = (
+        "m", "k", "nu", "t_f", "t_g", "t", "gR", "chi", "K2", "r",
+        "dim_lower", "dim_upper", "weighted_p", "weighted_q",
+    )
 
     def __init__(
         self, m, k, nu, t_f, t_g, t, gR, chi, K2, r,
@@ -118,20 +112,6 @@ class Counts:
         object.__setattr__(self, "dim_upper", dim_upper)
         object.__setattr__(self, "weighted_p", weighted_p)
         object.__setattr__(self, "weighted_q", weighted_q)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Counts is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is Counts and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self):
-        return f"Counts({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def surface_counts(p: SurfaceParams) -> Counts:
@@ -181,7 +161,7 @@ def twist_str(tag) -> str:
     return f"{tag[0]}_{{{tag[1]},{tag[2]}}}"
 
 
-class BmfFactor:
+class BmfFactor(Record):
     """One twist of a factorization: twist^exponent, conjugated by the
     sequence of (twist tag, power) pairs `conjugator`, applied as x^g."""
 
@@ -193,25 +173,6 @@ class BmfFactor:
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "conjugator", conjugator)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BmfFactor is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is BmfFactor and (
-            self.twist, self.exponent, self.conjugator
-        ) == (other.twist, other.exponent, other.conjugator)
-
-    def __hash__(self):
-        return hash((self.twist, self.exponent, self.conjugator))
-
-    def __repr__(self):
-        return (
-            f"BmfFactor(twist={self.twist!r}, exponent={self.exponent!r}, "
-            f"conjugator={self.conjugator!r})"
-        )
 
     @property
     def geom_type(self):
@@ -226,7 +187,7 @@ class BmfFactor:
         }
 
 
-class Block:
+class Block(Record):
     """`rep`-th block of kind `kind`: a tuple of BmfFactors."""
 
     __slots__ = ("kind", "rep", "factors")
@@ -236,24 +197,8 @@ class Block:
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "factors", factors)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Block is immutable")
 
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is Block and (self.kind, self.rep, self.factors) == (
-            other.kind, other.rep, other.factors
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.rep, self.factors))
-
-    def __repr__(self):
-        return f"Block(kind={self.kind!r}, rep={self.rep!r}, factors={self.factors!r})"
-
-
-class BmfFactorization:
+class BmfFactorization(Record):
     """The blocks of the factorization of the surface `params`."""
 
     __slots__ = ("params", "blocks")
@@ -261,22 +206,6 @@ class BmfFactorization:
     def __init__(self, params, blocks):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BmfFactorization is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is BmfFactorization and (self.params, self.blocks) == (
-            other.params, other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.params, self.blocks))
-
-    def __repr__(self):
-        return f"BmfFactorization(params={self.params!r}, blocks={self.blocks!r})"
 
     @property
     def factors(self):

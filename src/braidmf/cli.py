@@ -3,11 +3,9 @@
 One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
-error or bad input, 3 a resource limit was hit (search node cap, group
-closure cap, bmf factor cap, cross-space dimension cap, or the tau0 slot
-cap or trials cap of `verify nonconj`/`verify s7`) before a verdict was
-reached.  Braid equality compares Dynnikov coordinates, so no braid
-verdict meets the letter cap, which guards only braid.artin_rep.
+error or bad input, 3 a resource limit was hit (search node cap, bmf
+factor cap, cross-space dimension cap, or the tau0 slot cap or trials cap
+of `verify nonconj`/`verify s7`) before a verdict was reached.
 """
 
 from __future__ import annotations

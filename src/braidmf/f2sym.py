@@ -24,6 +24,8 @@ from functools import cached_property, reduce
 from itertools import repeat
 from operator import xor
 
+from .perm import Record
+
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
@@ -104,7 +106,7 @@ class F2Vec:
         return cls(dim, 1 << i)
 
 
-class F2BilinearForm:
+class F2BilinearForm(Record):
     """Alternating symmetric form; gram rows stored as int bitsets."""
 
     __slots__ = ("dim", "gram")
@@ -126,22 +128,6 @@ class F2BilinearForm:
             raise ValueError("form must be symmetric")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, *a):
-        raise AttributeError("F2BilinearForm is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is F2BilinearForm and (self.dim, self.gram) == (
-            other.dim, other.gram
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.gram))
-
-    def __repr__(self):
-        return f"F2BilinearForm(dim={self.dim!r}, gram={self.gram!r})"
 
     def gram_image(self, u: int) -> int:
         """G u, the XOR of the Gram rows on u's support: bit j is (u, e_j),
@@ -166,9 +152,11 @@ def form_from_edges(dim, edges):
     return F2BilinearForm(dim, tuple(gram))
 
 
-class F2Quadratic:
+class F2Quadratic(Record):
     """Quadratic refinement determined by its values on the basis:
     q(u+v) = q(u) + q(v) + (u,v)."""
+
+    _fields = ("form", "basis_values")
 
     def __init__(self, form, basis_values):
         if len(basis_values) != form.dim:
@@ -177,22 +165,6 @@ class F2Quadratic:
             raise ValueError("q values on the basis must be 0 or 1")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "basis_values", basis_values)
-
-    def __setattr__(self, *a):
-        raise AttributeError("F2Quadratic is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is F2Quadratic and (self.form, self.basis_values) == (
-            other.form, other.basis_values
-        )
-
-    def __hash__(self):
-        return hash((self.form, self.basis_values))
-
-    def __repr__(self):
-        return f"F2Quadratic(form={self.form!r}, basis_values={self.basis_values!r})"
 
     @cached_property
     def _level_sets(self) -> tuple:
@@ -292,7 +264,7 @@ def transvection(u: int, form: F2BilinearForm) -> F2Operator:
 # The cross space
 
 
-class CrossSpace:
+class CrossSpace(Record):
     """Homology of the horizontal fibre: four chains a, b, c, d of cycles
     joined through the central cycle s.  Chain lengths 2a-1, 2c-2, 2a-2,
     2c-2; dim = 4(a+c) - 6 = twice the fibre genus."""
@@ -304,25 +276,6 @@ class CrossSpace:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "form", form)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CrossSpace is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is CrossSpace and (
-            self.a, self.c, self.labels, self.form
-        ) == (other.a, other.c, other.labels, other.form)
-
-    def __hash__(self):
-        return hash((self.a, self.c, self.labels, self.form))
-
-    def __repr__(self):
-        return (
-            f"CrossSpace(a={self.a!r}, c={self.c!r}, labels={self.labels!r}, "
-            f"form={self.form!r})"
-        )
 
     @property
     def dim(self):

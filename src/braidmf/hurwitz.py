@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 
-from .perm import Perm, symmetric_group
+from .perm import Perm, Record, symmetric_group
 
 
 def product(f):
@@ -129,7 +129,7 @@ def _act_moves_s4(f, moves, lo, hi):
     return f[:lo] + window + f[hi:]
 
 
-class SearchResult:
+class SearchResult(Record):
     """What `orbit_search` returns; immutable, and unhashable because
     `moves` is a list."""
 
@@ -141,23 +141,7 @@ class SearchResult:
         object.__setattr__(self, "visited", visited)
         object.__setattr__(self, "depth_reached", depth_reached)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SearchResult is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is SearchResult and (
-            self.found, self.moves, self.visited, self.depth_reached
-        ) == (other.found, other.moves, other.visited, other.depth_reached)
-
     __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"SearchResult(found={self.found!r}, moves={self.moves!r}, "
-            f"visited={self.visited!r}, depth_reached={self.depth_reached!r})"
-        )
 
 
 def _moves_to_root(seen, node):

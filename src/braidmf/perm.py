@@ -6,12 +6,46 @@ then q".  Conjugation is ``p.conjugate(g) == g.inverse() * p * g``.
 
 Points are 1-based in cycle notation and in the JSON wire format
 (an array of 1-based images); internally images are stored 0-based.
+
+The module also holds `Record`, the base class of the package's value
+records.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
+
+
+class Record:
+    """The package's value records: immutable, equal field by field within
+    their own class, hashed like the tuple of their fields, and shown as
+    ``Class(field=value, ...)``.  The fields are a subclass's ``__slots__``,
+    or its ``_fields`` when it keeps an instance ``__dict__`` (for vars()
+    or a cached_property).  Each subclass has its own ``__init__``, which
+    validates and sets the fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__name__}({body})"
 
 
 class Perm:

@@ -47,7 +47,7 @@ import itertools
 
 from .braid import BraidWord
 from .hurwitz import act_moves, act_word, product
-from .perm import Perm
+from .perm import Perm, Record
 
 T12 = Perm.transposition(1, 2, 4)
 T34 = Perm.transposition(3, 4, 4)
@@ -59,7 +59,7 @@ D_VALUES = (T12, T34)
 B_VALUES = (T13, T24)
 
 
-class TauFactorization:
+class TauFactorization(Record):
     """A length-4(b+d) transposition factorization in the orbit superset."""
 
     __slots__ = ("b", "d", "factors")
@@ -70,22 +70,6 @@ class TauFactorization:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TauFactorization is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is TauFactorization and (self.b, self.d, self.factors) == (
-            other.b, other.d, other.factors
-        )
-
-    def __hash__(self):
-        return hash((self.b, self.d, self.factors))
-
-    def __repr__(self):
-        return f"TauFactorization(b={self.b!r}, d={self.d!r}, factors={self.factors!r})"
 
     @property
     def length(self):

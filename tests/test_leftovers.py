@@ -2,7 +2,8 @@
 line of its module uses, or a private module-level function, class or
 constant that nothing in its directory refers to, is dead code that a
 deletion left behind.  So is an oracle in tests/oracles.py that no test
-uses.
+uses, and so is a class that writes out the immutable-record rule again
+instead of subclassing perm.Record.
 
 The checks read the source with `ast` and import nothing.
 """
@@ -82,6 +83,34 @@ def test_every_oracle_is_used_by_a_test():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     assert [name for name in oracles if not used[name]] == []
+
+
+# The classes that may define the record rule's methods themselves: Record,
+# which is the rule; Perm, whose == and hash compare one images tuple and
+# are the orbit verdicts' hot path; and FreeWord (with BraidWord), whose ==
+# and hash compare rank and letters and are the braid search's hot path.
+RULE_OWNERS = {"Record", "Perm", "FreeWord"}
+RULE_METHODS = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+
+
+def test_the_record_rule_is_written_once():
+    # `__hash__ = None` (an unhashable record) is allowed
+    found = []
+    for name, tree in DIRS["src/braidmf"].items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in RULE_OWNERS:
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    defined = [node.name]
+                elif isinstance(node, ast.Assign):
+                    defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                    if defined == ["__hash__"] and getattr(node.value, "value", 0) is None:
+                        continue
+                else:
+                    continue
+                found += [f"{name}: {cls.name}.{d}" for d in defined if d in RULE_METHODS]
+    assert found == []
 
 
 def _default_params(tree):

@@ -9,7 +9,7 @@ import pytest
 from braidmf.bmf import Block, BmfFactor, BmfFactorization, Counts, SurfaceParams
 from braidmf.f2sym import CrossSpace, F2BilinearForm, F2Quadratic
 from braidmf.hurwitz import SearchResult
-from braidmf.perm import Perm
+from braidmf.perm import Perm, Record
 from braidmf.s4orbit import TauFactorization
 
 PLANE = F2BilinearForm(2, (2, 1))
@@ -98,6 +98,11 @@ RECORDS = [
 ]
 
 IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+def test_every_record_class_is_checked():
+    # the four modules that define records are imported above
+    assert sorted(cls.__name__ for cls in Record.__subclasses__()) == sorted(IDS)
 
 
 @pytest.mark.parametrize("cls, names, values, changed, text", RECORDS, ids=IDS)
