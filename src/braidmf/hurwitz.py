@@ -4,8 +4,11 @@ A factorization is a plain tuple of group elements, regarded together
 with its `product`.  Elements may belong to any group: all that is needed
 is `*` (left-to-right composition), `.inverse()`, `==` and `hash`.
 Perm, BraidWord, FreeWord and F2Operator all satisfy this protocol.
-The functions below accept any sequence and return tuples; only the
-inner step `hurwitz_move` takes a tuple.
+The functions below accept any sequence and return tuples.
+`orbit_search` interns each distinct element once, by its own `==` and
+`hash`, and searches on tuples of small int ids; it computes the two new
+slots of each id pair it meets once per call, through `hurwitz_move` on
+the pair.
 
 A move is a signed int, as a braid letter is: +i is the forward Hurwitz
 move at index i (1-based),
@@ -184,11 +187,14 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     if the products differ (then no path can exist) or if max_depth is
     negative.
 
-    Products, and factorizations across the two sides, compare with `==`,
-    which for `BraidWord` is syntactic on the reduced letters: a braid
-    pair whose products are equal as braids but written differently is
-    refused as a product mismatch, and a target written differently from
-    the factorization the moves reach is never found.
+    Nodes are tuples of ids: each distinct element is interned once, keyed
+    by its own `==` and `hash`, and the ids of a b a^-1 and b^-1 a b are
+    computed once per (a, b) pair in one call.  So products, and
+    factorizations across the two sides, still compare by each element's
+    `==`, which for `BraidWord` is syntactic on the reduced letters: a
+    braid pair whose products are equal as braids but written differently
+    is refused as a product mismatch, and a target written differently
+    from the factorization the moves reach is never found.
     """
     if max_depth < 0:
         raise ValueError(f"max depth {max_depth} is negative")
@@ -200,6 +206,15 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     if start == target:
         return SearchResult(True, [], 1, 0)
     m = len(start)
+    elems, ids, memo = [], {}, {}  # id -> element, element -> id, pair -> ids
+
+    def intern(x):
+        i = ids.setdefault(x, len(elems))
+        if i == len(elems):
+            elems.append(x)
+        return i
+
+    start, target = tuple(map(intern, start)), tuple(map(intern, target))
     sides = ({start: None}, {target: None})  # node -> (parent, move)
     frontiers = [[start], [target]]
     depth = 0
@@ -210,8 +225,18 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
         grown, meets = [], []
         for f in frontiers[s]:
             for i in range(1, m):
-                for mv in (i, -i):
-                    child = hurwitz_move(f, mv)
+                a, b = f[i - 1], f[i]
+                pair = memo.get((a, b))
+                if pair is None:  # ids of a b a^-1 and b^-1 a b
+                    xy = (elems[a], elems[b])
+                    pair = memo[a, b] = (
+                        intern(hurwitz_move(xy, 1)[0]),
+                        intern(hurwitz_move(xy, -1)[1]),
+                    )
+                fwd, inv = pair
+                head, tail = f[: i - 1], f[i + 1 :]
+                children = (head + (fwd, a) + tail, head + (b, inv) + tail)
+                for mv, child in zip((i, -i), children):
                     if child in seen:
                         continue
                     seen[child] = (f, mv)

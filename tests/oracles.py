@@ -5,6 +5,11 @@
 node stores its whole move list.  Its `found` and path length are the
 ground truth for the bidirectional search.
 
+`element_keyed_search` is that bidirectional search as it ran before
+interning: its nodes are tuples of the elements themselves, and every
+child is built by one `hurwitz_move` on the whole tuple.  Its
+SearchResult, or its RuntimeError, is the one `orbit_search` must give.
+
 `artin_equal` is the braid equality that Dynnikov coordinates replaced:
 it compares the Artin free-group images, whose lengths grow
 exponentially with the word, under the letter cap of `artin_rep`.
@@ -21,7 +26,13 @@ from scratch.
 from collections import deque
 
 from braidmf.braid import _reduce, artin_rep
-from braidmf.hurwitz import SearchResult, hurwitz_move, product
+from braidmf.hurwitz import (
+    SearchResult,
+    _move_order,
+    _moves_to_root,
+    hurwitz_move,
+    product,
+)
 
 
 def artin_equal(w1, w2):
@@ -84,3 +95,46 @@ def one_sided_search(start, target, max_depth, node_cap=500_000):
                         raise RuntimeError(f"search exceeded node cap {node_cap}")
                     frontier.append(child)
     return SearchResult(False, [], len(seen), depth)
+
+
+def element_keyed_search(start, target, max_depth, node_cap=500_000):
+    """The bidirectional search of `orbit_search` on tuples of elements:
+    the same levels, expansion order, path choice, counts and errors."""
+    if max_depth < 0:
+        raise ValueError(f"max depth {max_depth} is negative")
+    start, target = tuple(start), tuple(target)
+    if len(start) != len(target):
+        raise ValueError("length mismatch: not Hurwitz equivalent")
+    if start and product(start) != product(target):
+        raise ValueError("product mismatch: not Hurwitz equivalent")
+    if start == target:
+        return SearchResult(True, [], 1, 0)
+    m = len(start)
+    sides = ({start: None}, {target: None})  # node -> (parent, move)
+    frontiers = [[start], [target]]
+    depth = 0
+    while frontiers[0] and frontiers[1] and depth < max_depth:
+        depth += 1
+        s = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        seen, other = sides[s], sides[1 - s]
+        grown, meets = [], []
+        for f in frontiers[s]:
+            for i in range(1, m):
+                for mv in (i, -i):
+                    child = hurwitz_move(f, mv)
+                    if child in seen:
+                        continue
+                    seen[child] = (f, mv)
+                    if len(sides[0]) + len(sides[1]) > node_cap:
+                        raise RuntimeError(f"search exceeded node cap {node_cap}")
+                    (meets if child in other else grown).append(child)
+        if meets:
+            paths = (
+                _moves_to_root(sides[0], c)[::-1]
+                + [-k for k in _moves_to_root(sides[1], c)]
+                for c in meets
+            )
+            moves = min(paths, key=_move_order)
+            return SearchResult(True, moves, len(sides[0]) + len(sides[1]), depth)
+        frontiers[s] = grown
+    return SearchResult(False, [], len(sides[0]) + len(sides[1]), depth)

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ from braidmf.hurwitz import (
     product,
 )
 from braidmf.perm import Perm, symmetric_group
-from oracles import one_sided_search
+from oracles import element_keyed_search, one_sided_search
 
 
 def _random_fact(rng, m=5, n=5):
@@ -159,6 +164,100 @@ def test_orbit_search_errors_are_unchanged(args, message):
         with pytest.raises(ValueError) as exc:
             search(start, target, depth)
         assert str(exc.value) == message
+
+
+def _search_or_error(search, start, target, depth, cap):
+    try:
+        return search(start, target, depth, cap)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_orbit_search_matches_element_keyed_oracle():
+    # 630 seeded S4, Br4 and Br5 scrambles of lengths 2-6 by 0-8 moves,
+    # searched at max_depth 0-6 under node caps 50, 200 and 500,000: the
+    # interned search must give the oracle's SearchResult or RuntimeError.
+    # The S4 targets are fresh Perms, so interning goes by == and hash.
+    rng = random.Random(2034)
+    outcomes = Counter()
+    for k in range(630):
+        m = rng.randint(2, 6)
+        target = (
+            _fresh(_random_fact(rng, m=m, n=4)),
+            _br4_fact(rng, m),
+            tuple(BraidWord(5, _signed(rng, 4, rng.randint(1, 3))) for _ in range(m)),
+        )[k % 3]
+        start = act_moves(target, _signed(rng, m - 1, rng.randint(0, 8)))
+        depth, cap = rng.randint(0, 6), (50, 200, 500_000)[k // 3 % 3]
+        want = _search_or_error(element_keyed_search, start, target, depth, cap)
+        got = _search_or_error(orbit_search, start, target, depth, cap)
+        assert got == want, k
+        outcomes["capped" if isinstance(got, str) else got.found] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+class _CountingPerm(Perm):
+    # a Perm whose products and inverses stay counting Perms, and which
+    # counts the calls of its __hash__
+    __slots__ = ()
+    hashes = 0
+
+    def __hash__(self):
+        _CountingPerm.hashes += 1
+        return super().__hash__()
+
+    def __mul__(self, other):
+        return _CountingPerm._trusted(super().__mul__(other).images)
+
+    def inverse(self):
+        return _CountingPerm._trusted(super().inverse().images)
+
+
+def test_orbit_search_hashes_each_element_about_once():
+    # 50 seeded depth-6 searches between length-6 S4 factorizations: the
+    # interned search hashes an element once per intern lookup, not once
+    # per factor of every node it stores or looks up
+    rng = random.Random(34)
+    cases = []
+    for _ in range(50):
+        target = tuple(_CountingPerm(x.images) for x in _random_fact(rng, m=6, n=4))
+        cases.append((_chained(target, _signed(rng, 5, rng.randint(0, 8))), target))
+    ratios = []
+    for search in (orbit_search, element_keyed_search):
+        _CountingPerm.hashes, nodes = 0, 0
+        for start, target in cases:
+            nodes += search(start, target, 6).visited
+        ratios.append(_CountingPerm.hashes / nodes)
+    assert ratios[0] <= 2 < 10 <= ratios[1], ratios
+
+
+_SEARCH_REPRS = """
+import random
+from braidmf.bmf import cusp_cluster_factorization
+from braidmf.hurwitz import act_moves, orbit_search
+from braidmf.perm import symmetric_group
+rng = random.Random(5)
+target = tuple(rng.choice(symmetric_group(4)) for _ in range(6))
+start = act_moves(target, [3, -1, 5, 2, -4, 1])
+print(repr(orbit_search(start, target, 6)))
+start, target, _ = cusp_cluster_factorization()
+print(repr(orbit_search(start, target, 6)))
+"""
+
+
+def test_search_does_not_depend_on_hash_seed():
+    # ids are given in the order elements are first met, never in the
+    # iteration order of a set or dict
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", _SEARCH_REPRS],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().count("SearchResult(found=True") == 2
 
 
 def _list_move(f, k):
