@@ -8,11 +8,10 @@ distinguishes surfaces with matching classical invariants.
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii as _json_str
 
 from .braid import BraidWord, band_generator
 from .hurwitz import act_moves, act_word
-from .perm import Record
+from .perm import Record, _indented_json, _json_str
 
 GEOM_BY_EXP = {1: "tangency", 2: "pos_node", -2: "neg_node", 3: "cusp"}
 
@@ -21,38 +20,6 @@ _FACTOR_INDENT = " " * 8  # indent=2 at the depth of blocks[i].factors[j]
 
 def _sign(x):
     return (x > 0) - (x < 0)
-
-
-def _indented_json(x, pad=""):
-    """json.dumps(x, indent=2, sort_keys=True), with every line after the
-    first indented by pad, for x built of dicts with str keys, lists,
-    tuples, str, bool, None and int (exact types; anything else is a
-    TypeError).  json's C encoder takes no indent, so json.dumps with one
-    runs its pure-Python encoder."""
-    t = type(x)
-    if t is str:
-        return _json_str(x)
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if x is None:
-        return "null"
-    if t is int:
-        return int.__repr__(x)
-    inner = pad + "  "
-    if t is dict:
-        if not x:
-            return "{}"
-        # a key that is not a str is a TypeError from sorted or _json_str
-        items = [_json_str(k) + ": " + _indented_json(x[k], inner) for k in sorted(x)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if t is list or t is tuple:
-        if not x:
-            return "[]"
-        items = [_indented_json(v, inner) for v in x]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    raise TypeError(f"{t.__name__} is not JSON serializable")
 
 
 class SurfaceParams(Record):

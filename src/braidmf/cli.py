@@ -6,45 +6,17 @@ output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
 error or bad input, 3 a resource limit was hit (search node cap, bmf
 factor cap, cross-space dimension cap, or the tau0 slot cap or trials cap
 of `verify nonconj`/`verify s7`) before a verdict was reached.
+
+Importing this module and building its parser load no other braidmf
+module: each run function imports the layers it runs when the command
+is dispatched, and a `--json` report is written by `perm._indented_json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-
-from .bmf import (
-    SurfaceParams,
-    _indented_json,
-    cusp_cluster_factorization,
-    distinguishable,
-    factor_census,
-    generate_bmf,
-    stable_profile,
-    surface_counts,
-    tangent_cluster_factorization,
-)
-from .braid import BraidWord, braid_equal
-from .f2sym import (
-    ARF_ORACLE_MAX_DIM,
-    arf,
-    arf_oracle,
-    build_cross_space,
-    classify_cross,
-    horizontal_obstruction,
-    quadratic_from_basis,
-)
-from .hurwitz import act_moves, orbit_search, product
-from .perm import Perm
-from .s4orbit import (
-    WINDOW_DERIVATIONS,
-    property_run,
-    replay_derivation,
-    snake_table,
-    verify_nonconjugacy,
-)
 
 SCHEMA = 1
 
@@ -66,10 +38,14 @@ def _ints(text, flag):
 
 
 def _surface(args, suffix=""):
+    from .bmf import SurfaceParams
+
     return SurfaceParams(*(getattr(args, f"{n}{suffix}") for n in "abcd"))
 
 
 def verify_snake_table(args):
+    from .s4orbit import WINDOW_DERIVATIONS, replay_derivation, snake_table
+
     agree = sum(r["agree"] for r in snake_table(1, 1))
     details = f"{agree}/16 windows: direct rule == word action"
     checks = [_check("snake window table", agree == 16, details)]
@@ -81,6 +57,8 @@ def verify_snake_table(args):
 
 
 def _nonconjugacy(args):
+    from .s4orbit import verify_nonconjugacy
+
     rep = verify_nonconjugacy(args.b, args.d, args.trials, args.seed)
     return rep, rep["verdict"].startswith("not conjugate")
 
@@ -98,6 +76,8 @@ def verify_nonconj(args):
 
 
 def verify_s7(args):
+    from .s4orbit import property_run, snake_table
+
     # property_run checks the trials before anything is built
     v = property_run(args.b, args.d, args.trials, args.seed)["violations"]
     agree = sum(r["agree"] for r in snake_table(args.b, args.d))
@@ -122,6 +102,10 @@ def _exp_sum(word):
 
 
 def verify_cluster(args):
+    from .bmf import cusp_cluster_factorization, tangent_cluster_factorization
+    from .braid import braid_equal
+    from .hurwitz import orbit_search, product
+
     start, target, product_word = cusp_cluster_factorization()
     exps = [_exp_sum(f) for f in target]
     res = orbit_search(start, target, max_depth=args.max_depth)
@@ -160,6 +144,8 @@ def verify_cluster(args):
 
 
 def bmf_gen(args):
+    from .bmf import factor_census, generate_bmf
+
     p = _surface(args)
     f = generate_bmf(p)
     if args.json:
@@ -176,6 +162,8 @@ def bmf_gen(args):
 
 
 def bmf_counts(args):
+    from .bmf import surface_counts
+
     p = _surface(args)
     c = surface_counts(p)
     checks = [
@@ -194,6 +182,8 @@ def bmf_counts(args):
 
 
 def bmf_distinguish(args):
+    from .bmf import distinguishable, stable_profile
+
     p, p2 = _surface(args), _surface(args, "2")
     verdict = distinguishable(p, p2)
     return {
@@ -205,6 +195,14 @@ def bmf_distinguish(args):
 
 
 def run_arf(args):
+    from .f2sym import (
+        ARF_ORACLE_MAX_DIM,
+        arf,
+        arf_oracle,
+        build_cross_space,
+        quadratic_from_basis,
+    )
+
     space = build_cross_space(args.a, args.c)
     q = quadratic_from_basis(space)
     bit = arf(q)
@@ -228,6 +226,8 @@ def run_arf(args):
 
 
 def run_classify(args):
+    from .f2sym import classify_cross
+
     info = classify_cross(args.a, args.c)
     return {
         "checks": [_check("transvection group", True, info["verdict"])],
@@ -237,6 +237,8 @@ def run_classify(args):
 
 
 def run_obstruct(args):
+    from .f2sym import horizontal_obstruction
+
     verdict = horizontal_obstruction(args.a, args.c, args.a2, args.c2)
     return {
         "checks": [_check("horizontal obstruction", True, verdict["verdict"])],
@@ -245,6 +247,8 @@ def run_obstruct(args):
 
 
 def braid_eq(args):
+    from .braid import BraidWord, braid_equal
+
     word1, word2 = _ints(args.word1, "--word1"), _ints(args.word2, "--word2")
     w1, w2 = (BraidWord(args.strands, w) for w in (word1, word2))
     equal = braid_equal(w1, w2)
@@ -264,6 +268,11 @@ def _load_factorizations(path, *keys):
     malformed value raises ValueError naming the file (and the key and the
     element as written); a JSON boolean is no integer.
     """
+    import json
+
+    from .braid import BraidWord
+    from .perm import Perm
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -309,6 +318,9 @@ def _load_factorizations(path, *keys):
 
 
 def hurwitz_act(args):
+    from .hurwitz import act_moves
+    from .perm import _indented_json
+
     doc, elements = _load_factorizations(args.file, "elements")
     out = act_moves(elements, _ints(args.moves, "--moves"))
     if doc["group"] == "s4":
@@ -322,6 +334,9 @@ def hurwitz_act(args):
 
 
 def hurwitz_search(args):
+    from .braid import braid_equal
+    from .hurwitz import orbit_search, product
+
     doc, start, target = _load_factorizations(args.file, "start", "target")
     if doc["group"] == "braid" and start and len(start) == len(target):
         ps, pt = product(start), product(target)
@@ -447,6 +462,8 @@ def main(argv=None) -> int:
         **body,
     }
     if args.json:
+        from .perm import _indented_json
+
         print(_indented_json(report))
     else:
         _print_text(report)

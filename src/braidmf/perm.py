@@ -8,7 +8,8 @@ Points are 1-based in cycle notation and in the JSON wire format
 (an array of 1-based images); internally images are stored 0-based.
 
 The module also holds `Record`, the base class of the package's value
-records.
+records, and `_indented_json`, the JSON report writer: every command
+loads this module, so `--json` loads no other.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 
 class Record:
@@ -167,3 +169,35 @@ class Perm:
 def symmetric_group(n):
     """All n! permutations, in lexicographic image order."""
     return tuple(Perm(im) for im in itertools.permutations(range(n)))
+
+
+def _indented_json(x, pad=""):
+    """json.dumps(x, indent=2, sort_keys=True), with every line after the
+    first indented by pad, for x built of dicts with str keys, lists,
+    tuples, str, bool, None and int (exact types; anything else is a
+    TypeError).  json's C encoder takes no indent, so json.dumps with one
+    runs its pure-Python encoder."""
+    t = type(x)
+    if t is str:
+        return _json_str(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    if t is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    if t is dict:
+        if not x:
+            return "{}"
+        # a key that is not a str is a TypeError from sorted or _json_str
+        items = [_json_str(k) + ": " + _indented_json(x[k], inner) for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        items = [_indented_json(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"{t.__name__} is not JSON serializable")

@@ -11,7 +11,6 @@ from braidmf.bmf import (
     BmfFactorization,
     CensusMismatch,
     SurfaceParams,
-    _indented_json,
     cusp_cluster_factorization,
     distinguishable,
     factor_census,
@@ -27,7 +26,7 @@ from braidmf.bmf import (
 )
 from braidmf.braid import BraidWord, braid_equal, word_permutation
 from braidmf.hurwitz import act_moves, hurwitz_move, product
-from braidmf.perm import Perm
+from braidmf.perm import Perm, _indented_json
 from braidmf.s4orbit import tau0
 
 

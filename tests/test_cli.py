@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from braidmf.cli import build_parser, main
+from braidmf.cli import COMMANDS, build_parser, main
 
 
 def _run(capsys, *argv):
@@ -386,7 +386,7 @@ def test_resource_limit_exit_code(monkeypatch, capsys):
     def over_cap(w1, w2):
         raise LetterCapExceeded("automorphism over cap 5")
 
-    monkeypatch.setattr("braidmf.cli.braid_equal", over_cap)
+    monkeypatch.setattr("braidmf.braid.braid_equal", over_cap)
     code = main(["braid", "eq", "--strands", "3", "--word1", "1", "--word2", "2"])
     out, err = capsys.readouterr()
     assert code == 3
@@ -398,7 +398,7 @@ def test_a_key_error_is_a_bug_not_bad_input(monkeypatch):
     def broken(a, c):
         raise KeyError("x")
 
-    monkeypatch.setattr("braidmf.cli.classify_cross", broken)
+    monkeypatch.setattr("braidmf.f2sym.classify_cross", broken)
     with pytest.raises(KeyError, match="x"):
         main(["classify", "--a", "3", "--c", "3"])
 
@@ -505,8 +505,9 @@ def test_negative_max_depth_is_bad_input(tmp_path, capsys, sub):
     assert code == (1 if sub == "verify cluster" else 0)
 
 
-# A fresh interpreter imports the package in three stages and reports which
-# braidmf submodules, and which of some costly modules, are loaded after each.
+# A fresh interpreter imports the package, then the CLI (the benchmark's
+# set-up probe), then every layer, and reports which braidmf submodules,
+# and which of some costly modules, are loaded after each stage.
 _IMPORT_STAGES = """
 import json, sys
 
@@ -518,11 +519,11 @@ def loaded():
 import braidmf
 out = {"public": [n for n in vars(braidmf) if not n.startswith("_")],
        "version": braidmf.__version__, "root": loaded()}
-import braidmf.braid, braidmf.hurwitz, braidmf.s4orbit, braidmf.bmf
-out["core"] = loaded()
 import braidmf.cli
 braidmf.cli.build_parser()
 out["cli"] = loaded()
+import braidmf.braid, braidmf.hurwitz, braidmf.s4orbit, braidmf.bmf, braidmf.f2sym
+out["core"] = loaded()
 print(json.dumps(out))
 """
 
@@ -540,24 +541,87 @@ def _import_stages(*flags):
 
 def test_names_have_one_import_path():
     # The package root re-exports nothing, so each name is imported from
-    # its module, and the word, Hurwitz, orbit and census layers load
-    # without numpy.  The benchmark's set-up probe imports braidmf.cli and
-    # builds its parser, which loads every module but still not numpy,
-    # and not dataclasses or inspect either.
+    # its module.  The benchmark's set-up probe imports braidmf.cli and
+    # builds its parser, which loads no other braidmf module; every layer
+    # then loads without numpy, and no stage loads dataclasses or inspect
+    # either.
     out = _import_stages()
     assert out["public"] == [] and out["version"]
     assert out["root"]["modules"] == []
-    core = ["bmf", "braid", "hurwitz", "perm", "s4orbit"]
-    assert out["core"]["modules"] == [f"braidmf.{m}" for m in core]
-    every = sorted([*core, "cli", "f2sym"])
-    assert out["cli"]["modules"] == [f"braidmf.{m}" for m in every]
-    for stage in ("root", "core", "cli"):
+    assert out["cli"]["modules"] == ["braidmf.cli"]
+    every = ["bmf", "braid", "cli", "f2sym", "hurwitz", "perm", "s4orbit"]
+    assert out["core"]["modules"] == [f"braidmf.{m}" for m in every]
+    for stage in ("root", "cli", "core"):
         assert not {"dataclasses", "inspect", "numpy"} & set(out[stage]["costly"])
     # Without the site module no .pth file preloads typing or random, so
     # the package's own imports show: none of the costly modules.
     bare = _import_stages("-S")
-    for stage in ("root", "core", "cli"):
+    for stage in ("root", "cli", "core"):
         assert bare[stage] == {"modules": out[stage]["modules"], "costly": []}
+
+
+# A fresh interpreter runs one command and prints its exit code and the
+# braidmf modules loaded by then.
+_COMMAND_MODULES = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from braidmf.cli import main
+
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("braidmf."))]))
+"""
+
+
+def _command_modules(argv):
+    root = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_MODULES, *argv.split()],
+        capture_output=True, text=True, cwd=root / "golden",
+        env={**os.environ, "PYTHONPATH": str(root.parent / "src")}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, {m.removeprefix("braidmf.") for m in modules}
+
+
+S4_LAYERS = {"braid", "hurwitz", "perm", "s4orbit"}
+BMF_LAYERS = {"bmf", "braid", "hurwitz", "perm"}
+F2_LAYERS = {"f2sym", "perm"}
+WORD_LAYERS = {"braid", "hurwitz", "perm"}
+# Per COMMANDS row: cheap arguments and the layers the command loads.  A
+# row missing here fails, and so does a top-level import added to cli.py.
+LOADED_BY = {
+    ("verify", "snake-table"): ("--json", S4_LAYERS),
+    ("verify", "nonconj"): ("--b 1 --d 1 --trials 5 --json", S4_LAYERS),
+    ("verify", "s7"): ("--b 1 --d 1 --trials 5 --json", S4_LAYERS),
+    ("verify", "cluster"): ("--json", BMF_LAYERS),
+    ("bmf", "gen"): ("--a 1 --b 2 --c 2 --d 1 --json", BMF_LAYERS),
+    ("bmf", "counts"): ("--a 1 --b 2 --c 2 --d 1 --json", BMF_LAYERS),
+    ("bmf", "distinguish"): (
+        "--a 2 --b 3 --c 4 --d 3 --a2 3 --b2 3 --c2 3 --d2 3 --json", BMF_LAYERS
+    ),
+    ("arf", None): ("--a 5 --c 5 --json", F2_LAYERS),
+    ("classify", None): ("--a 3 --c 3 --json", F2_LAYERS),
+    ("obstruct", None): ("--a 3 --c 3 --a2 3 --c2 3 --json", F2_LAYERS),
+    ("braid", "eq"): ("--strands 3 --word1 1,2,1 --word2 2,1,2 --json", WORD_LAYERS),
+    ("hurwitz", "act"): ("--file fixtures/act_s4.json --moves 1,-2,2", WORD_LAYERS),
+    ("hurwitz", "search"): ("--file fixtures/search_s4.json --json", WORD_LAYERS),
+}
+
+
+@pytest.mark.parametrize("row", COMMANDS, ids=lambda r: " ".join(filter(None, r)))
+def test_each_command_loads_only_its_layers(row):
+    args, layers = LOADED_BY[row]
+    argv = " ".join(filter(None, (*row, args)))
+    assert _command_modules(argv) == (0, {"cli", *layers})
+
+
+def test_a_usage_error_loads_only_the_cli():
+    assert _command_modules("classify --a 3") == (2, {"cli"})
 
 
 _NUMPY_FREE = """
