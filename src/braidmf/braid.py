@@ -1,24 +1,12 @@
-"""Braid words, exact braid equality by Dynnikov coordinates, and the
-Artin free-group representation.
+"""Braid words and exact braid equality by Dynnikov coordinates.
 
 braid_equal compares the Dynnikov coordinates of two words: an integer
 vector that the braid group acts on faithfully, at a few integer
 operations a letter (see dynnikov).
 
-The Artin representation of a braid is the Hurwitz action on the tuple
-of free generators (gamma_1, ..., gamma_n).  A positive generator
-sigma_i is the forward Hurwitz move
-
-    gamma_i   |->  gamma_i gamma_{i+1} gamma_i^{-1}
-    gamma_i+1 |->  gamma_i
-
-and sigma_i^{-1} the inverse move.  Moving a tuple of images is the same
-as precomposing with the move, so the images of a word are built right
-to left: start from the free generators and apply its letters from last
-to first.  The representation is faithful on the disk braid group, but
-image lengths grow exponentially with the word, so artin_rep stops at a
-letter cap and no verdict uses it.  Neither representation quotients
-the sphere relation sigma_1 ... sigma_{n-1} sigma_{n-1} ... sigma_1.
+No verdict builds Artin free-group images; artin_rep, with its
+ArtinAuto result, LetterCapExceeded and DEFAULT_LETTER_CAP, stays
+because the benchmark tracer hooks it.
 
 There is one word class: a braid word on n strands is a free word of
 rank n-1 in sigma_1, ..., sigma_{n-1}, so BraidWord subclasses FreeWord
@@ -185,18 +173,6 @@ class ArtinAuto(namedtuple("ArtinAuto", "rank images")):
 
     __slots__ = ()
 
-    @classmethod
-    def identity(cls, rank):
-        return cls(rank, tuple(FreeWord._of(rank, (g,)) for g in range(1, rank + 1)))
-
-    def apply(self, word):
-        """Substitute generator images into a FreeWord."""
-        letters = []
-        for x in word.letters:
-            img = self.images[abs(x) - 1]
-            letters.extend(img.letters if x > 0 else _inverse(img.letters))
-        return FreeWord(self.rank, letters)
-
     def total_letters(self):
         return sum(len(w) for w in self.images)
 
@@ -205,17 +181,19 @@ def artin_rep(word, cap=DEFAULT_LETTER_CAP):
     """The free-group automorphism of a braid word (letters left-to-right).
 
     Hurwitz moves on the free generators, from the last letter to the
-    first; raises LetterCapExceeded once the images exceed `cap` letters,
-    which the free generators alone do on more than `cap` strands.
+    first (moving a tuple of images precomposes it with the move); raises
+    LetterCapExceeded once the images exceed `cap` letters, which the
+    free generators alone do on more than `cap` strands.
     """
-    if word.strands > cap:
+    n = word.strands
+    if n > cap:
         raise LetterCapExceeded(f"automorphism over cap {cap}")
-    f = ArtinAuto.identity(word.strands).images
+    f = tuple(FreeWord._of(n, (g,)) for g in range(1, n + 1))
     for x in reversed(word.letters):
         f = hurwitz_move(f, x)
         if sum(len(w) for w in f) > cap:
             raise LetterCapExceeded(f"automorphism over cap {cap}")
-    return ArtinAuto(word.strands, f)
+    return ArtinAuto(n, f)
 
 
 def dynnikov(word, pairs):

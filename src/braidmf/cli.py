@@ -3,9 +3,10 @@
 One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
-error or bad input, 3 a resource limit was hit (search node cap, bmf
-factor cap, cross-space dimension cap, or the tau0 slot cap or trials cap
-of `verify nonconj`/`verify s7`) before a verdict was reached.
+error or bad input, 3 a resource limit was hit (the search node cap,
+which shrinks to node_cap * 16 // m nodes on m > 16 slots, the bmf
+factor cap, the cross-space dimension cap, or the tau0 slot cap or
+trials cap of `verify nonconj`/`verify s7`) before a verdict was reached.
 
 Importing this module and building its parser load no other braidmf
 module: each run function imports the layers it runs when the command

@@ -137,9 +137,6 @@ class F2BilinearForm(Record):
     def pairing(self, u: int, v: int) -> int:
         return _parity(self.gram_image(u) & v)
 
-    def rank(self):
-        return len(_independent(self.gram))
-
 
 def form_from_edges(dim, edges):
     """The intersection form of a diagram: (i,j) pair to 1 per listed edge."""
@@ -213,10 +210,6 @@ class F2Operator(namedtuple("F2Operator", "dim cols")):
 
     def apply(self, v: int) -> int:
         return _combine(self.cols, v)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, tuple(1 << i for i in range(dim)))
 
     def __mul__(self, other):
         # left-to-right: apply self, then other

@@ -185,7 +185,9 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     within the budget proves nothing.  Raises RuntimeError once more than
     node_cap nodes are stored on the two sides together, and ValueError
     if the products differ (then no path can exist) or if max_depth is
-    negative.
+    negative.  A node holds one id per slot, so past 16 slots the cap
+    shrinks to node_cap * 16 // m nodes: the stored slots stay within
+    node_cap * 16 whatever the length m.
 
     Nodes are tuples of ids: each distinct element is interned once, keyed
     by its own `==` and `hash`, and the ids of a b a^-1 and b^-1 a b are
@@ -206,6 +208,7 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     if start == target:
         return SearchResult(True, [], 1, 0)
     m = len(start)
+    cap = node_cap * 16 // max(m, 16)
     elems, ids, memo = [], {}, {}  # id -> element, element -> id, pair -> ids
 
     def intern(x):
@@ -240,8 +243,8 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
                     if child in seen:
                         continue
                     seen[child] = (f, mv)
-                    if len(sides[0]) + len(sides[1]) > node_cap:
-                        raise RuntimeError(f"search exceeded node cap {node_cap}")
+                    if len(sides[0]) + len(sides[1]) > cap:
+                        raise RuntimeError(f"search exceeded node cap {cap}")
                     (meets if child in other else grown).append(child)
         if meets:
             paths = (

@@ -72,10 +72,6 @@ class Perm:
     def __setattr__(self, *a):
         raise AttributeError("Perm is immutable")
 
-    @property
-    def degree(self):
-        return len(self.images)
-
     @classmethod
     def identity(cls, n):
         return cls(range(n))
@@ -105,12 +101,13 @@ class Perm:
     def __mul__(self, other):
         if not isinstance(other, Perm):
             return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        return Perm._trusted(tuple(map(other.images.__getitem__, self.images)))
+        a, b = self.images, other.images
+        if len(a) != len(b):
+            raise ValueError(f"degree mismatch: {len(a)} != {len(b)}")
+        return Perm._trusted(tuple(map(b.__getitem__, a)))
 
     def inverse(self):
-        inv = [0] * self.degree
+        inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
         return Perm._trusted(tuple(inv))
@@ -124,9 +121,9 @@ class Perm:
 
     def cycles(self):
         """Disjoint cycles (1-based), fixed points omitted, sorted."""
-        seen = [False] * self.degree
+        seen = [False] * len(self.images)
         out = []
-        for start in range(self.degree):
+        for start in range(len(seen)):
             if seen[start] or self.images[start] == start:
                 continue
             cyc = []
@@ -152,9 +149,9 @@ class Perm:
 
     def __repr__(self):
         if self.is_identity():
-            return f"Perm.identity({self.degree})"
+            return f"Perm.identity({len(self.images)})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles())
-        return f"<{body} deg={self.degree}>"
+        return f"<{body} deg={len(self.images)}>"
 
     def to_json(self):
         """1-based image array, the external wire format."""

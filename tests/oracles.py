@@ -7,12 +7,19 @@ ground truth for the bidirectional search.
 
 `element_keyed_search` is that bidirectional search as it ran before
 interning: its nodes are tuples of the elements themselves, and every
-child is built by one `hurwitz_move` on the whole tuple.  Its
+child is built by one `hurwitz_move` on the whole tuple.  Up to 16
+slots, where `orbit_search` does not scale its node cap, its
 SearchResult, or its RuntimeError, is the one `orbit_search` must give.
 
 `artin_equal` is the braid equality that Dynnikov coordinates replaced:
 it compares the Artin free-group images, whose lengths grow
 exponentially with the word, under the letter cap of `artin_rep`.
+`identity_auto` and `apply_auto` are the identity automorphism and the
+substitution of an automorphism's images into a free word, with which
+the tests check what `artin_rep` builds.
+
+`identity_operator` is the identity of F2^dim, and `form_rank` the rank
+of a form's Gram matrix by its own row elimination.
 
 `reduce_power` is the power of a free or braid word as `FreeWord.__pow__`
 built it before the P C^k P^-1 split: k copies of the letters, reduced
@@ -25,7 +32,8 @@ from scratch.
 
 from collections import deque
 
-from braidmf.braid import _reduce, artin_rep
+from braidmf.braid import ArtinAuto, FreeWord, _reduce, artin_rep
+from braidmf.f2sym import F2Operator
 from braidmf.hurwitz import (
     SearchResult,
     _move_order,
@@ -41,6 +49,39 @@ def artin_equal(w1, w2):
     if w1.strands != w2.strands:
         raise ValueError("strand mismatch")
     return artin_rep(w1) == artin_rep(w2)
+
+
+def identity_auto(rank):
+    """The automorphism that fixes each free generator of the given rank."""
+    return ArtinAuto(rank, tuple(FreeWord(rank, (g,)) for g in range(1, rank + 1)))
+
+
+def apply_auto(auto, word):
+    """The FreeWord with each letter of word replaced by its image under
+    auto (an inverse letter by the inverse image)."""
+    letters = []
+    for x in word.letters:
+        image = auto.images[abs(x) - 1]
+        letters.extend(image.letters if x > 0 else image.inverse().letters)
+    return FreeWord(auto.rank, letters)
+
+
+def identity_operator(dim):
+    """The identity operator of F2^dim: column i is e_i."""
+    return F2Operator(dim, tuple(1 << i for i in range(dim)))
+
+
+def form_rank(form):
+    """The rank of the Gram matrix, by Gaussian elimination on its rows:
+    each row is reduced by the kept rows with its leading bit, and a row
+    that does not reduce to zero is kept under its new leading bit."""
+    kept = {}
+    for row in form.gram:
+        while row and row.bit_length() in kept:
+            row ^= kept[row.bit_length()]
+        if row:
+            kept[row.bit_length()] = row
+    return len(kept)
 
 
 def reduce_power(letters, k):

@@ -16,7 +16,7 @@ from braidmf.bmf import (
     generate_bmf,
     surface_counts,
 )
-from braidmf.braid import ArtinAuto, BraidWord, FreeWord, artin_rep, braid_equal
+from braidmf.braid import BraidWord, FreeWord, artin_rep, braid_equal
 from braidmf.f2sym import (
     F2Quadratic,
     arf,
@@ -43,6 +43,7 @@ from braidmf.s4orbit import (
     snake_table,
     verify_nonconjugacy,
 )
+from oracles import apply_auto, identity_auto
 
 
 def _done(n, text):
@@ -265,11 +266,11 @@ def test_c11_braid_foundation():
         )
         # w * w.inverse() is the empty word before artin_rep sees it, so
         # the images of w and of w^-1 are composed here.  Substituting
-        # images into images (ArtinAuto.apply) would expand to billions of
+        # images into images (apply_auto) would expand to billions of
         # letters at 40-letter words; the move action of the other word's
         # letters, last to first, composes them as artin_rep does.
         rw, rinv = artin_rep(w), artin_rep(w.inverse())
-        identity = ArtinAuto.identity(n).images
+        identity = identity_auto(n).images
         assert act_moves(rinv.images, w.letters[::-1]) == identity
         assert act_moves(rw.images, w.inverse().letters[::-1]) == identity
 
@@ -281,7 +282,7 @@ def test_c11_braid_foundation():
              for _ in range(rng.randint(0, 40))],
         )
         prod = FreeWord(n, range(1, n + 1))
-        assert artin_rep(w).apply(prod) == prod
+        assert apply_auto(artin_rep(w), prod) == prod
 
     total = trials_rel + trials_inv + trials_prod
     assert total >= 10_000

@@ -23,8 +23,9 @@ import pytest
 
 from braidmf.bmf import SurfaceParams, cusp_cluster_factorization, generate_bmf
 from braidmf.braid import BraidWord, LetterCapExceeded, artin_rep
-from braidmf.f2sym import F2Operator, group_closure
+from braidmf.f2sym import group_closure
 from braidmf.hurwitz import orbit_search
+from oracles import identity_operator
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = BENCH.parent / "src"
@@ -100,7 +101,7 @@ def test_tracer_hooks_read_real_results():
     assert found.found and counts["hurwitz.search_nodes"] == found.visited > 0
     assert counts["hurwitz.search_moves"] == 5
 
-    for gens in ([F2Operator.identity(2)], []):
+    for gens in ([identity_operator(2)], []):
         hooks["f2sym.group_closure"](counts, group_closure(gens), None, 0)
     assert counts["f2sym.closure_elements"] == 1
 

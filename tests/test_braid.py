@@ -14,7 +14,7 @@ from braidmf.braid import (
     word_permutation,
 )
 from braidmf.s4orbit import snake_word
-from oracles import artin_equal, reduce_power
+from oracles import apply_auto, artin_equal, identity_auto, reduce_power
 
 
 def _raw_letters(rng, top, max_len):
@@ -77,7 +77,7 @@ def test_artin_auto_is_a_tuple_of_rank_and_images():
     # sigma_1: g1 -> g1 g2 g1^-1, g2 -> g1, g3 -> g3
     assert [w.letters for w in auto.images] == [(1, 2, -1), (1,), (3,)]
     assert auto.total_letters() == 5
-    assert ArtinAuto.identity(3).total_letters() == 3
+    assert identity_auto(3).total_letters() == 3
 
 
 def test_word_validation():
@@ -213,9 +213,9 @@ def test_inverse_word_is_inverse():
         n = rng.randint(2, 6)
         w = _random_word(rng, n, 12)
         rw, rinv = artin_rep(w), artin_rep(w.inverse())
-        identity = list(ArtinAuto.identity(n).images)
-        assert [rinv.apply(x) for x in rw.images] == identity
-        assert [rw.apply(x) for x in rinv.images] == identity
+        identity = list(identity_auto(n).images)
+        assert [apply_auto(rinv, x) for x in rw.images] == identity
+        assert [apply_auto(rw, x) for x in rinv.images] == identity
 
 
 def test_rep_fixes_free_generator_product():
@@ -225,7 +225,7 @@ def test_rep_fixes_free_generator_product():
         n = rng.randint(2, 6)
         w = _random_word(rng, n, 12)
         prod = FreeWord(n, range(1, n + 1))
-        assert artin_rep(w).apply(prod) == prod
+        assert apply_auto(artin_rep(w), prod) == prod
 
 
 def test_rep_of_product_is_substitution():
@@ -235,7 +235,7 @@ def test_rep_of_product_is_substitution():
         n = rng.randint(2, 6)
         u, v = _random_word(rng, n, 10), _random_word(rng, n, 10)
         ru, rv = artin_rep(u), artin_rep(v)
-        assert list(artin_rep(u * v).images) == [rv.apply(x) for x in ru.images]
+        assert list(artin_rep(u * v).images) == [apply_auto(rv, x) for x in ru.images]
 
 
 def test_generator_images():
@@ -243,7 +243,7 @@ def test_generator_images():
     for i in range(1, 4):
         a, b = i, i + 1
         for sign in (1, -1):
-            images = list(ArtinAuto.identity(4).images)
+            images = list(identity_auto(4).images)
             if sign == 1:
                 images[a - 1] = FreeWord(4, [a, b, -a])
                 images[b - 1] = FreeWord(4, [a])
@@ -257,7 +257,7 @@ def test_generator_images():
 def test_sphere_relation_is_nontrivial_in_disk_group():
     # the representation sees the disk group, where this word is not 1
     w = BraidWord(4, [1, 2, 3, 3, 2, 1])
-    assert artin_rep(w) != ArtinAuto.identity(4)
+    assert artin_rep(w) != identity_auto(4)
     assert word_permutation(w).is_identity()
 
 
@@ -329,7 +329,7 @@ def test_letter_cap():
 
 def test_letter_cap_covers_the_free_generators():
     # the identity images already hold one letter per strand
-    assert artin_rep(BraidWord(5, ()), cap=5) == ArtinAuto.identity(5)
+    assert artin_rep(BraidWord(5, ()), cap=5) == identity_auto(5)
     with pytest.raises(LetterCapExceeded) as exc:
         artin_rep(BraidWord(5, ()), cap=4)
     assert str(exc.value) == "automorphism over cap 4"

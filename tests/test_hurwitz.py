@@ -1,5 +1,7 @@
+import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -146,6 +148,48 @@ def test_orbit_search_node_cap_counts_both_sides():
     with pytest.raises(RuntimeError) as exc:
         orbit_search(start, target, 6, node_cap=65)
     assert str(exc.value) == "search exceeded node cap 65"
+
+
+def _long_s4_pair(m):
+    # m transpositions of S4 and the same tuple moved at slots 1, m/2, m-1
+    pairs = ((1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4))
+    ts = [Perm.transposition(i, j, 4) for i, j in pairs]
+    start = tuple(ts[k % 6] for k in range(m))
+    return start, act_moves(start, [1, m // 2, m - 1])
+
+
+@pytest.mark.parametrize("m, node_cap, cap", [(16, 50, 50), (17, 50, 47), (200, 1000, 80)])
+def test_node_cap_bounds_the_stored_slots(m, node_cap, cap):
+    # a node holds m slots: past 16 the cap shrinks to node_cap * 16 // m
+    # nodes, so 200 slots under node_cap 1,000 stop at 80 nodes, 16,000 slots
+    start, target = _long_s4_pair(m)
+    with pytest.raises(RuntimeError) as exc:
+        orbit_search(start, target, 4, node_cap=node_cap)
+    assert str(exc.value) == f"search exceeded node cap {cap}"
+
+
+def test_long_search_exits_3_within_its_memory(tmp_path):
+    # 2,000 slots under a 512 MiB address space: the unscaled cap of
+    # 500,000 nodes of 2,000 ids would need about 8 GB, and the search
+    # ended in a MemoryError traceback
+    start, target = _long_s4_pair(2000)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "group": "s4",
+        "start": [p.to_json() for p in start],
+        "target": [p.to_json() for p in target],
+    }))
+    limit = 512 << 20
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidmf.cli", "hurwitz", "search",
+         "--file", str(path), "--max-depth", "4"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: search exceeded node cap 4000\n"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@ line of its module uses, or a private module-level function, class or
 constant that nothing in its directory refers to, is dead code that a
 deletion left behind.  So is an oracle in tests/oracles.py that no test
 uses, and so is a class that writes out the immutable-record rule again
-instead of subclassing perm.Record.
+instead of subclassing perm.Record.  A public module-level name of
+src/braidmf that only tests read is test code in the package, unless
+TEST_ONLY gives the reason it stays.
 
 The checks read the source with `ast` and import nothing.
 """
@@ -17,6 +19,7 @@ DIRS = {
     d: {p.name: ast.parse(p.read_text(), str(p)) for p in sorted((ROOT / d).glob("*.py"))}
     for d in ("src/braidmf", "tests", "demos")
 }
+BENCH = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
 
 
 def _references(node):
@@ -51,24 +54,54 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _definitions(tree):
+    """(name, references from inside its own body) for each module-level
+    function, class and assigned name: a reference from inside its own
+    body (recursion) does not count."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, _references(node)[node.name]
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, 0) for t in node.targets if isinstance(t, ast.Name))
+
+
 def test_every_private_definition_is_referenced():
     unreferenced = []
     for d, modules in DIRS.items():
         total = sum((_references(tree) for tree in modules.values()), Counter())
         for name, tree in modules.items():
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    # a reference from inside its own body (recursion) does not count
-                    defined = {node.name: _references(node)[node.name]}
-                elif isinstance(node, ast.Assign):
-                    defined = {t.id: 0 for t in node.targets if isinstance(t, ast.Name)}
-                else:
-                    continue
-                for key, own in defined.items():
-                    private = key.startswith("_") and not key.endswith("__")
-                    if private and total[key] <= own:
-                        unreferenced.append(f"{d}/{name}: {key}")
+            for key, own in _definitions(tree):
+                private = key.startswith("_") and not key.endswith("__")
+                if private and total[key] <= own:
+                    unreferenced.append(f"{d}/{name}: {key}")
     assert unreferenced == []
+
+
+# Public package names that only tests read, each kept for a stated reason.
+TEST_ONLY = {"braid.word_permutation": "ROADMAP item 19"}
+
+
+def test_every_public_definition_has_a_reader():
+    # A reader is a name, attribute or import anywhere in the package
+    # outside the definition itself, in demos/ or in bench/; in bench/ a
+    # "layer.name" string counts too, the way the tracer names what it
+    # wraps.  Methods are not judged: their names do not say their class.
+    trees = [*DIRS["src/braidmf"].values(), *DIRS["demos"].values(), *BENCH]
+    readers = sum((_references(tree) for tree in trees), Counter())
+    strings = {
+        n.value
+        for tree in BENCH
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    unread = []
+    for name, tree in DIRS["src/braidmf"].items():
+        for key, own in _definitions(tree):
+            full = f"{name.removesuffix('.py')}.{key}"
+            named = any(s == full or s.startswith(full + ".") for s in strings)
+            if not key.startswith("_") and readers[key] <= own and not named:
+                unread.append(full)
+    assert sorted(unread) == sorted(TEST_ONLY)
 
 
 def test_every_oracle_is_used_by_a_test():
@@ -141,8 +174,7 @@ def _default_params(tree):
 def test_every_default_is_left_out_by_some_caller():
     # a default that every call in the package, the benchmark and the demos
     # overrides is dead; a function nothing there calls is not judged
-    trees = [*DIRS["src/braidmf"].values(), *DIRS["demos"].values()]
-    trees += [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    trees = [*DIRS["src/braidmf"].values(), *DIRS["demos"].values(), *BENCH]
     calls = {}
     for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))

@@ -8,7 +8,7 @@ from braidmf.perm import Perm, symmetric_group
 def test_identity_and_validation():
     e = Perm.identity(5)
     assert e.is_identity()
-    assert e.degree == 5
+    assert len(e.images) == 5
     with pytest.raises(ValueError):
         Perm([0, 0, 1])
 
