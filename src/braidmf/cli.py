@@ -8,16 +8,19 @@ which shrinks to node_cap * 16 // m nodes on m > 16 slots, the bmf
 factor cap, the cross-space dimension cap, or the tau0 slot cap or
 trials cap of `verify nonconj`/`verify s7`) before a verdict was reached.
 
-Importing this module and building its parser load no other braidmf
-module: each run function imports the layers it runs when the command
-is dispatched, and a `--json` report is written by `perm._indented_json`.
+Well-formed argv is read straight from `COMMANDS`; `build_parser()`
+imports argparse only for the argv the table declines, so argparse alone
+writes `--help` and every usage error.  Importing this module and
+building its parser load no other braidmf module: each run function
+imports the layers it runs when the command is dispatched, and a
+`--json` report is written by `perm._indented_json`.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 SCHEMA = 1
 
@@ -399,6 +402,8 @@ _NOT_PARAMS = {"command", "subcommand", "run", "json", "trials", "seed"}
 
 @functools.cache  # one argparse tree per process: parse_args leaves it as is
 def build_parser():
+    import argparse
+
     top = argparse.ArgumentParser(prog="braidmf", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     groups = {}
@@ -425,6 +430,45 @@ def build_parser():
     return top
 
 
+def _table_args(argv):
+    """The namespace argparse gives for well-formed argv, read from COMMANDS.
+
+    Well-formed: a COMMANDS key, then flags of its row spelt in full, each
+    at most once, as `--flag value` (a value not starting with "-") or
+    `--flag=value`, a switch with no value, every int value int()-able and
+    every required flag present.  Any other argv gives None.
+    """
+    for key in (tuple(argv[:2]), (*argv[:1], None)):
+        if key in COMMANDS:
+            break
+    else:
+        return None
+    options, run = COMMANDS[key]
+    kinds = {flag: kind for flag, kind, *_ in options}
+    got = {}
+    tokens = iter(argv[2 - (key[1] is None) :])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in kinds or flag in got or (eq and kinds[flag] is bool):
+            return None
+        if kinds[flag] is bool:
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        try:
+            got[flag] = int(value) if kinds[flag] is int else value
+        except ValueError:
+            return None
+    names = dict(zip(("command", "subcommand"), filter(None, key)))
+    for flag, _, *default in options:
+        if flag not in got and not default:
+            return None
+        names[flag[2:].replace("-", "_")] = got.get(flag, *default)
+    return SimpleNamespace(**names, run=run)
+
+
 def _print_text(report):
     print(f"command: {report['command']}")
     if report["params"]:
@@ -441,7 +485,8 @@ def _print_text(report):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _table_args(argv) or build_parser().parse_args(argv)
     try:
         body = args.run(args)
     except (ValueError, OSError, IndexError) as exc:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from braidmf import cli
 from braidmf.bmf import SurfaceParams, cusp_cluster_factorization, generate_bmf
 from braidmf.braid import BraidWord, LetterCapExceeded, artin_rep
 from braidmf.f2sym import group_closure
@@ -124,6 +125,23 @@ def test_workload_verdicts_run(tmp_path, name):
         if not v.long and v.kind not in judged:
             judged[v.kind] = v.check(v.run())
     assert len(judged) >= 3
+
+
+def test_workload_argv_take_the_table_parse(tmp_path, monkeypatch):
+    # Every CLI verdict of seed 1's prologue and round 0 is read straight
+    # from cli.COMMANDS, not by argparse: among them braid eq's
+    # --word1=..., hurwitz search's --file and verify s7's --seed.
+    argvs = []
+    monkeypatch.setattr(cli, "main", lambda argv: argvs.append(argv) or 0)
+    for workload in workloads.WORKLOADS.values():
+        verdicts = workload.build_round(1, 0, tmp_path)
+        for v in verdicts + workload.build_prologue(1, tmp_path):
+            if v.via_cli:
+                v.run()
+    parsed = [cli._table_args(a) for a in argvs]
+    assert [a for a, ns in zip(argvs, parsed) if ns is None] == []
+    rows = {(ns.command, getattr(ns, "subcommand", None)) for ns in parsed}
+    assert rows == set(cli.COMMANDS) - {("hurwitz", "act")}
 
 
 # The traced tests run in a fresh interpreter, as a benchmark worker does:

@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from braidmf.cli import COMMANDS, build_parser, main
+from braidmf.cli import COMMANDS, _table_args, build_parser, main
 
 
 def _run(capsys, *argv):
@@ -237,7 +238,9 @@ def test_braid_eq_memory_does_not_grow_with_strands(capsys):
 def test_parser_is_built_once_per_process(capsys):
     # A parser built per call is cyclic garbage after it: under
     # DEBUG_SAVEALL the collector would keep its objects in gc.garbage.
-    argv = ["verify", "s7", "--b", "1", "--d", "1", "--trials", "10", "--json"]
+    # The abbreviated --tri is read by argparse, not by the table.
+    argv = ["verify", "s7", "--b", "1", "--d", "1", "--tri", "10", "--json"]
+    assert _table_args(argv) is None
     main(argv)
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -251,6 +254,54 @@ def test_parser_is_built_once_per_process(capsys):
         gc.garbage.clear()
     capsys.readouterr()
     assert leaked == []
+
+
+# Values that argparse reads in ways a table parse could get wrong: negative
+# numbers, an empty string, underscores and non-ASCII digits in an int, an
+# "=" inside a value, and option strings as values.
+_ODD_VALUES = ["-3", "-1,2", "", "x", "5_0", "\u0663", "a=b", "--json", "-h"]
+
+
+def _draw_argv(rng):
+    """A seeded argv for one COMMANDS row: its flags in any order, spelt
+    exactly, abbreviated or as --flag=value, some left out or repeated,
+    a digit or one of _ODD_VALUES, and now and then an unknown flag."""
+    row = rng.choice(list(COMMANDS))
+    options = COMMANDS[row][0]
+    argv = [*filter(None, row)]
+    for flag, kind, *default in rng.sample(options, len(options)):
+        if rng.random() < (0.3 if default else 0.03):
+            continue
+        for _ in range(1 + (rng.random() < 0.05)):
+            spelt = rng.choice([flag] * 3 + [flag[: rng.randrange(3, len(flag) + 1)]])
+            value = str(rng.randrange(10))
+            if rng.random() < 0.3:
+                value = rng.choice(_ODD_VALUES)
+            if kind is bool:
+                argv += [spelt] if rng.random() < 0.9 else [f"{spelt}={value}"]
+            elif rng.random() < 0.3:
+                argv.append(f"{spelt}={value}")
+            else:
+                argv += [spelt, value]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(2, len(argv) + 1), "--nope")
+    return argv
+
+
+def test_table_parse_matches_argparse_where_it_accepts():
+    # The table reads a subset of argv; wherever it gives a namespace, it
+    # must be argparse's, attribute for attribute and in argparse's order
+    # (the text reports print params in that order).
+    rng = random.Random(37)
+    accepted = set()
+    for _ in range(20_000):
+        argv = _draw_argv(rng)
+        got = _table_args(argv)
+        if got is not None:
+            want = build_parser().parse_args(argv)
+            assert list(vars(got).items()) == list(vars(want).items()), argv
+            accepted.add((got.command, getattr(got, "subcommand", None)))
+    assert accepted == set(COMMANDS)
 
 
 def test_usage_error_exit_code(capsys):
@@ -560,8 +611,8 @@ def test_names_have_one_import_path():
         assert bare[stage] == {"modules": out[stage]["modules"], "costly": []}
 
 
-# A fresh interpreter runs one command and prints its exit code and the
-# braidmf modules loaded by then.
+# A fresh interpreter runs one command and prints its exit code, the
+# braidmf modules loaded by then and whether argparse is among them.
 _COMMAND_MODULES = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -572,7 +623,8 @@ with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(sys.argv[1:])
     except SystemExit as exc:  # a usage error
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("braidmf."))]))
+braidmf = sorted(m for m in sys.modules if m.startswith("braidmf."))
+print(json.dumps([code, braidmf, "argparse" in sys.modules]))
 """
 
 
@@ -584,8 +636,8 @@ def _command_modules(argv):
         env={**os.environ, "PYTHONPATH": str(root.parent / "src")}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
-    return code, {m.removeprefix("braidmf.") for m in modules}
+    code, modules, argparse_loaded = json.loads(proc.stdout)
+    return code, {m.removeprefix("braidmf.") for m in modules}, argparse_loaded
 
 
 S4_LAYERS = {"braid", "hurwitz", "perm", "s4orbit"}
@@ -617,11 +669,12 @@ LOADED_BY = {
 def test_each_command_loads_only_its_layers(row):
     args, layers = LOADED_BY[row]
     argv = " ".join(filter(None, (*row, args)))
-    assert _command_modules(argv) == (0, {"cli", *layers})
+    # well-formed argv is read from COMMANDS: argparse is never imported
+    assert _command_modules(argv) == (0, {"cli", *layers}, False)
 
 
 def test_a_usage_error_loads_only_the_cli():
-    assert _command_modules("classify --a 3") == (2, {"cli"})
+    assert _command_modules("classify --a 3") == (2, {"cli"}, True)
 
 
 _NUMPY_FREE = """

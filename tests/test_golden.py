@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from braidmf import braid
-from braidmf.cli import build_parser, main
+from braidmf.cli import _table_args, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,6 +93,12 @@ CASES = {
     " --file fixtures/search_rewritten_product.json",
     "error-bad-word": "braid eq --strands 3 --word1 3 --word2 1",
     "error-missing-flag": "verify nonconj --b 1",
+    # argv that only argparse reads: the table parse declines each of these
+    "argparse-abbreviated-flag": "verify nonconj --b 1 --d 2 --tri 20",
+    "argparse-negative-value": "verify nonconj --b 1 --d 1 --trials 20 --seed -3",
+    "argparse-repeated-flag": "arf --a 2 --c 3 --a 3",
+    "help-classify": "classify --help",
+    "help": "--help",
 }
 
 
@@ -188,6 +194,20 @@ def test_json_reports_skip_the_pure_python_encoder(case, in_golden, monkeypatch)
     assert got == want
     if got["stdout"]:
         json.loads(got["stdout"])
+
+
+# Cases whose argv only argparse reads: help, and the usage errors it writes.
+ARGPARSE_CASES = {
+    "error-missing-flag",
+    *(case for case in CASES if case.startswith(("argparse-", "help"))),
+}
+
+
+def test_only_argparse_cases_leave_the_table_parse():
+    # every other case is read straight from COMMANDS, as the benchmark's
+    # argv are, so the fast path cannot vanish with every report unchanged
+    for case, argv in CASES.items():
+        assert (_table_args(argv.split()) is None) == (case in ARGPARSE_CASES), case
 
 
 def test_parser_surface_is_unchanged():
