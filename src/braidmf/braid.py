@@ -5,8 +5,8 @@ vector that the braid group acts on faithfully, at a few integer
 operations a letter (see dynnikov).
 
 No verdict builds Artin free-group images; artin_rep, with its
-ArtinAuto result, LetterCapExceeded and DEFAULT_LETTER_CAP, stays
-because the benchmark tracer hooks it.
+ArtinAuto result, LetterCapExceeded and LETTER_CAP, stays because the
+benchmark tracer hooks artin_rep and counts its LetterCapExceeded.
 
 There is one word class: a braid word on n strands is a free word of
 rank n-1 in sigma_1, ..., sigma_{n-1}, so BraidWord subclasses FreeWord
@@ -24,7 +24,7 @@ from .perm import Perm
 
 # Total reduced-letter budget for automorphism images; image lengths can
 # grow exponentially in the word length, so fail loudly instead of hanging.
-DEFAULT_LETTER_CAP = 10**6
+LETTER_CAP = 10**6
 
 
 class LetterCapExceeded(RuntimeError):
@@ -177,15 +177,15 @@ class ArtinAuto(namedtuple("ArtinAuto", "rank images")):
         return sum(len(w) for w in self.images)
 
 
-def artin_rep(word, cap=DEFAULT_LETTER_CAP):
+def artin_rep(word):
     """The free-group automorphism of a braid word (letters left-to-right).
 
     Hurwitz moves on the free generators, from the last letter to the
     first (moving a tuple of images precomposes it with the move); raises
-    LetterCapExceeded once the images exceed `cap` letters, which the
-    free generators alone do on more than `cap` strands.
+    LetterCapExceeded once the images exceed LETTER_CAP letters, which the
+    free generators alone do on more than LETTER_CAP strands.
     """
-    n = word.strands
+    n, cap = word.strands, LETTER_CAP
     if n > cap:
         raise LetterCapExceeded(f"automorphism over cap {cap}")
     f = tuple(FreeWord._of(n, (g,)) for g in range(1, n + 1))

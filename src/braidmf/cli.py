@@ -3,10 +3,10 @@
 One subcommand per verified result; deterministic seeds; JSON reports
 with a versioned schema (same inputs and seed give byte-identical
 output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
-error or bad input, 3 a resource limit was hit (the search node cap,
-which shrinks to node_cap * 16 // m nodes on m > 16 slots, the bmf
-factor cap, the cross-space dimension cap, or the tau0 slot cap or
-trials cap of `verify nonconj`/`verify s7`) before a verdict was reached.
+error or bad input, 3 a resource limit was hit before a verdict was
+reached: hurwitz.SEARCH_NODE_CAP (scaled by 16 / m on m > 16 slots),
+bmf.MAX_FACTORS, f2sym.CROSS_MAX_DIM, or s4orbit.TAU_MAX_SLOTS or
+TRIALS_MAX.  No command reaches f2sym.CLOSURE_CAP or braid.LETTER_CAP.
 
 Well-formed argv is read straight from `COMMANDS`; `build_parser()`
 imports argparse only for the argv the table declines, so argparse alone
@@ -18,7 +18,6 @@ imports the layers it runs when the command is dispatched, and a
 
 from __future__ import annotations
 
-import functools
 import sys
 from types import SimpleNamespace
 
@@ -400,7 +399,6 @@ HELP = {
 _NOT_PARAMS = {"command", "subcommand", "run", "json", "trials", "seed"}
 
 
-@functools.cache  # one argparse tree per process: parse_args leaves it as is
 def build_parser():
     import argparse
 

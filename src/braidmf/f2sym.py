@@ -468,7 +468,7 @@ class OperatorSequence:
             yield from map(tuple.__new__, repeat(F2Operator), ops)
 
 
-def _transversals(gens, dim, cap):
+def _transversals(gens, dim):
     """Transversals of a stabilizer chain, with base e_0..e_{dim-1}, of the
     group the column tuples `gens` generate (incremental Schreier-Sims).
 
@@ -486,7 +486,7 @@ def _transversals(gens, dim, cap):
     of the levels below the current one down to j.  Passed sifts stay
     valid, as transversals only grow.  The product of the orbit lengths
     bounds the order from below and is exact at the end; RuntimeError
-    ("closure exceeded cap N") as soon as it passes `cap`.
+    ("closure exceeded cap N") as soon as it passes N = CLOSURE_CAP.
     """
     orbits = [{1 << i: (tuple(1 << k for k in range(dim)), range(1 << dim))}
               for i in range(dim)]
@@ -526,28 +526,28 @@ def _transversals(gens, dim, cap):
                 orbit[q] = (tuple(map(image.__getitem__, u)),
                             tuple(map(u_inv.__getitem__, inv)))
                 pending[i] += [(q, gen) for gen in strong[i]]
-                if math.prod(map(len, orbits)) > cap:
-                    raise RuntimeError(f"closure exceeded cap {cap}")
+                if math.prod(map(len, orbits)) > CLOSURE_CAP:
+                    raise RuntimeError(f"closure exceeded cap {CLOSURE_CAP}")
                 continue
             schreier = tuple(map(orbit[q][1].__getitem__, map(image.__getitem__, u)))
             h, j = sift(schreier, i + 1)
             if h is not None:
                 add(h, i + 1, j)
                 i = j
-    if math.prod(map(len, orbits)) > cap:
-        raise RuntimeError(f"closure exceeded cap {cap}")
+    if math.prod(map(len, orbits)) > CLOSURE_CAP:
+        raise RuntimeError(f"closure exceeded cap {CLOSURE_CAP}")
     return [[u for u, _ in orbit.values()] for orbit in orbits]
 
 
-def group_closure(gens, cap=CLOSURE_CAP):
+def group_closure(gens):
     """The group generated by invertible operators, as an OperatorSequence
     over its stabilizer chain (`_transversals`); empty for no generators.
 
     ValueError for mixed dimensions, a dimension outside
     1..CLOSURE_MAX_DIM or a singular generator ("operator is singular"),
-    and RuntimeError("closure exceeded cap N") for more than `cap`
-    elements, checked from the chain's order.  Neither these checks nor
-    ``len()`` import numpy; only iteration does.
+    and RuntimeError("closure exceeded cap N") for more than N =
+    CLOSURE_CAP elements, checked from the chain's order.  Neither these
+    checks nor ``len()`` import numpy; only iteration does.
     """
     gens = list(gens)
     if not gens:
@@ -559,7 +559,7 @@ def group_closure(gens, cap=CLOSURE_CAP):
         raise ValueError(f"closure dimension cap {CLOSURE_MAX_DIM} exceeded")
     if dim < 1:
         raise ValueError("closure dimension must be >= 1")
-    return OperatorSequence(_transversals([g.cols for g in gens], dim, cap), dim)
+    return OperatorSequence(_transversals([g.cols for g in gens], dim), dim)
 
 
 def _is_non_special_tree(vecs, form):

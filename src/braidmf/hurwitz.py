@@ -33,6 +33,8 @@ import functools
 
 from .perm import Perm, Record, symmetric_group
 
+SEARCH_NODE_CAP = 500_000  # orbit_search's nodes on both sides, up to 16 slots
+
 
 def product(f):
     """The left-to-right product of a nonempty factorization."""
@@ -162,7 +164,7 @@ def _move_order(moves):
     return [(abs(k), k < 0) for k in moves]
 
 
-def orbit_search(start, target, max_depth, node_cap=500_000):
+def orbit_search(start, target, max_depth):
     """Bidirectional breadth-first search for a Hurwitz move path from
     start to target.
 
@@ -183,11 +185,11 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     both sides (a meeting node is stored on each, so it counts twice) and
     whose `depth_reached` counts the levels grown on both sides; a miss
     within the budget proves nothing.  Raises RuntimeError once more than
-    node_cap nodes are stored on the two sides together, and ValueError
-    if the products differ (then no path can exist) or if max_depth is
-    negative.  A node holds one id per slot, so past 16 slots the cap
-    shrinks to node_cap * 16 // m nodes: the stored slots stay within
-    node_cap * 16 whatever the length m.
+    SEARCH_NODE_CAP nodes are stored on the two sides together, and
+    ValueError if the products differ (then no path can exist) or if
+    max_depth is negative.  A node holds one id per slot, so past 16 slots
+    the cap shrinks to SEARCH_NODE_CAP * 16 // m nodes: the stored slots
+    stay within SEARCH_NODE_CAP * 16 whatever the length m.
 
     Nodes are tuples of ids: each distinct element is interned once, keyed
     by its own `==` and `hash`, and the ids of a b a^-1 and b^-1 a b are
@@ -208,7 +210,7 @@ def orbit_search(start, target, max_depth, node_cap=500_000):
     if start == target:
         return SearchResult(True, [], 1, 0)
     m = len(start)
-    cap = node_cap * 16 // max(m, 16)
+    cap = SEARCH_NODE_CAP * 16 // max(m, 16)
     elems, ids, memo = [], {}, {}  # id -> element, element -> id, pair -> ids
 
     def intern(x):

@@ -128,16 +128,20 @@ def test_workload_verdicts_run(tmp_path, name):
 
 
 def test_workload_argv_take_the_table_parse(tmp_path, monkeypatch):
-    # Every CLI verdict of seed 1's prologue and round 0 is read straight
-    # from cli.COMMANDS, not by argparse: among them braid eq's
-    # --word1=..., hurwitz search's --file and verify s7's --seed.
+    # Every CLI verdict of seeds 1-3, each with its prologue and rounds
+    # 0-2, is read straight from cli.COMMANDS, not by argparse: among them
+    # braid eq's --word1=..., hurwitz search's --file and verify s7's
+    # --seed.  So no benchmark run builds an argparse parser.
     argvs = []
     monkeypatch.setattr(cli, "main", lambda argv: argvs.append(argv) or 0)
     for workload in workloads.WORKLOADS.values():
-        verdicts = workload.build_round(1, 0, tmp_path)
-        for v in verdicts + workload.build_prologue(1, tmp_path):
-            if v.via_cli:
-                v.run()
+        for seed in (1, 2, 3):
+            verdicts = workload.build_prologue(seed, tmp_path)
+            for r in range(3):
+                verdicts += workload.build_round(seed, r, tmp_path)
+            for v in verdicts:
+                if v.via_cli:
+                    v.run()
     parsed = [cli._table_args(a) for a in argvs]
     assert [a for a, ns in zip(argvs, parsed) if ns is None] == []
     rows = {(ns.command, getattr(ns, "subcommand", None)) for ns in parsed}

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braidmf import braid
 from braidmf.braid import (
     ArtinAuto,
     BraidWord,
@@ -320,18 +321,21 @@ def test_snake_word_shape():
             assert list(w.letters) == letters, (d, n)
 
 
-def test_letter_cap():
+def test_letter_cap(monkeypatch):
     # (sigma_1 sigma_2)^k grows image lengths quickly
     w = BraidWord(3, [1, 2] * 40)
+    monkeypatch.setattr(braid, "LETTER_CAP", 200)
     with pytest.raises(LetterCapExceeded):
-        artin_rep(w, cap=200)
+        artin_rep(w)
 
 
-def test_letter_cap_covers_the_free_generators():
+def test_letter_cap_covers_the_free_generators(monkeypatch):
     # the identity images already hold one letter per strand
-    assert artin_rep(BraidWord(5, ()), cap=5) == identity_auto(5)
+    monkeypatch.setattr(braid, "LETTER_CAP", 5)
+    assert artin_rep(BraidWord(5, ())) == identity_auto(5)
+    monkeypatch.setattr(braid, "LETTER_CAP", 4)
     with pytest.raises(LetterCapExceeded) as exc:
-        artin_rep(BraidWord(5, ()), cap=4)
+        artin_rep(BraidWord(5, ()))
     assert str(exc.value) == "automorphism over cap 4"
 
 

@@ -1,5 +1,3 @@
-import argparse
-import gc
 import json
 import os
 import random
@@ -221,10 +219,11 @@ def test_only_a_blank_word_list_is_the_empty_word(capsys):
 def test_braid_eq_memory_does_not_grow_with_strands(capsys):
     # over the 10**6-letter cap of the Artin images, which hold one free
     # generator per strand; the coordinates hold one pair per touched strand
-    build_parser()  # cached: the parser's own allocations stay out of the peak
+    argv = ["braid", "eq", "--strands", "1000001", "--word1=", "--word2="]
+    assert _table_args(argv) is not None  # no parser is built inside the peak
     tracemalloc.start()
     try:
-        code = main(["braid", "eq", "--strands", "1000001", "--word1=", "--word2="])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,27 +232,6 @@ def test_braid_eq_memory_does_not_grow_with_strands(capsys):
     assert "PASS    braid equality — words are equal as braids" in out
     # a pointer per strand alone would be 8 MB
     assert peak < 100_000
-
-
-def test_parser_is_built_once_per_process(capsys):
-    # A parser built per call is cyclic garbage after it: under
-    # DEBUG_SAVEALL the collector would keep its objects in gc.garbage.
-    # The abbreviated --tri is read by argparse, not by the table.
-    argv = ["verify", "s7", "--b", "1", "--d", "1", "--tri", "10", "--json"]
-    assert _table_args(argv) is None
-    main(argv)
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        assert main(argv) == 0
-        gc.collect()
-        leaked = [o for o in gc.garbage if isinstance(o, (
-            argparse.ArgumentParser, argparse.Action, argparse._ArgumentGroup))]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-    capsys.readouterr()
-    assert leaked == []
 
 
 # Values that argparse reads in ways a table parse could get wrong: negative
@@ -293,12 +271,12 @@ def test_table_parse_matches_argparse_where_it_accepts():
     # must be argparse's, attribute for attribute and in argparse's order
     # (the text reports print params in that order).
     rng = random.Random(37)
-    accepted = set()
+    parser, accepted = build_parser(), set()
     for _ in range(20_000):
         argv = _draw_argv(rng)
         got = _table_args(argv)
         if got is not None:
-            want = build_parser().parse_args(argv)
+            want = parser.parse_args(argv)
             assert list(vars(got).items()) == list(vars(want).items()), argv
             accepted.add((got.command, getattr(got, "subcommand", None)))
     assert accepted == set(COMMANDS)

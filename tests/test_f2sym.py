@@ -254,38 +254,43 @@ def _random_generators(rng, dim):
     return gens
 
 
-def test_packed_closure_matches_reference():
+def test_packed_closure_matches_reference(monkeypatch):
     rng = random.Random(41)
     cap = 30_000
     closed = capped = 0
     for dim in range(1, 9):
         for _ in range(12):
             gens = _random_generators(rng, dim)
+            monkeypatch.setattr(f2sym, "CLOSURE_CAP", cap)
             try:
                 want = _reference_closure(gens, dim, cap)
             except RuntimeError as exc:
                 with pytest.raises(RuntimeError, match=f"^{exc}$"):
-                    group_closure(gens, cap)
+                    group_closure(gens)
                 capped += 1
                 continue
             closed += 1
-            _assert_each_once(group_closure(gens, cap), want)
+            _assert_each_once(group_closure(gens), want)
             # the cap raises exactly when the closure outgrows it
             for small in (len(want) - 1, len(want) // 2):
                 with pytest.raises(RuntimeError, match=f"^closure exceeded cap {small}$"):
                     _reference_closure(gens, dim, small)
+                monkeypatch.setattr(f2sym, "CLOSURE_CAP", small)
                 with pytest.raises(RuntimeError, match=f"^closure exceeded cap {small}$"):
-                    group_closure(gens, small)
-            assert len(group_closure(gens, len(want))) == len(want)
+                    group_closure(gens)
+            monkeypatch.setattr(f2sym, "CLOSURE_CAP", len(want))
+            assert len(group_closure(gens)) == len(want)
     assert closed > 60 and capped > 0
 
 
-def test_packed_closure_cap_message():
+def test_packed_closure_cap_message(monkeypatch):
     form = _chain_form(4)
     gens = [transvection(1 << i, form) for i in range(4)]
+    monkeypatch.setattr(f2sym, "CLOSURE_CAP", 100)
     with pytest.raises(RuntimeError, match=r"^closure exceeded cap 100$"):
-        group_closure(gens, cap=100)
-    assert len(group_closure(gens, cap=120)) == 120
+        group_closure(gens)
+    monkeypatch.setattr(f2sym, "CLOSURE_CAP", 120)
+    assert len(group_closure(gens)) == 120
 
 
 def test_closure_refuses_dimensions_above_8(monkeypatch):
@@ -438,10 +443,12 @@ def test_closure_cap_is_checked_from_the_order(monkeypatch):
         group_closure(gens)
     # just below the exact order, and a trivial group that grows no orbit
     e6 = [transvection(1 << i, e6_form()) for i in range(6)]
+    monkeypatch.setattr(f2sym, "CLOSURE_CAP", 51_839)
     with pytest.raises(RuntimeError, match=r"^closure exceeded cap 51839$"):
-        group_closure(e6, cap=51_839)
+        group_closure(e6)
+    monkeypatch.setattr(f2sym, "CLOSURE_CAP", 0)
     with pytest.raises(RuntimeError, match=r"^closure exceeded cap 0$"):
-        group_closure([identity_operator(3)], cap=0)
+        group_closure([identity_operator(3)])
 
 
 def test_operator_is_a_tuple_of_dim_and_cols():

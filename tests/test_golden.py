@@ -59,6 +59,10 @@ CASES = {
     "braid-eq-json": "braid eq --strands 4 --word1 1,3 --word2 3,1 --json",
     "braid-eq-differ": "braid eq --strands 3 --word1 1 --word2 2",
     "braid-eq-differ-json": "braid eq --strands 3 --word1 1,2 --word2 2,1 --json",
+    # a comma list whose first item is negative is spelt --flag=value:
+    # argparse takes a separate "-1,2" for an option string
+    "braid-eq-negative-first-json": "braid eq --strands 3 --word1=-1,2"
+    " --word2=2,-1 --json",
     # (s1 s2^-1)^20 against a copy with its tenth s1 s2^-1 rewritten as
     # s2^-1 s1^-1 s2 s1: the Artin images of these words pass 10**6 letters
     "braid-eq-long-json": "braid eq --strands 3 --word1 "
@@ -68,6 +72,8 @@ CASES = {
     + " --json",
     "hurwitz-act-s4": "hurwitz act --file fixtures/act_s4.json --moves 1,-2,2",
     "hurwitz-act-braid": "hurwitz act --file fixtures/act_braid.json --moves 2,-1",
+    "hurwitz-act-negative-first": "hurwitz act --file fixtures/act_s4.json"
+    " --moves=-1,2",
     "hurwitz-search-s4": "hurwitz search --file fixtures/search_s4.json --max-depth 3",
     "hurwitz-search-s4-json": "hurwitz search --file fixtures/search_s4.json --json",
     # tau0(2,2), 16 slots, scrambled by the moves 4,7,1,8,-9,11: the sides
@@ -97,6 +103,7 @@ CASES = {
     "argparse-abbreviated-flag": "verify nonconj --b 1 --d 2 --tri 20",
     "argparse-negative-value": "verify nonconj --b 1 --d 1 --trials 20 --seed -3",
     "argparse-repeated-flag": "arf --a 2 --c 3 --a 3",
+    "argparse-negative-first-item": "braid eq --strands 3 --word1 -1,2 --word2 2,-1",
     "help-classify": "classify --help",
     "help": "--help",
 }

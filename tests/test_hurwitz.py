@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from braidmf import hurwitz
 from braidmf.bmf import cusp_cluster_factorization
 from braidmf.braid import BraidWord, FreeWord
 from braidmf.f2sym import form_from_edges, transvection
@@ -115,7 +116,7 @@ def test_orbit_search_agrees_with_one_sided_oracle():
     assert 60 <= misses <= 260
 
 
-def test_orbit_search_edge_cases():
+def test_orbit_search_edge_cases(monkeypatch):
     t, u = Perm.transposition(1, 2, 4), Perm.transposition(3, 4, 4)
     e, v = Perm.identity(4), Perm.transposition(2, 3, 4)
     f = (t, v, t)
@@ -133,20 +134,23 @@ def test_orbit_search_edge_cases():
     # (t, u) and (e, t u) share the product t u but lie in orbits of two
     # factorizations each: the forward side runs dry at its second level,
     # under a cap of exactly the three nodes stored
-    res = orbit_search((t, u), (e, t * u), 10, node_cap=3)
+    monkeypatch.setattr(hurwitz, "SEARCH_NODE_CAP", 3)
+    res = orbit_search((t, u), (e, t * u), 10)
     assert res == SearchResult(False, [], 3, 2)
     assert not one_sided_search((t, u), (e, t * u), 10).found
 
 
-def test_orbit_search_node_cap_counts_both_sides():
+def test_orbit_search_node_cap_counts_both_sides(monkeypatch):
     start, target, _ = cusp_cluster_factorization()
     res = orbit_search(start, target, 6)
     assert res == SearchResult(True, [-1, -3, 2, -1], 66, 4)
-    assert orbit_search(start, target, 6, node_cap=66) == res
+    monkeypatch.setattr(hurwitz, "SEARCH_NODE_CAP", 66)
+    assert orbit_search(start, target, 6) == res
     # the backward side holds the target at least, so a cap one below the
     # total is exceeded only if both sides count
+    monkeypatch.setattr(hurwitz, "SEARCH_NODE_CAP", 65)
     with pytest.raises(RuntimeError) as exc:
-        orbit_search(start, target, 6, node_cap=65)
+        orbit_search(start, target, 6)
     assert str(exc.value) == "search exceeded node cap 65"
 
 
@@ -159,12 +163,14 @@ def _long_s4_pair(m):
 
 
 @pytest.mark.parametrize("m, node_cap, cap", [(16, 50, 50), (17, 50, 47), (200, 1000, 80)])
-def test_node_cap_bounds_the_stored_slots(m, node_cap, cap):
-    # a node holds m slots: past 16 the cap shrinks to node_cap * 16 // m
-    # nodes, so 200 slots under node_cap 1,000 stop at 80 nodes, 16,000 slots
+def test_node_cap_bounds_the_stored_slots(m, node_cap, cap, monkeypatch):
+    # a node holds m slots: past 16 the cap shrinks to SEARCH_NODE_CAP * 16
+    # // m nodes, so 200 slots under a cap of 1,000 stop at 80 nodes, 16,000
+    # slots
     start, target = _long_s4_pair(m)
+    monkeypatch.setattr(hurwitz, "SEARCH_NODE_CAP", node_cap)
     with pytest.raises(RuntimeError) as exc:
-        orbit_search(start, target, 4, node_cap=node_cap)
+        orbit_search(start, target, 4)
     assert str(exc.value) == f"search exceeded node cap {cap}"
 
 
@@ -210,14 +216,14 @@ def test_orbit_search_errors_are_unchanged(args, message):
         assert str(exc.value) == message
 
 
-def _search_or_error(search, start, target, depth, cap):
+def _search_or_error(search, *args):
     try:
-        return search(start, target, depth, cap)
+        return search(*args)
     except RuntimeError as exc:
         return str(exc)
 
 
-def test_orbit_search_matches_element_keyed_oracle():
+def test_orbit_search_matches_element_keyed_oracle(monkeypatch):
     # 630 seeded S4, Br4 and Br5 scrambles of lengths 2-6 by 0-8 moves,
     # searched at max_depth 0-6 under node caps 50, 200 and 500,000: the
     # interned search must give the oracle's SearchResult or RuntimeError.
@@ -234,7 +240,8 @@ def test_orbit_search_matches_element_keyed_oracle():
         start = act_moves(target, _signed(rng, m - 1, rng.randint(0, 8)))
         depth, cap = rng.randint(0, 6), (50, 200, 500_000)[k // 3 % 3]
         want = _search_or_error(element_keyed_search, start, target, depth, cap)
-        got = _search_or_error(orbit_search, start, target, depth, cap)
+        monkeypatch.setattr(hurwitz, "SEARCH_NODE_CAP", cap)
+        got = _search_or_error(orbit_search, start, target, depth)
         assert got == want, k
         outcomes["capped" if isinstance(got, str) else got.found] += 1
     assert min(outcomes.values()) >= 30, outcomes

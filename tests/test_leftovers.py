@@ -5,7 +5,8 @@ deletion left behind.  So is an oracle in tests/oracles.py that no test
 uses, and so is a class that writes out the immutable-record rule again
 instead of subclassing perm.Record.  A public module-level name of
 src/braidmf that only tests read is test code in the package, unless
-TEST_ONLY gives the reason it stays.
+TEST_ONLY gives the reason it stays; so is a parameter default that only
+tests override, unless NEVER_OVERRIDDEN gives the reason.
 
 The checks read the source with `ast` and import nothing.
 """
@@ -171,9 +172,11 @@ def _default_params(tree):
                 yield name, None, p.arg
 
 
-def test_every_default_is_left_out_by_some_caller():
-    # a default that every call in the package, the benchmark and the demos
-    # overrides is dead; a function nothing there calls is not judged
+def _calls():
+    """Callee name -> (positional argument count, keyword names) of every
+    call in the package, the benchmark and the demos, matched by name; a
+    call that unpacks * or ** counts as passing every positional
+    argument."""
     trees = [*DIRS["src/braidmf"].values(), *DIRS["demos"].values(), *BENCH]
     calls = {}
     for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
@@ -183,6 +186,13 @@ def test_every_default_is_left_out_by_some_caller():
         )
         npos = float("inf") if unpacks else len(node.args)
         calls.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_default_is_left_out_by_some_caller():
+    # a default that every call in the package, the benchmark and the demos
+    # overrides is dead; a function nothing there calls is not judged
+    calls = _calls()
     dead = [
         f"{module}: {name}({param}=...)"
         for module, tree in DIRS["src/braidmf"].items()
@@ -194,3 +204,31 @@ def test_every_default_is_left_out_by_some_caller():
         )
     ]
     assert dead == []
+
+
+# Defaults that no call in the package, the benchmark or the demos
+# overrides, each kept for a stated reason.
+NEVER_OVERRIDDEN = {
+    "s4orbit.py: verify_nonconjugacy(left=...)": "c02 checks the swapped sides",
+    "s4orbit.py: verify_nonconjugacy(right=...)": "c02 checks the swapped sides",
+}
+
+
+def test_every_default_is_overridden_by_some_caller():
+    # a parameter that only tests set is a test knob in the package: a
+    # resource cap is a module constant that tests patch instead.  A call
+    # that unpacks * or ** may set any parameter; a function nothing calls
+    # overrides none of its defaults.
+    calls = _calls()
+    fixed = [
+        f"{module}: {name}({param}=...)"
+        for module, tree in DIRS["src/braidmf"].items()
+        for name, index, param in _default_params(tree)
+        if not any(
+            param in keys
+            or npos == float("inf")
+            or (index is not None and npos > index)
+            for npos, keys in calls.get(name, [])
+        )
+    ]
+    assert sorted(fixed) == sorted(NEVER_OVERRIDDEN)
