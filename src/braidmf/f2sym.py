@@ -8,12 +8,11 @@ it, (u, v) = parity(gram_image(u) & v).  `group_closure` builds a
 Schreier-Sims stabilizer chain of a group of invertible operators, with
 the basis vectors as base points, checks its cap against the chain's
 order and returns the chain: its length is the order, and iterating it
-enumerates the group coset by coset.  Dense numpy paths cover the
-dimensions we ever enumerate (<= 8 for closure, where a column fits one
-uint8 and an image table has 2^dim entries; <= 24 for the Arf oracle).
-numpy is imported on first use, by a closure's iteration and the q-table
-and Arf-oracle paths, so the rest of the package and the CLI load
-without it.
+enumerates the group coset by coset, mapping byte rows through
+`bytes.translate` tables: a column fits one byte up to dimension 8, the
+most we ever enumerate.  The Arf oracle's q table (dimension <= 24) is
+one int whose bit v is q(v).  The package imports only the standard
+library.
 """
 
 from __future__ import annotations
@@ -167,12 +166,10 @@ class F2Quadratic(Record):
     def _level_sets(self) -> tuple:
         """For each basis index i, the bitsets v with q(v) = q(e_i); built
         from the value table on first use (dimensions <= Q_TABLE_MAX_DIM)."""
-        import numpy as np
-
-        vals = _q_values(self)
-        return tuple(
-            frozenset(np.flatnonzero(vals == b).tolist()) for b in self.basis_values
-        )
+        vals, space = _q_values(self), range(1 << self.form.dim)
+        ones = frozenset(v for v in space if vals >> v & 1)
+        levels = (frozenset(space) - ones, ones)
+        return tuple(levels[b] for b in self.basis_values)
 
 
 def _check_fits(v: int, n: int, what: str = "vector") -> None:
@@ -373,24 +370,16 @@ ARF_ORACLE_MAX_DIM = 24
 Q_TABLE_MAX_DIM = 8
 
 
-def _q_values(q: F2Quadratic):
-    """uint8 array of q(v) for every v < 2^dim, indexed by the bitset v."""
-    import numpy as np
-
-    n = q.form.dim
-    vals = np.zeros(1 << n, dtype=np.uint8)
-    pair = np.zeros(1 << n >> 1, dtype=np.uint8)
-    one = np.uint8(1)
-    for k in range(n):
-        # pair[v] = q(e_k) + (v, e_k) for v < 2^k, by the same doubling
-        pair[0] = q.basis_values[k]
+def _q_values(q: F2Quadratic) -> int:
+    """The int whose bit v is q(v), for every v < 2^dim."""
+    vals = 0
+    for k, (row, pair) in enumerate(zip(q.form.gram, q.basis_values)):
+        # bit v of pair = q(e_k) + (v, e_k) for v < 2^k, by the same doubling
         for j in range(k):
-            if (q.form.gram[k] >> j) & 1:
-                np.bitwise_xor(pair[: 1 << j], one, out=pair[1 << j : 2 << j])
-            else:
-                pair[1 << j : 2 << j] = pair[: 1 << j]
+            half = 1 << j
+            pair |= (pair ^ (1 << half) - 1 if row >> j & 1 else pair) << half
         # q(v + e_k) = q(v) + q(e_k) + (v, e_k) for v < 2^k
-        np.bitwise_xor(vals[: 1 << k], pair[: 1 << k], out=vals[1 << k : 2 << k])
+        vals |= (vals ^ pair) << (1 << k)
     return vals
 
 
@@ -402,9 +391,7 @@ def arf_oracle(q: F2Quadratic) -> int:
         raise ValueError(f"oracle dimension cap {ARF_ORACLE_MAX_DIM} exceeded")
     if n % 2:
         raise ValueError("need even dimension")
-    import numpy as np
-
-    zeros = int(np.count_nonzero(_q_values(q) == 0))
+    zeros = (1 << n) - _q_values(q).bit_count()
     g = n // 2
     if zeros == (1 << (n - 1)) + (1 << (g - 1)):
         return 0
@@ -430,7 +417,7 @@ def preserves_q(g: F2Operator, q: F2Quadratic) -> bool:
 # Group closure and classification
 
 CLOSURE_CAP = 2_000_000
-CLOSURE_MAX_DIM = 8  # a column fits one uint8; an image table has 2^dim entries
+CLOSURE_MAX_DIM = 8  # a column fits one byte
 
 
 class OperatorSequence:
@@ -439,9 +426,10 @@ class OperatorSequence:
     each once, in chain order.
 
     ``len()`` is the product of the level lengths and builds nothing.
-    Iteration imports numpy, enumerates the stabilizer of e_0 once as a
-    uint8 column matrix (row k holds each element's image of e_k) and
-    yields the operators one level-0 coset at a time.
+    Iteration enumerates the stabilizer of e_0 once as `dim` byte rows
+    (row k holds each element's image of e_k), mapping them through each
+    level's 256-byte image tables with `bytes.translate`, and yields the
+    operators one level-0 coset at a time.
     """
 
     __slots__ = ("_levels", "_dim")
@@ -454,17 +442,20 @@ class OperatorSequence:
         return math.prod(map(len, self._levels))
 
     def __iter__(self):
-        import numpy as np
-
         dim = self._dim
-        tables = [np.array([_images(u) for u in lv], np.uint8) for lv in self._levels]
+        # one 256-byte translation table per transversal element
+        tables = [[bytes(_images(u)).ljust(256, b"\0") for u in lv]
+                  for lv in self._levels]
         # an element applies the deepest level's transversal first
-        cols = np.array([[1 << k] for k in range(dim)], dtype=np.uint8)
-        for images in reversed(tables[1:]):
-            cols = images.T[cols].reshape(dim, -1)
+        rows = [bytes([1 << k]) for k in range(dim)]
+        for level in reversed(tables[1:]):
+            for k, row in enumerate(rows):
+                rows[k] = out = bytearray(len(row) * len(level))
+                for p, table in enumerate(level):
+                    out[p::len(level)] = row.translate(table)
         for table in tables[0]:
             # tuple.__new__ skips the namedtuple's Python-level __new__
-            ops = zip(repeat(dim), zip(*table[cols].tolist()))
+            ops = zip(repeat(dim), zip(*[row.translate(table) for row in rows]))
             yield from map(tuple.__new__, repeat(F2Operator), ops)
 
 
@@ -546,8 +537,8 @@ def group_closure(gens):
     ValueError for mixed dimensions, a dimension outside
     1..CLOSURE_MAX_DIM or a singular generator ("operator is singular"),
     and RuntimeError("closure exceeded cap N") for more than N =
-    CLOSURE_CAP elements, checked from the chain's order.  Neither these
-    checks nor ``len()`` import numpy; only iteration does.
+    CLOSURE_CAP elements, checked from the chain's order before any
+    element is built.
     """
     gens = list(gens)
     if not gens:

@@ -21,6 +21,10 @@ the tests check what `artin_rep` builds.
 `identity_operator` is the identity of F2^dim, and `form_rank` the rank
 of a form's Gram matrix by its own row elimination.
 
+`numpy_enumeration` is the iteration of `f2sym.OperatorSequence` as it
+ran on numpy uint8 column matrices: it yields a stabilizer chain's
+elements in the order `group_closure` must keep.
+
 `reduce_power` is the power of a free or braid word as `FreeWord.__pow__`
 built it before the P C^k P^-1 split: k copies of the letters, reduced
 from scratch.
@@ -31,9 +35,12 @@ from scratch.
 """
 
 from collections import deque
+from itertools import repeat
+
+import numpy as np
 
 from braidmf.braid import ArtinAuto, FreeWord, _reduce, artin_rep
-from braidmf.f2sym import F2Operator
+from braidmf.f2sym import F2Operator, _images
 from braidmf.hurwitz import (
     SearchResult,
     _move_order,
@@ -69,6 +76,21 @@ def apply_auto(auto, word):
 def identity_operator(dim):
     """The identity operator of F2^dim: column i is e_i."""
     return F2Operator(dim, tuple(1 << i for i in range(dim)))
+
+
+def numpy_enumeration(levels, dim):
+    """The elements of the group with these stabilizer-chain transversals
+    (as `f2sym._transversals` returns them), one level-0 coset at a time:
+    the stabilizer of e_0 is enumerated once as a uint8 matrix whose row k
+    holds each element's image of e_k."""
+    tables = [np.array([_images(u) for u in lv], np.uint8) for lv in levels]
+    # an element applies the deepest level's transversal first
+    cols = np.array([[1 << k] for k in range(dim)], dtype=np.uint8)
+    for images in reversed(tables[1:]):
+        cols = images.T[cols].reshape(dim, -1)
+    for table in tables[0]:
+        # plain (dim, cols) tuples, which the equal F2Operators equal
+        yield from zip(repeat(dim), zip(*table[cols].tolist()))
 
 
 def form_rank(form):

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+from itertools import starmap, zip_longest
+from operator import eq
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ from braidmf.f2sym import (
     transvection,
     wajnryb_classify,
 )
-from oracles import form_rank, identity_operator
+from oracles import form_rank, identity_operator, numpy_enumeration
 
 
 def _chain_form(n):
@@ -121,9 +123,12 @@ def test_q_table_matches_q_eval():
             q = F2Quadratic(
                 form_from_edges(dim, edges), tuple(rng.randrange(2) for _ in range(dim))
             )
+            # bit v of the table is q(v), and no bit is set at or past 2^dim
             table = f2sym._q_values(q)
-            assert table.dtype == np.uint8 and table.size == 1 << dim
-            assert table.tolist() == [q_eval(q, v) for v in range(1 << dim)]
+            assert table >> (1 << dim) == 0
+            assert [table >> v & 1 for v in range(1 << dim)] == [
+                q_eval(q, v) for v in range(1 << dim)
+            ]
 
 
 @pytest.mark.parametrize("total", range(4, 8))
@@ -293,10 +298,8 @@ def test_packed_closure_cap_message(monkeypatch):
     assert len(group_closure(gens)) == 120
 
 
-def test_closure_refuses_dimensions_above_8(monkeypatch):
+def test_closure_refuses_dimensions_above_8():
     gens = [transvection(1 << i, _chain_form(9)) for i in range(3)]
-    # refused before numpy is imported: any numpy import here would raise
-    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ValueError, match=r"^closure dimension cap 8 exceeded$"):
         group_closure(gens)
     with pytest.raises(ValueError, match=r"^mixed dimensions$"):
@@ -313,8 +316,6 @@ def test_closure_len_builds_no_operator(monkeypatch):
         raise AssertionError("an operator was built")
 
     monkeypatch.setattr(f2sym, "F2Operator", broken)
-    # nor is numpy imported: any numpy import here would raise
-    monkeypatch.setitem(sys.modules, "numpy", None)
     assert len(group_closure(gens)) == 51_840
 
 
@@ -341,6 +342,34 @@ def test_closure_sequence_matches_list_and_reference():
     none = group_closure([])
     assert isinstance(none, f2sym.OperatorSequence)
     assert len(none) == 0 and list(none) == []
+
+
+def _assert_numpy_order(gens):
+    """group_closure(gens) yields the numpy enumeration's elements, in its
+    order and no more or fewer."""
+    dim = gens[0].dim
+    want = numpy_enumeration(f2sym._transversals([g.cols for g in gens], dim), dim)
+    assert all(starmap(eq, zip_longest(group_closure(gens), want)))
+
+
+def test_closure_keeps_the_numpy_enumeration_order(monkeypatch):
+    rng = random.Random(59)
+    monkeypatch.setattr(f2sym, "CLOSURE_CAP", 30_000)
+    checked = 0
+    for dim in range(1, 9):
+        for _ in range(8):
+            gens = _random_generators(rng, dim)
+            try:
+                group_closure(gens)
+            except RuntimeError:
+                continue
+            checked += 1
+            _assert_numpy_order(gens)
+    assert checked > 40
+    monkeypatch.setattr(f2sym, "CLOSURE_CAP", CLOSURE_CAP)
+    e6 = [transvection(1 << i, e6_form()) for i in range(6)]
+    _assert_numpy_order(e6)
+    _assert_numpy_order([*e6, transvection(0b101, e6_form())])
 
 
 def _checked_closure_size(gens):
@@ -437,8 +466,6 @@ def test_closure_cap_is_checked_from_the_order(monkeypatch):
     assert q_eval(q, 0b101) == 0
     assert wajnryb_classify([*(1 << i for i in range(8)), 0b101], q) == "full_symplectic"
     gens = [transvection(v, form) for v in (*(1 << i for i in range(8)), 0b101)]
-    # refused before numpy is imported: any numpy import here would raise
-    monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(RuntimeError, match=f"^closure exceeded cap {CLOSURE_CAP}$"):
         group_closure(gens)
     # just below the exact order, and a trivial group that grows no orbit

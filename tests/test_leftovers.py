@@ -6,12 +6,15 @@ uses, and so is a class that writes out the immutable-record rule again
 instead of subclassing perm.Record.  A public module-level name of
 src/braidmf that only tests read is test code in the package, unless
 TEST_ONLY gives the reason it stays; so is a parameter default that only
-tests override, unless NEVER_OVERRIDDEN gives the reason.
+tests override, unless NEVER_OVERRIDDEN gives the reason.  And an
+absolute import in src/braidmf of a module outside the standard library
+is a runtime dependency come back: the package installs with none.
 
 The checks read the source with `ast` and import nothing.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -53,6 +56,23 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{d}/{name}: {bound}")
     assert unused == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    outside = []
+    for name, tree in DIRS["src/braidmf"].items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue  # a relative import of a package module
+            outside += [
+                f"{name}: {m}" for m in modules
+                if m.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
 
 
 def _definitions(tree):
