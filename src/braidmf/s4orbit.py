@@ -22,14 +22,15 @@ differs.  On these ints
   - the snake is a lookup in a 16-entry table on bits 4d-2 .. 4d+1;
   - M = popcount(x) // 2 + popcount(x & mask), the mask holding the odd
     0-based slots at or past 4d.
-`snake_bit_table` derives the table from `snake_via_word` and raises if
-an output leaves O-hat or moves a slot outside the window; chain twists
-stay on one side of the boundary by construction.  That closure
-certificate is why the sampling loops of `verify_nonconjugacy` and
-`property_run` never re-check O-hat membership.  Their entry states
-(tau0, tau0 . left, tau0 . right) still go through `apply_generator`,
-`in_hat_orbit` and `invariant_M` on Perm factorizations, which also stay
-the reference the bitset walk is tested against.
+`snake_table(b, d)` derives the table from `snake_via_word` at the (b, d)
+walked and raises if an output leaves O-hat or moves a slot outside the
+window; chain twists stay on one side of the boundary by construction.
+That closure certificate is why the sampling loops of
+`verify_nonconjugacy` and `property_run` never re-check O-hat membership.
+Their entry states (tau0, tau0 . left, tau0 . right) still go through
+`apply_generator`, `in_hat_orbit` and `invariant_M` on Perm
+factorizations, which also stay the reference the bitset walk is tested
+against.
 
 Sampling.  Each trial draws one word of ops with `random_action_word`
 and walks it with one `HatBits.walk` call, which returns the state
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import MappingProxyType
 
 from .braid import BraidWord
 from .hurwitz import act_moves, act_word, product
@@ -83,8 +85,9 @@ class TauFactorization(Record):
         return TauFactorization(self.b, self.d, tuple(factors))
 
 
-# `verify s7` at its default 10,000 trials takes 0.8 s at 100,000 slots,
-# 24 s at 1,000,000 and 266 s at 4,000,000 (2-core host).
+# `verify s7` at its default 10,000 trials takes 0.6-0.8 s at 100,000
+# slots and 16-17 s at 1,000,000 (2-core host); 0.05 s of it at 100,000
+# derives the snake table.
 TAU_MAX_SLOTS = 100_000
 
 
@@ -161,20 +164,24 @@ def apply_generator(f, action):
     return f.with_factors(factors)
 
 
+def snake_window(d):
+    """The slots the snake moves: 0-based 4d-2 .. 4d+1, two D then two B."""
+    return slice(4 * d - 2, 4 * d + 2)
+
+
 def snake_direct(f):
     """The snake action computed from its proved case rule.
 
-    Window = slots 4d-1 .. 4d+2.  If the window product is trivial or
-    equals pi = (14)(23), nothing moves; otherwise every window factor
-    is conjugated by pi.
+    If the window product is trivial or equals pi = (14)(23), nothing
+    moves; otherwise every window factor is conjugated by pi.
     """
-    lo, hi = f.boundary - 2, f.boundary + 2  # 0-based half-open 4-window
-    window = f.factors[lo:hi]
+    win = snake_window(f.d)
+    window = f.factors[win]
     prod = product(window)
     if prod.is_identity() or prod == PI:
         return f
     factors = list(f.factors)
-    factors[lo:hi] = [PI * t * PI for t in window]
+    factors[win] = [PI * t * PI for t in window]
     return f.with_factors(factors)
 
 
@@ -223,7 +230,7 @@ def snake_word(d, n):
         raise ValueError("d must be >= 1")
     if n < 4 * d + 2:
         raise ValueError(f"need n >= {4 * d + 2} strands, got {n}")
-    s = 4 * d - 2
+    s = snake_window(d).start
     steps = itertools.chain.from_iterable(SNAKE_STEP_MOVES)
     return BraidWord(n, [k + s if k > 0 else k - s for k in steps])
 
@@ -279,53 +286,32 @@ def replay_derivation(start):
     return tuple(lines)
 
 
-def all_windows():
-    """All 16 admissible window states (two D-slots, two B-slots)."""
-    return list(itertools.product(D_VALUES, D_VALUES, B_VALUES, B_VALUES))
-
-
-def embed_window(window, b, d):
-    """tau0(b, d) with the snake window replaced by the given state."""
-    f = tau0(b, d)
-    lo = f.boundary - 2
-    factors = list(f.factors)
-    factors[lo : lo + 4] = list(window)
-    return f.with_factors(factors)
-
-
-def snake_table(b, d):
-    """snake_direct vs snake_via_word on all 16 embedded windows."""
-    rows = []
-    for window in all_windows():
-        f = embed_window(window, b, d)
-        rows.append({"window": window, "agree": snake_direct(f) == snake_via_word(f)})
-    return rows
-
-
 @functools.cache
-def snake_bit_table():
-    """The snake on window bits: entry w is the window after the snake,
-    for window w (bit k = slot 4d-2+k differs from tau0).
-
-    Derived from `snake_via_word` on the 16 windows embedded in
-    tau0(1, 1); the word only moves strands 4d-1 .. 4d+2, so the table
-    holds for every (b, d).  Raises AssertionError if an output leaves
-    O-hat or changes a slot outside the window.
+def snake_table(b, d):
+    """The snake on the 16 windows embedded in tau0(b, d), derived from
+    `snake_via_word` once per (b, d), in read-only rows.  Row w is the
+    window whose bit k is set where window slot k differs from tau0: its
+    Perm `window`, whether `snake_direct` `agree`s with the word there, and
+    the `flip` the snake xors onto the window bits.  AssertionError unless
+    each output keeps every window slot in its block and every other slot
+    as it was: the closure certificate that `HatBits` walks on.
     """
-    lo = tau0(1, 1).boundary - 2
-    table = [None] * 16
-    for window in all_windows():
-        f = embed_window(window, 1, 1)
+    base, win = tau0(b, d), snake_window(d)
+    head, tail = base.factors[: win.start], base.factors[win.stop :]
+    blocks = (D_VALUES, D_VALUES, B_VALUES, B_VALUES)  # tau0 has blocks[k][k & 1]
+    rows = []
+    for w in range(16):
+        window = tuple(v[(k ^ w >> k) & 1] for k, v in enumerate(blocks))
+        f = base.with_factors(head + window + tail)
         out = snake_via_word(f)
-        kept = out.factors[:lo] + out.factors[lo + 4 :]
-        if not in_hat_orbit(out) or kept != f.factors[:lo] + f.factors[lo + 4 :]:
+        moved = tuple(zip(out.factors[win], blocks))
+        kept = out.factors[: win.start] == head and out.factors[win.stop :] == tail
+        if not kept or not all(t in v for t, v in moved):
             raise AssertionError(f"snake leaves O-hat or its window on {window}")
-        table[_changed_bits(f) >> lo] = _changed_bits(out) >> lo
-    return tuple(table)
-
-
-def _changed_bits(f):
-    return sum(1 << i for i in change_positions(f))
+        bits = sum((t != v[k & 1]) << k for k, (t, v) in enumerate(moved))
+        row = {"window": window, "agree": snake_direct(f) == out, "flip": w ^ bits}
+        rows.append(MappingProxyType(row))
+    return tuple(rows)
 
 
 class HatBits:
@@ -338,19 +324,17 @@ class HatBits:
     def __init__(self, b, d):
         self.base = tau0(b, d)
         B = self.base.boundary
-        self.lo = B - 2
+        self.lo = snake_window(d).start
         self.ops = [word[0] for word in hat_generator_words(b, d)]
         self.mask = sum(1 << i for i in range(B + 1, self.base.length, 2))
         # x ^ snake[window of x] is the snake of x
-        self.snake = tuple(
-            (w ^ out) << self.lo for w, out in enumerate(snake_bit_table())
-        )
+        self.snake = tuple(row["flip"] << self.lo for row in snake_table(b, d))
 
     def encode(self, f):
         """The bitset of a factorization in O-hat."""
         if not in_hat_orbit(f):
             raise ValueError("factorization is not in the orbit superset")
-        return _changed_bits(f)
+        return sum(1 << i for i in change_positions(f))
 
     def M(self, x):
         """invariant_M of the decoded state."""
@@ -371,8 +355,8 @@ class HatBits:
         return states
 
 
-# `verify s7` at (b,d) = (6,6) takes 7-9 s at 1,000,000 trials (0.1 s at
-# the default 10,000), and 12 s at the slot cap (2-core host); the time
+# `verify s7` at (b,d) = (6,6) takes 4.4-6.4 s at 1,000,000 trials (0.1 s
+# at the default 10,000), and 20 s at the slot cap (2-core host); the time
 # grows linearly with the trials.
 TRIALS_MAX = 1_000_000
 

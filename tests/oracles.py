@@ -32,6 +32,10 @@ from scratch.
 `choice_action_word` is the random word drawn through `randrange` and
 `choice`, as `s4orbit.random_action_word` drew it before its one
 `getrandbits` loop.
+
+`all_windows` lists the 16 snake window states as Perm tuples, and
+`embed_window` puts one into tau0(b, d) by list assignment: the windows
+`s4orbit.snake_table` builds from its row bits are checked against them.
 """
 
 from collections import deque
@@ -48,6 +52,7 @@ from braidmf.hurwitz import (
     hurwitz_move,
     product,
 )
+from braidmf.s4orbit import B_VALUES, D_VALUES, snake_window, tau0
 
 
 def artin_equal(w1, w2):
@@ -117,6 +122,20 @@ def reduce_power(letters, k):
 def choice_action_word(rng, gens, max_len=16):
     """Random word of at most max_len entries of gens."""
     return [rng.choice(gens) for _ in range(rng.randrange(max_len + 1))]
+
+
+def all_windows():
+    """All 16 admissible window states (two D-slots, two B-slots)."""
+    d, b = D_VALUES, B_VALUES
+    return [(w, x, y, z) for w in d for x in d for y in b for z in b]
+
+
+def embed_window(window, b, d):
+    """tau0(b, d) with the snake window replaced by the given state."""
+    f = tau0(b, d)
+    factors = list(f.factors)
+    factors[snake_window(d)] = window
+    return f.with_factors(factors)
 
 
 def one_sided_search(start, target, max_depth, node_cap=500_000):

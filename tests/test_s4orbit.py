@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from braidmf import hurwitz
+from braidmf import hurwitz, s4orbit
 from braidmf.s4orbit import (
     B_VALUES,
     D_VALUES,
@@ -24,11 +24,9 @@ from braidmf.s4orbit import (
     TRIVIAL,
     WINDOW_DERIVATIONS,
     HatBits,
-    all_windows,
     apply_action_word,
     apply_generator,
     change_positions,
-    embed_window,
     hat_generator_words,
     in_hat_orbit,
     invariant_M,
@@ -37,15 +35,15 @@ from braidmf.s4orbit import (
     replay_derivation,
     sigma_p_action,
     sigma_q_action,
-    snake_bit_table,
     snake_direct,
     snake_table,
     snake_via_word,
+    snake_window,
     snake_word,
     tau0,
     verify_nonconjugacy,
 )
-from oracles import choice_action_word
+from oracles import all_windows, choice_action_word, embed_window
 
 
 def test_tau0_structure():
@@ -123,11 +121,10 @@ def test_snake_case_rule_on_all_windows():
         f = embed_window(window, 1, 1)
         prod = window[0] * window[1] * window[2] * window[3]
         out = snake_direct(f)
-        lo = f.boundary - 2
         if prod.is_identity() or prod == PI:
             assert out == f
         else:
-            assert out.factors[lo : lo + 4] == tuple(
+            assert out.factors[snake_window(1)] == tuple(
                 PI * t * PI for t in window
             )
 
@@ -135,9 +132,85 @@ def test_snake_case_rule_on_all_windows():
 def test_snake_table_agrees_everywhere():
     for b, d in product(range(1, 7), repeat=2):
         rows = snake_table(b, d)
+        bits = HatBits(b, d)
         assert len(rows) == 16
-        assert all(r.keys() == {"window", "agree"} for r in rows)
+        assert all(r.keys() == {"window", "agree", "flip"} for r in rows)
         assert all(r["agree"] for r in rows), (b, d)
+        # row w holds the window whose bits are w, and the snake permutes
+        # the 16 windows
+        for w, r in enumerate(rows):
+            assert bits.encode(embed_window(r["window"], b, d)) == w << bits.lo
+        assert {r["window"] for r in rows} == set(all_windows())
+        assert sorted(w ^ r["flip"] for w, r in enumerate(rows)) == list(range(16))
+
+
+def test_snake_window_is_where_the_word_acts():
+    for d in range(1, 7):
+        win = snake_window(d)
+        assert (win.start, win.stop) == (4 * d - 2, 4 * d + 2)
+        strands = {abs(k) for k in snake_word(d, 4 * d + 4).letters}
+        # strand i swaps 0-based slots i-1 and i
+        assert {i - 1 for i in strands} | {i for i in strands} == set(
+            range(win.start, win.stop)
+        )
+
+
+def test_snake_table_rows_are_read_only():
+    rows = snake_table(2, 3)
+    assert snake_table(2, 3) is rows
+    with pytest.raises(TypeError):
+        rows[0]["agree"] = False
+    with pytest.raises(TypeError):
+        rows[0]["flip"] = 0
+    with pytest.raises(AttributeError):
+        rows.append(rows[0])
+
+
+@pytest.fixture
+def fresh_snake_caches():
+    # snake_table and snake_word are cached: clear them around a test that
+    # patches what they are derived from, so no other test sees its rows
+    for cached in (snake_table, snake_word):
+        cached.cache_clear()
+    yield
+    for cached in (snake_table, snake_word):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        ((4,),),  # window slot 3 trades values with the B-slot past it
+        ((2,),),  # a D-slot and a B-slot trade values inside the window
+    ],
+)
+def test_snake_certificate_refuses_a_bad_word(monkeypatch, fresh_snake_caches, steps):
+    monkeypatch.setattr(s4orbit, "SNAKE_STEP_MOVES", steps)
+    for b, d in ((1, 1), (2, 3)):
+        with pytest.raises(AssertionError, match="snake leaves O-hat or its window"):
+            snake_table(b, d)
+        with pytest.raises(AssertionError):
+            HatBits(b, d)
+
+
+def test_snake_is_derived_once_per_b_d(monkeypatch, fresh_snake_caches, capsys):
+    from braidmf.cli import main
+
+    calls = []
+    derive = s4orbit.snake_via_word
+
+    def counted(f):
+        calls.append((f.b, f.d))
+        return derive(f)
+
+    monkeypatch.setattr(s4orbit, "snake_via_word", counted)
+    argv = ["verify", "s7", "--b", "3", "--d", "2", "--trials", "20"]
+    assert main(argv) == 0
+    assert calls == [(3, 2)] * 16
+    assert main(argv) == 0
+    assert main(["verify", "nonconj", *argv[2:]]) == 0
+    assert len(calls) == 16
+    capsys.readouterr()
 
 
 def test_window_derivations_replay():
@@ -381,18 +454,15 @@ def test_local_parity_certificate():
             assert (bits.M(bits.walk(x, (SNAKE,))[0]) - bits.M(x)) % 2 == 0
 
 
-def test_snake_bit_table_matches_case_rule():
-    # a second oracle beside snake_via_word, which derives the table
-    table = snake_bit_table()
-    assert sorted(table) == list(range(16))
-    bits = HatBits(1, 1)
-    for window in all_windows():
-        prod = window[0] * window[1] * window[2] * window[3]
-        out = window
-        if not (prod.is_identity() or prod == PI):
-            out = tuple(PI * t * PI for t in window)
-        w, w_out = (bits.encode(embed_window(v, 1, 1)) for v in (window, out))
-        assert table[w >> bits.lo] == w_out >> bits.lo, window
+def test_snake_bits_match_case_rule_everywhere():
+    # the case rule is a second oracle beside snake_via_word, which derives
+    # the table, at every (b, d) walked
+    for b, d in product(range(1, 7), repeat=2):
+        bits = HatBits(b, d)
+        for window in all_windows():
+            f = embed_window(window, b, d)
+            want = [bits.encode(snake_direct(f))]
+            assert bits.walk(bits.encode(f), (SNAKE,)) == want, ((b, d), window)
 
 
 def test_random_action_word_matches_choice_oracle():
