@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import xor
 
 from .perm import Record
@@ -163,13 +163,14 @@ class F2Quadratic(Record):
         object.__setattr__(self, "basis_values", basis_values)
 
     @cached_property
-    def _level_sets(self) -> tuple:
-        """For each basis index i, the bitsets v with q(v) = q(e_i); built
-        from the value table on first use (dimensions <= Q_TABLE_MAX_DIM)."""
-        vals, space = _q_values(self), range(1 << self.form.dim)
-        ones = frozenset(v for v in space if vals >> v & 1)
-        levels = (frozenset(space) - ones, ones)
-        return tuple(levels[b] for b in self.basis_values)
+    def _level(self):
+        """{v : q(v) = b}, built on first use, when q(e_i) = b for every i
+        and dim <= Q_TABLE_MAX_DIM (every `quadratic_from_basis` q); else None."""
+        values = set(self.basis_values)
+        if len(values) != 1 or self.form.dim > Q_TABLE_MAX_DIM:
+            return None
+        (b,), vals = values, _q_values(self)
+        return frozenset(v for v in range(1 << self.form.dim) if vals >> v & 1 == b)
 
 
 def _check_fits(v: int, n: int, what: str = "vector") -> None:
@@ -316,8 +317,6 @@ def symplectic_basis(form):
     pairs = []
     while rest:
         e = rest.pop(0)
-        if not e:
-            continue
         ge = form.gram_image(e)
         j = next((k for k, v in enumerate(rest) if _parity(ge & v)), None)
         if j is None:
@@ -401,16 +400,17 @@ def arf_oracle(q: F2Quadratic) -> int:
 
 
 def preserves_q(g: F2Operator, q: F2Quadratic) -> bool:
-    """With form preservation, checking basis vectors suffices.  Up to
-    Q_TABLE_MAX_DIM each column is looked up in q's cached level sets."""
+    """Whether q(g e_i) = q(e_i) for each basis vector, which suffices with
+    form preservation; False for a column c outside the space (c >> dim is
+    nonzero, as for c < 0).  One set test on `q._level` if any, else q_eval."""
     n = g.dim
     if n != q.form.dim:
         raise ValueError(
             f"operator dimension {n} does not match form dimension {q.form.dim}"
         )
-    if n <= Q_TABLE_MAX_DIM:
-        return all(map(frozenset.__contains__, q._level_sets, g.cols))
-    return all(q_eval(q, c) == b for c, b in zip(g.cols, q.basis_values))
+    if (level := q._level) is not None:
+        return level.issuperset(g.cols)
+    return all(not c >> n and q_eval(q, c) == b for c, b in zip(g.cols, q.basis_values))
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +428,20 @@ class OperatorSequence:
     ``len()`` is the product of the level lengths and builds nothing.
     Iteration enumerates the stabilizer of e_0 once as `dim` byte rows
     (row k holds each element's image of e_k), mapping them through each
-    level's 256-byte image tables with `bytes.translate`, and yields the
-    operators one level-0 coset at a time.
+    level's 256-byte image tables with `bytes.translate`, and returns one
+    C iterator: a `chain` of one `map(tuple.__new__, ...)` per level-0 coset.
     """
 
-    __slots__ = ("_levels", "_dim")
+    __slots__ = ("_levels",)
 
-    def __init__(self, levels, dim):
-        self._levels = levels
-        self._dim = dim
+    def __init__(self, levels):
+        self._levels = levels  # one per basis vector
 
     def __len__(self):
         return math.prod(map(len, self._levels))
 
     def __iter__(self):
-        dim = self._dim
+        dim = len(self._levels)
         # one 256-byte translation table per transversal element
         tables = [[bytes(_images(u)).ljust(256, b"\0") for u in lv]
                   for lv in self._levels]
@@ -453,10 +452,11 @@ class OperatorSequence:
                 rows[k] = out = bytearray(len(row) * len(level))
                 for p, table in enumerate(level):
                     out[p::len(level)] = row.translate(table)
-        for table in tables[0]:
-            # tuple.__new__ skips the namedtuple's Python-level __new__
-            ops = zip(repeat(dim), zip(*[row.translate(table) for row in rows]))
-            yield from map(tuple.__new__, repeat(F2Operator), ops)
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        return chain.from_iterable(
+            map(tuple.__new__, repeat(F2Operator),
+                zip(repeat(dim), zip(*[row.translate(table) for row in rows])))
+            for table in tables[0])
 
 
 def _transversals(gens, dim):
@@ -542,7 +542,7 @@ def group_closure(gens):
     """
     gens = list(gens)
     if not gens:
-        return OperatorSequence([[]], 0)
+        return OperatorSequence([[]])
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("mixed dimensions")
@@ -550,7 +550,7 @@ def group_closure(gens):
         raise ValueError(f"closure dimension cap {CLOSURE_MAX_DIM} exceeded")
     if dim < 1:
         raise ValueError("closure dimension must be >= 1")
-    return OperatorSequence(_transversals([g.cols for g in gens], dim), dim)
+    return OperatorSequence(_transversals([g.cols for g in gens], dim))
 
 
 def _is_non_special_tree(vecs, form):

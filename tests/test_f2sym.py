@@ -497,7 +497,11 @@ def _preserves_q_by_definition(g, q):
     )
 
 
-def test_preserves_q_matches_q_eval():
+def _slow_path_refused(*_):
+    raise AssertionError("preserves_q left its path")
+
+
+def test_preserves_q_matches_q_eval(monkeypatch):
     rng = random.Random(43)
     form = _chain_form(4)
     sp4 = group_closure(
@@ -509,22 +513,53 @@ def test_preserves_q_matches_q_eval():
         verdicts = [preserves_q(g, q) for g in sp4]
         assert verdicts == [_preserves_q_by_definition(g, q) for g in sp4]
         assert sum(verdicts) in (72, 120)
-    # random operators, dims 1..8 against random refinements
+    # random operators, dims 1..8 against random refinements, and against
+    # the all-0 and all-1 refinements, which take the level-set path
     for dim in range(1, 9):
         form = form_from_edges(
             dim, [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.5]
         )
-        q = F2Quadratic(form, tuple(rng.randrange(2) for _ in range(dim)))
-        for _ in range(200):
-            g = F2Operator(dim, tuple(rng.randrange(1 << dim) for _ in range(dim)))
-            assert preserves_q(g, q) == _preserves_q_by_definition(g, q)
-    # above the table's dimension preserves_q evaluates q directly
+        for values in (
+            tuple(rng.randrange(2) for _ in range(dim)), (0,) * dim, (1,) * dim
+        ):
+            q = F2Quadratic(form, values)
+            for _ in range(200):
+                g = F2Operator(dim, tuple(rng.randrange(1 << dim) for _ in range(dim)))
+                assert preserves_q(g, q) == _preserves_q_by_definition(g, q)
+    # above the table's dimension preserves_q evaluates q directly and
+    # builds no q table
+    monkeypatch.setattr(f2sym, "_q_values", _slow_path_refused)
     space = build_cross_space(2, 2)
+    assert space.dim > f2sym.Q_TABLE_MAX_DIM
     q = quadratic_from_basis(space)
     for v in cross_generators(space):
         t = transvection(v, space.form)
         assert preserves_q(t, q) == _preserves_q_by_definition(t, q)
         assert preserves_q(t, q) == (q_eval(q, v) == 1)
+
+
+def test_geometric_q_preservers_make_no_q_eval_call(monkeypatch):
+    # the fibre's q at dim 6 is one set test per operator, never q_eval
+    form = e6_form()
+    o6 = group_closure([transvection(1 << i, form) for i in range(6)])
+    monkeypatch.setattr(f2sym, "q_eval", _slow_path_refused)
+    q = quadratic_from_basis(form)
+    assert all(preserves_q(g, q) for g in o6)
+    assert not preserves_q(transvection(0b100011, form), q)
+
+
+def test_preserves_q_refuses_columns_outside_the_space():
+    # one answer on every path: such an operator preserves no q
+    for form in (_chain_form(4), build_cross_space(2, 2).form):
+        n = form.dim
+        for values in ((1,) * n, (0,) * n, (1, 0) * (n // 2)):
+            q = F2Quadratic(form, values)
+            identity = identity_operator(n)
+            assert preserves_q(identity, q)
+            for bad in (1 << n, (1 << n) | 1, -1, -2):
+                for i in (0, n - 1):
+                    cols = identity.cols[:i] + (bad,) + identity.cols[i + 1:]
+                    assert preserves_q(F2Operator(n, cols), q) is False
 
 
 def test_group_order_oracles():
