@@ -31,10 +31,7 @@ class SurfaceParams(Record):
     def __init__(self, a, b, c, d):
         if min(a, b, c, d) < 1:
             raise ValueError("parameters must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, c, d)
 
     @property
     def toy(self):
@@ -55,30 +52,12 @@ class Counts(Record):
     """The closed-form counts of a surface; immutable and hashable, and
     vars() gives the fields in order."""
 
+    # m proper nodes, k cusps, nu signed nodes (only the difference is
+    # determined), t vertical tangents, r canonical divisibility
     _fields = (
         "m", "k", "nu", "t_f", "t_g", "t", "gR", "chi", "K2", "r",
         "dim_lower", "dim_upper", "weighted_p", "weighted_q",
     )
-
-    def __init__(
-        self, m, k, nu, t_f, t_g, t, gR, chi, K2, r,
-        dim_lower, dim_upper, weighted_p, weighted_q,
-    ):
-        object.__setattr__(self, "m", m)  # proper nodes
-        object.__setattr__(self, "k", k)  # cusps
-        # signed node count (only the difference is determined)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "t_f", t_f)
-        object.__setattr__(self, "t_g", t_g)
-        object.__setattr__(self, "t", t)  # vertical tangents
-        object.__setattr__(self, "gR", gR)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "K2", K2)
-        object.__setattr__(self, "r", r)  # canonical divisibility
-        object.__setattr__(self, "dim_lower", dim_lower)
-        object.__setattr__(self, "dim_upper", dim_upper)
-        object.__setattr__(self, "weighted_p", weighted_p)
-        object.__setattr__(self, "weighted_q", weighted_q)
 
 
 def surface_counts(p: SurfaceParams) -> Counts:
@@ -98,20 +77,11 @@ def surface_counts(p: SurfaceParams) -> Counts:
     )
     K2 = 8 * (a + c - 2) * (b + d - 2)
     return Counts(
-        m=m,
-        k=k,
-        nu=nu,
-        t_f=t_f,
-        t_g=t_g,
-        t=t,
-        gR=gR,
-        chi=chi,
-        K2=K2,
-        r=math.gcd(a + c - 2, b + d - 2),
-        dim_lower=10 * chi - 2 * K2,
-        dim_upper=10 * chi + 3 * K2 + 108,
-        weighted_p=8 * a * b - 2 * (a * d + b * c),
-        weighted_q=8 * c * d - 2 * (a * d + b * c),
+        m, k, nu, t_f, t_g, t, gR, chi, K2,
+        math.gcd(a + c - 2, b + d - 2),  # r
+        10 * chi - 2 * K2, 10 * chi + 3 * K2 + 108,  # dim_lower, dim_upper
+        8 * a * b - 2 * (a * d + b * c),  # weighted_p
+        8 * c * d - 2 * (a * d + b * c),  # weighted_q
     )
 
 
@@ -169,10 +139,6 @@ class BmfFactorization(Record):
     """The blocks of the factorization of the surface `params`."""
 
     __slots__ = ("params", "blocks")
-
-    def __init__(self, params, blocks):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def factors(self):

@@ -240,14 +240,35 @@ def dynnikov(word, pairs):
 def braid_equal(w1, w2):
     """Exact equality in the disk braid group: equal Dynnikov coordinates.
 
-    Only the pairs up to the highest strand a letter of either word
-    touches are built; the pairs above it stay (0, 1) on both sides, so
-    the cost is linear in the letters and does not grow with `strands`.
+    Only the pairs up to the highest index a letter of either word uses
+    are built; the pairs above it stay (0, 1) on both sides.  When that
+    index is more than twice the two words' letter count, the indices are
+    renumbered first (see _relabel): n letters get at most 2n + 1 pairs,
+    and the cost does not grow with `strands` or with the indices.
     """
     if w1.strands != w2.strands:
         raise ValueError("strand mismatch")
-    pairs = 1 + max(map(abs, w1.letters + w2.letters), default=0)
-    return dynnikov(w1, pairs) == dynnikov(w2, pairs)
+    letters = w1.letters + w2.letters
+    top = max(map(abs, letters), default=0)
+    if top > 2 * len(letters):
+        w1, w2, top = _relabel(w1, w2)
+    return dynnikov(w1, top + 1) == dynnikov(w2, top + 1)
+
+
+def _relabel(w1, w2):
+    """Both words with their indices renumbered from 1, and the highest new
+    index: each maximal run of consecutive indices stays consecutive, and
+    the runs lie exactly 2 apart.  The sigma_i used span a standard
+    parabolic subgroup, one braid group per run, and sigma_i to its new
+    index maps it isomorphically onto the renumbered one, so the words are
+    equal braids exactly when the renumbered words are."""
+    label, top, prev = {}, -1, -2
+    for i in sorted(set(map(abs, w1.letters + w2.letters))):
+        top += 1 if i == prev + 1 else 2
+        label[i], label[-i], prev = top, -top, i
+    renumber = label.__getitem__
+    u1, u2 = (BraidWord._of(top, tuple(map(renumber, w.letters))) for w in (w1, w2))
+    return u1, u2, top
 
 
 def word_permutation(word):

@@ -125,8 +125,7 @@ class F2BilinearForm(Record):
                 row ^= low
         if transpose != list(gram):
             raise ValueError("form must be symmetric")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", gram)
+        super().__init__(dim, gram)
 
     def gram_image(self, u: int) -> int:
         """G u, the XOR of the Gram rows on u's support: bit j is (u, e_j),
@@ -159,8 +158,7 @@ class F2Quadratic(Record):
             raise ValueError("need one value per basis vector")
         if any(b not in (0, 1) for b in basis_values):
             raise ValueError("q values on the basis must be 0 or 1")
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "basis_values", basis_values)
+        super().__init__(form, basis_values)
 
     @cached_property
     def _level(self):
@@ -261,12 +259,6 @@ class CrossSpace(Record):
     2c-2; dim = 4(a+c) - 6 = twice the fibre genus."""
 
     __slots__ = ("a", "c", "labels", "form")
-
-    def __init__(self, a, c, labels, form):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "form", form)
 
     @property
     def dim(self):

@@ -140,12 +140,6 @@ class SearchResult(Record):
 
     __slots__ = ("found", "moves", "visited", "depth_reached")
 
-    def __init__(self, found, moves, visited, depth_reached):
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "moves", moves)
-        object.__setattr__(self, "visited", visited)
-        object.__setattr__(self, "depth_reached", depth_reached)
-
     __hash__ = None
 
 

@@ -25,14 +25,23 @@ class Record:
     their own class, hashed like the tuple of their fields, and shown as
     ``Class(field=value, ...)``.  The fields are a subclass's ``__slots__``,
     or its ``_fields`` when it keeps an instance ``__dict__`` (for vars()
-    or a cached_property).  Each subclass has its own ``__init__``, which
-    validates and sets the fields with ``object.__setattr__``."""
+    or a cached_property).  ``Record.__init__`` sets them in order; a
+    subclass's own ``__init__`` only checks the values and then calls it.
+    `BmfFactor` and `Block`, built hundreds of times a factorization, set
+    their fields themselves, which is 2-3 times faster."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = vars(cls).get("_fields", cls.__slots__)
         cls._key = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):  # TypeError: a ValueError is exit 2
+            n, cls = len(self._fields), type(self).__name__
+            raise TypeError(f"{cls} takes {n} values, not {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")

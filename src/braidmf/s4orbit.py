@@ -69,9 +69,7 @@ class TauFactorization(Record):
     def __init__(self, b, d, factors):
         if len(factors) != 4 * (b + d):
             raise ValueError(f"expected {4 * (b + d)} factors, got {len(factors)}")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "factors", factors)
+        super().__init__(b, d, factors)
 
     @property
     def length(self):

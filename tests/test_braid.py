@@ -181,6 +181,45 @@ def test_braid_equal_matches_the_artin_oracle():
     assert 1500 < equal_count < 2500
 
 
+def _letters_on(rng, used, max_len):
+    """Up to max_len random letters on the indices `used`, not reduced."""
+    return [rng.choice([1, -1]) * rng.choice(used)
+            for _ in range(rng.randint(0, max_len))]
+
+
+def test_relabelled_braid_equal_matches_the_full_vector(monkeypatch):
+    # 3,000 pairs made as in the Artin test above, on 3-13 strands, from a
+    # random set of indices with gaps, then shifted up by 0-59 indices:
+    # braid_equal renumbers the indices of a pair whose highest is over
+    # twice its letter count, and the Dynnikov vector over every strand of
+    # the shifted pair is the oracle
+    relabel, relabelled = braid._relabel, []
+    monkeypatch.setattr(
+        braid, "_relabel", lambda *w: relabelled.append(w) or relabel(*w)
+    )
+    rng = random.Random(12)
+    equal_count = 0
+    for i in range(3000):
+        n = rng.randint(3, 13)
+        used = [g for g in range(1, n) if rng.random() < 0.6] or [n - 1]
+        w1 = _letters_on(rng, used, 12)
+        w2 = _letters_on(rng, used, 12) if i % 4 == 0 else _rewrite(rng, n, w1)
+        if i % 4 == 2 and len(w2) > 1:
+            p = rng.randrange(len(w2) - 1)
+            w2[p], w2[p + 1] = w2[p + 1], w2[p]
+        shift = rng.randrange(60)
+        u, v = (
+            BraidWord(n + shift, [x + shift if x > 0 else x - shift for x in w])
+            for w in (w1, w2)
+        )
+        equal = braid_equal(u, v)
+        assert equal == (dynnikov(u, n + shift) == dynnikov(v, n + shift)), (n, w1, w2)
+        assert equal or i % 2 == 0, (n, w1, w2)  # a rewrite is the same braid
+        equal_count += equal
+    assert 1500 < equal_count < 2500
+    assert 1000 < len(relabelled) < 2500
+
+
 def test_every_braid_relation_up_to_8_strands():
     # s_i s_i+1 s_i = s_i+1 s_i s_i+1 and s_i s_j = s_j s_i for |i-j| >= 2,
     # with every letter inverted too, bare and between random words; the

@@ -218,20 +218,29 @@ def test_only_a_blank_word_list_is_the_empty_word(capsys):
 
 def test_braid_eq_memory_does_not_grow_with_strands(capsys):
     # over the 10**6-letter cap of the Artin images, which hold one free
-    # generator per strand; the coordinates hold one pair per touched strand
-    argv = ["braid", "eq", "--strands", "1000001", "--word1=", "--word2="]
-    assert _table_args(argv) is not None  # no parser is built inside the peak
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out, err = capsys.readouterr()
-    assert code == 0 and err == ""
-    assert "PASS    braid equality — words are equal as braids" in out
-    # a pointer per strand alone would be 8 MB
-    assert peak < 100_000
+    # generator per strand; the coordinates hold at most 2n + 1 pairs for
+    # n letters, whatever the strands or the highest index (10**20 is no
+    # list length)
+    equal = "PASS    braid equality — words are equal as braids"
+    differ = "FAIL    braid equality — words differ as braids"
+    for strands, word2, code_want, line in [
+        (1000001, "", 0, equal),
+        (1000001, 1000000, 1, differ),
+        (10**22, 10**20, 1, differ),
+    ]:
+        argv = ["braid", "eq", f"--strands={strands}", "--word1=", f"--word2={word2}"]
+        assert _table_args(argv) is not None  # no parser is built inside the peak
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == code_want and err == ""
+        assert line in out
+        # a pointer per strand alone would be 8 MB
+        assert peak < 100_000, word2
 
 
 # Values that argparse reads in ways a table parse could get wrong: negative

@@ -3,12 +3,14 @@ line of its module uses, or a private module-level function, class or
 constant that nothing in its directory refers to, is dead code that a
 deletion left behind.  So is an oracle in tests/oracles.py that no test
 uses, and so is a class that writes out the immutable-record rule again
-instead of subclassing perm.Record.  A public module-level name of
-src/braidmf that only tests read is test code in the package, unless
-TEST_ONLY gives the reason it stays; so is a parameter default that only
-tests override, unless NEVER_OVERRIDDEN gives the reason.  And an
-absolute import in src/braidmf of a module outside the standard library
-is a runtime dependency come back: the package installs with none.
+instead of subclassing perm.Record, or a record that sets its own fields
+instead of through Record.__init__, unless OWN_SETTERS gives the reason.
+A public module-level name of src/braidmf that only tests read is test
+code in the package, unless TEST_ONLY gives the reason it stays; so is a
+parameter default that only tests override, unless NEVER_OVERRIDDEN gives
+the reason.  And an absolute import in src/braidmf of a module outside the
+standard library is a runtime dependency come back: the package installs
+with none.
 
 The checks read the source with `ast` and import nothing.
 """
@@ -165,6 +167,34 @@ def test_the_record_rule_is_written_once():
                     continue
                 found += [f"{name}: {cls.name}.{d}" for d in defined if d in RULE_METHODS]
     assert found == []
+
+
+# Records that set their fields with object.__setattr__ instead of calling
+# Record.__init__, each for a stated reason.
+OWN_SETTERS = {
+    "BmfFactor": "hundreds built per generate_bmf; CHANGES.md line 67",
+    "Block": "hundreds built per generate_bmf; CHANGES.md line 67",
+}
+
+
+def test_records_set_their_fields_through_record_init():
+    def sets_fields(cls):
+        return any(
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and getattr(node.value, "id", None) == "object"
+            for node in ast.walk(cls)
+        )
+
+    found = [
+        cls.name
+        for tree in DIRS["src/braidmf"].values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(getattr(base, "id", None) == "Record" for base in cls.bases)
+        and sets_fields(cls)
+    ]
+    assert sorted(found) == sorted(OWN_SETTERS)
 
 
 def _default_params(tree):

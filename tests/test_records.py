@@ -147,6 +147,22 @@ def test_record_hash_is_the_hash_of_its_fields(cls, names, values, changed, text
     assert len({x, cls(*changed)}) == 2
 
 
+# the records whose fields Record.__init__ sets
+SHARED_INIT = [r for r in RECORDS if r[0] not in (BmfFactor, Block)]
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, changed, text",
+    SHARED_INIT,
+    ids=[cls.__name__ for cls, *_ in SHARED_INIT],
+)
+def test_record_init_takes_one_value_per_field(cls, names, values, changed, text):
+    # a TypeError, not the ValueError that the CLI reads as bad input
+    for wrong in (values[:-1], (*values, values[-1])):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+
+
 def test_vars_gives_the_fields_in_order():
     p = SurfaceParams(3, 1, 4, 1)
     assert list(vars(p).items()) == [("a", 3), ("b", 1), ("c", 4), ("d", 1)]
