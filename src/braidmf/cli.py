@@ -6,7 +6,8 @@ output).  Exit status: 0 all checks pass, 1 any check failed, 2 usage
 error or bad input, 3 a resource limit was hit before a verdict was
 reached: hurwitz.SEARCH_NODE_CAP (scaled by 16 / m on m > 16 slots),
 bmf.MAX_FACTORS, f2sym.CROSS_MAX_DIM, or s4orbit.TAU_MAX_SLOTS or
-TRIALS_MAX.  No command reaches f2sym.CLOSURE_CAP or braid.LETTER_CAP.
+TRIALS_MAX, or braid.LETTER_CAP on the factors `hurwitz act` makes from
+a braid file.  No command reaches f2sym.CLOSURE_CAP.
 
 Well-formed argv is read straight from `COMMANDS`; `build_parser()`
 imports argparse only for the argv the table declines, so argparse alone
@@ -151,8 +152,9 @@ def bmf_gen(args):
 
     p = _surface(args)
     f = generate_bmf(p)
-    if args.json:
-        print(f.json_text())
+    if args.json:  # streamed: the whole text is never held at once
+        sys.stdout.writelines(f.json_parts())
+        print()
         return
     census = factor_census(f)
     print(f"params: {vars(p)}")
@@ -321,14 +323,25 @@ def _load_factorizations(path, *keys):
 
 
 def hurwitz_act(args):
-    from .hurwitz import act_moves
+    from . import braid
+    from .hurwitz import act_moves, hurwitz_move
     from .perm import _indented_json
 
     doc, elements = _load_factorizations(args.file, "elements")
-    out = act_moves(elements, _ints(args.moves, "--moves"))
+    moves = _ints(args.moves, "--moves")
     if doc["group"] == "s4":
-        dumped = [e.to_json() for e in out]
+        dumped = [e.to_json() for e in act_moves(elements, moves)]
     else:
+        # braid factors can grow exponentially in the moves: each move is
+        # checked against the letter cap as it is made
+        out, cap = elements, braid.LETTER_CAP
+        for k in moves:
+            out = hurwitz_move(out, k)
+            letters = sum(map(len, out))
+            if letters > cap:
+                raise RuntimeError(
+                    f"acted factors of {letters} letters exceed cap {cap}"
+                )
         dumped = [list(e.letters) for e in out]
     result = {"group": doc["group"], "elements": dumped}
     if "strands" in doc:

@@ -22,9 +22,19 @@ A move word touches only the slots from its smallest index to one past
 its largest.  When every element in that window is a Perm of degree 4,
 `act_moves` runs the window on indices into `symmetric_group(4)` with
 two 24x24 tables derived from `hurwitz_move` on first use; a slot whose
-value changed comes back as the canonical Perm of that tuple, and the
-slots outside the window come back as given.  Every other move word goes
+value changed comes back as the canonical Perm of that tuple, the other
+slots come back as given, and a word that leaves every slot where it
+started gives back the input tuple itself.  Every other move word goes
 through `hurwitz_move` once per move.
+
+`act_word` remembers the one tuple it last acted on.  A first act on a
+tuple takes the windowed path of `act_moves`, so it converts no more
+than its window.  When the same tuple object comes back, all its slots
+are converted to S4 indices once, and that act and every later one on it
+walk a copy of that index list: no window to find, no Perm to check or
+convert.  So many words acting on one factorization, as the braid words
+of all the factors of a factorization on the covering monodromy tau0,
+each pay for their letters and a copy and comparison of m ints.
 """
 
 from __future__ import annotations
@@ -61,16 +71,38 @@ def hurwitz_move(f, k):
     return f[: i - 1] + pair + f[i + 1 :]
 
 
+# The tuple act_word last acted on, and from its second act on the S4
+# indices of its slots ([] when a slot is not a degree-4 Perm).  One pair,
+# replaced whole, so a tuple is never read with another tuple's indices.
+_last = (None, None)
+
+
 def act_word(f, word):
     """Apply a braid word to a factorization, letters left-to-right.
 
     sigma_i acts as the forward move at i, sigma_i^{-1} as the inverse.
+    A second act on the tuple acted on last walks its remembered S4
+    indices (see the module docstring); the result is the same.
     """
+    global _last
     if word.strands != len(f):
         raise ValueError(
             f"word on {word.strands} strands cannot act on length-{len(f)} factorization"
         )
-    return act_moves(f, word.letters)
+    moves = word.letters
+    last, indices = _last
+    if f is not last:  # a first act, or a list: the windowed path
+        _last = (f if type(f) is tuple else None), None
+        return act_moves(f, moves)
+    if indices is None:
+        indices = _s4_indices(f)
+        _last = f, indices
+    if not indices:
+        return act_moves(f, moves)
+    # a word's letters lie in 1 .. strands - 1, so every move's slots lie
+    # in f: the walk needs no window, which would cost two passes over
+    # the letters
+    return _act_moves_s4(f, indices, moves, 0)
 
 
 def act_moves(f, moves):
@@ -85,10 +117,9 @@ def act_moves(f, moves):
     f, moves = tuple(f), tuple(moves)
     if moves:
         lo, hi = min(map(abs, moves)) - 1, max(map(abs, moves)) + 1
-        if 0 <= lo and hi <= len(f) and all(
-            type(x) is Perm and len(x.images) == 4 for x in f[lo:hi]
-        ):
-            return _act_moves_s4(f, moves, lo, hi)
+        start = _s4_indices(f[lo:hi]) if 0 <= lo and hi <= len(f) else None
+        if start:
+            return _act_moves_s4(f, start, moves, lo)
     for k in moves:
         f = hurwitz_move(f, k)
     return f
@@ -109,11 +140,20 @@ def _s4_tables():
     return index, fwd, bwd
 
 
-def _act_moves_s4(f, moves, lo, hi):
-    """act_moves on the window f[lo:hi] of degree-4 Perms, through the S4
-    tables; every move's slots lie inside the window."""
-    index, fwd, bwd = _s4_tables()
-    start = [index[x.images] for x in f[lo:hi]]
+def _s4_indices(window):
+    """The positions in symmetric_group(4) of a sequence of elements, as a
+    list, or [] when one of them is not a degree-4 Perm."""
+    if not all(type(x) is Perm and len(x.images) == 4 for x in window):
+        return []
+    index = _s4_tables()[0]
+    return [index[x.images] for x in window]
+
+
+def _act_moves_s4(f, start, moves, lo):
+    """act_moves on the slots lo .. lo + len(start) - 1 of f, degree-4
+    Perms whose positions in symmetric_group(4) are the list `start`,
+    through the S4 tables; every move's slots lie among them."""
+    _, fwd, bwd = _s4_tables()
     s = start.copy()
     for k in moves:  # f slot j is window slot j - lo
         if k > 0:  # slots k-1, k: (a, b) -> (a b a^-1, a)
@@ -126,9 +166,12 @@ def _act_moves_s4(f, moves, lo, hi):
             b = s[i]
             s[i] = bwd[b][s[i - 1]]
             s[i - 1] = b
+    if s == start:
+        return f
     # a slot that ends where it started keeps its Perm, as the generic path
     # keeps an untouched one, so comparing the result with f mostly compares
     # identical objects
+    hi = lo + len(s)
     s4 = symmetric_group(4)
     window = tuple(x if i == j else s4[j] for x, i, j in zip(f[lo:hi], start, s))
     return f[:lo] + window + f[hi:]

@@ -188,10 +188,13 @@ def test_traced_census_realize_counts_moves_and_products(tmp_path):
     # bench/test_trace.py asserts these counters are non-zero on census.
     # The realize verdict reaches hurwitz_move and Perm.__mul__ only while
     # the S4 move tables are built, so that must happen on first use in the
-    # traced verdict, not at import.
+    # traced verdict, not at import.  The tracer maps act_word's and
+    # realize's spans to census: realize must act through act_word.
     layers = _traced(_TRACED_REALIZE, tmp_path)
     assert layers["hurwitz.move_calls"] > 0
     assert layers["perm.mul_calls"] > 0
+    assert layers["hurwitz.act_word_s"] > 0
+    assert layers["bmf.realize_s"] > 0
 
 
 # One nonconj and one s7 verdict of orbit round 0.

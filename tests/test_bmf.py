@@ -271,27 +271,39 @@ def test_g_side_mirrors_f_side():
 
 
 def test_realize_matches_generic_action():
-    # realize runs the S4 index tables on the window a word touches; the
-    # oracle is one hurwitz_move per letter on fresh Perms over every slot
-    # b != d splits the strands unequally between the D and B pairs
+    # realize runs the S4 index tables: the first word on the window it
+    # touches, the later words on the indices of the whole tuple, which
+    # act_word converts once; the oracle is one hurwitz_move per letter on
+    # fresh Perms over every slot.  b != d splits the strands unequally
+    # between the D and B pairs, and tau0 after a Hurwitz word is a
+    # factorization that some factors move
     grid = (
         (1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3),
         (2, 5, 3, 1), (4, 2, 2, 6),
     )
+    rng = random.Random(29)
+    verdicts = set()
     for abcd in grid:
         p = SurfaceParams(*abcd)
-        tau = tau0(p.b, p.d)
-        for factor in dict.fromkeys(generate_bmf(p).factors):
-            word = factor_word(factor, p.b, p.d)
-            verdict = realize_s4_trivial_action(factor, tau)
-            if word is None:
-                assert verdict == "skipped"
-                continue
-            generic = tuple(Perm(x.images) for x in tau.factors)
-            for k in word.letters:
-                generic = hurwitz_move(generic, k)
-            assert act_moves(tau.factors, word.letters) == generic
-            assert verdict == ("trivial" if generic == tau.factors else "nontrivial")
+        ref = tau0(p.b, p.d)
+        n = ref.length
+        scramble = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(3)]
+        for tau in (ref, ref.with_factors(act_moves(ref.factors, scramble))):
+            for factor in dict.fromkeys(generate_bmf(p).factors):
+                word = factor_word(factor, p.b, p.d)
+                verdict = realize_s4_trivial_action(factor, tau)
+                verdicts.add(verdict)
+                if word is None:
+                    assert verdict == "skipped"
+                    continue
+                generic = tuple(Perm(x.images) for x in tau.factors)
+                for k in word.letters:
+                    generic = hurwitz_move(generic, k)
+                assert act_moves(tau.factors, word.letters) == generic
+                assert verdict == (
+                    "trivial" if generic == tau.factors else "nontrivial"
+                )
+    assert verdicts == {"skipped", "trivial", "nontrivial"}
 
 
 def test_factor_count_closed_form():

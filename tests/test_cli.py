@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -91,6 +92,30 @@ def test_bmf_gen_over_the_factor_cap_exits_3(monkeypatch, capsys, json_flag):
     assert code == 3
     assert out == ""
     assert err == "error: factorization of 201400 factors exceeds cap 200000\n"
+
+
+def test_bmf_gen_json_streams(tmp_path, capsys, monkeypatch):
+    # the report goes out part by part: at a=b=c=d=24, 5.7 MB of JSON, the
+    # text is json_text() and one newline, and writing it to a file peaks
+    # under 2 MB, where print(json_text()) peaked at 11.5 MB
+    from braidmf.bmf import SurfaceParams, generate_bmf
+
+    argv = ["bmf", "gen", "--a", "24", "--b", "24", "--c", "24", "--d", "24",
+            "--json"]
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert out == generate_bmf(SurfaceParams(24, 24, 24, 24)).json_text() + "\n"
+    path = tmp_path / "gen.json"
+    with open(path, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 2 << 20, peak
+    assert path.read_text() == out
 
 
 def test_bmf_distinguish(capsys):
@@ -406,6 +431,70 @@ def test_hurwitz_act_move_list(tmp_path, capsys, moves, code, tail):
         assert json.loads(out)["elements"] == doc["elements"]
     else:
         assert out == ""
+
+
+def _braid_act(tmp_path, repeats):
+    # three strands, the moves 1,-2 repeated: the factors' letters grow
+    # exponentially, about 2.6-fold per repeat
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(
+        {"group": "braid", "strands": 3, "elements": [[1], [2], [1]]}
+    ))
+    return path, ",".join(["1,-2"] * repeats)
+
+
+def test_hurwitz_act_braid_output_is_unchanged_under_the_letter_cap(
+    tmp_path, capsys
+):
+    from braidmf.braid import BraidWord
+    from braidmf.hurwitz import hurwitz_move
+    from braidmf.perm import _indented_json
+
+    path, moves = _braid_act(tmp_path, 12)
+    code, out = _run(capsys, "hurwitz", "act", "--file", str(path),
+                     "--moves", moves)
+    f = (BraidWord(3, [1]), BraidWord(3, [2]), BraidWord(3, [1]))
+    for k in map(int, moves.split(",")):
+        f = hurwitz_move(f, k)
+    doc = {"group": "braid", "elements": [list(w.letters) for w in f],
+           "strands": 3}
+    assert code == 0
+    assert out == _indented_json(doc) + "\n"
+    assert len(out) == 1_089_031
+
+
+def test_hurwitz_act_braid_letter_cap_exits_3_within_its_memory(tmp_path):
+    # 40 moves would make factors of billions of letters: the run stops
+    # at the first move past braid.LETTER_CAP letters in all, under a
+    # 512 MiB address space, where it used to end in a MemoryError
+    path, moves = _braid_act(tmp_path, 20)
+    limit = 512 << 20
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidmf.cli", "hurwitz", "act",
+         "--file", str(path), "--moves", moves],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: acted factors of 1271247 letters exceed cap 1000000\n"
+    )
+
+
+def test_hurwitz_act_letter_cap_is_read_when_it_runs(tmp_path, capsys,
+                                                     monkeypatch):
+    # checked after each move: (1, 2, 1) has 3 letters, move 1 makes 5
+    monkeypatch.setattr("braidmf.braid.LETTER_CAP", 4)
+    path, _ = _braid_act(tmp_path, 1)
+    code = main(["hurwitz", "act", "--file", str(path), "--moves", "1,-1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "error: acted factors of 5 letters exceed cap 4\n"
+    monkeypatch.setattr("braidmf.braid.LETTER_CAP", 5)
+    assert main(["hurwitz", "act", "--file", str(path), "--moves", "1,-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"] == [[1], [2], [1]]
 
 
 @pytest.mark.parametrize("sub", ["act", "search"])

@@ -424,9 +424,9 @@ def test_mixed_factorizations_take_the_generic_path(monkeypatch):
     windows = []
     table_path = hurwitz._act_moves_s4
 
-    def spy(f, moves, lo, hi):
-        windows.append((lo, hi))
-        return table_path(f, moves, lo, hi)
+    def spy(f, start, moves, lo):
+        windows.append((lo, lo + len(start)))
+        return table_path(f, start, moves, lo)
 
     monkeypatch.setattr(hurwitz, "_act_moves_s4", spy)
     rng = random.Random(19)
@@ -504,6 +504,84 @@ def test_windowed_act_moves_matches_chained_moves():
             act_moves(f[:1], moves)
         want = f"move index {abs(moves[0])}: a factorization of length 1 has no moves"
         assert str(exc.value) == want
+
+
+def _remembered_case(rng, m):
+    # two S4 tuples, one equal to the first but a distinct object, and one
+    # whose slot 0 is a degree-5 Perm; words on slots 1 .. m-1 of m strands,
+    # some random, some a power sigma_i^24, which fixes every S4 pair
+    f = _fresh(_random_fact(rng, m=m, n=4))
+    g = _fresh(_random_fact(rng, m=m, n=4))
+    tuples = {"f": f, "g": g, "same": _fresh(f)}
+    tuples["mixed"] = (rng.choice(symmetric_group(5)),) + g[1:]
+
+    def word():  # nonempty once freely reduced
+        if rng.random() < 0.3:
+            return BraidWord(m, [rng.choice((1, -1)) * rng.randint(2, m - 1)] * 24)
+        w = BraidWord(m, _window_moves(rng, 2, m - 1, rng.randint(1, 12)))
+        return w if w.letters else word()
+
+    return tuples, word
+
+
+@pytest.mark.parametrize("pattern", [
+    " ".join("f" * 12),
+    " ".join("fg" * 6),
+    "f f g g f f g g f f",
+    "f f same same f same",
+    "mixed mixed mixed f f",
+])
+def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, pattern):
+    # act_word remembers the tuple it last acted on: a first act on a tuple
+    # converts only its window to S4 indices, the second act on the same
+    # object converts the whole tuple once, and later acts convert nothing.
+    # An equal but distinct tuple is a new tuple; a tuple with a non-S4
+    # slot keeps the windowed path.  The oracle is one hurwitz_move per
+    # letter; the result is the input itself when it is equal to it, and
+    # otherwise changes only slots the letters span, into canonical Perms
+    converted = []
+    s4_indices = hurwitz._s4_indices
+
+    def spy(window):
+        converted.append(len(window))
+        return s4_indices(window)
+
+    monkeypatch.setattr(hurwitz, "_s4_indices", spy)
+    monkeypatch.setattr(hurwitz, "_last", (None, None))
+    rng = random.Random(pattern)
+    s4 = symmetric_group(4)
+    m = 9
+    tuples, word = _remembered_case(rng, m)
+    last, count, kept, changed = None, 0, 0, 0
+    for name in pattern.split():
+        h, w = tuples[name], word()
+        count = count + 1 if name == last else 1
+        last = name
+        converted.clear()
+        out = act_word(h, w)
+        assert out == _chained(h, w.letters)
+        assert (out is h) == (out == h)
+        kept += out is h
+        lo = min(map(abs, w.letters)) - 1
+        hi = max(map(abs, w.letters)) + 1
+        for j, (x, y) in enumerate(zip(h, out)):
+            if y is not x:
+                assert lo <= j < hi and y is s4[s4.index(y)] and y != x
+                changed += 1
+        if count == 1:
+            want = [hi - lo]
+        elif name == "mixed":
+            want = [m] * (count == 2) + [hi - lo]
+        else:
+            want = [m] * (count == 2)
+        assert converted == want, (name, count)
+    assert kept > 0 and changed > 0
+    # a list is never remembered: each act is a first act
+    for _ in range(3):
+        w = word()
+        converted.clear()
+        assert act_word(list(tuples["f"]), w) == _chained(tuples["f"], w.letters)
+        assert converted == [max(map(abs, w.letters)) - min(map(abs, w.letters)) + 2]
 
 
 def test_snake_via_word_matches_generic_action():
