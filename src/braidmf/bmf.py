@@ -3,6 +3,13 @@
 Generates the full symbolic factorization block structure, the surface
 count formulas, local cluster factorizations, and the arithmetic that
 distinguishes surfaces with matching classical invariants.
+
+Each factor is a half twist on an arc (`twist_arc`), to a power, maybe
+conjugated.  `realize_s4_trivial_action` checks that a factor fixes a
+covering-monodromy factorization without building the factor's braid
+word: it acts by the inverse conjugator alone and reads the half twist's
+two end slots through `hurwitz.half_twist_fixes`, so a factor costs the
+same whatever its arc's span.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .braid import BraidWord, band_generator
-from .hurwitz import act_moves, act_word
+from .hurwitz import act_moves, act_word, half_twist_fixes
 from .perm import Record, _indented_json, _json_str
 
 GEOM_BY_EXP = {1: "tangency", 2: "pos_node", -2: "neg_node", 3: "cusp"}
@@ -330,55 +337,63 @@ def factor_census(f: BmfFactorization) -> dict:
 # D-pair j at strands (4d-2j+1, 4d-2j+2), B-pair i at (4d+2i-1, 4d+2i))
 
 
-def twist_word(tag, b, d):
-    """Braid word of a named twist, or None when the arc is figure-only."""
-    n = 4 * (b + d)
+def twist_arc(tag, b, d):
+    """The punctures (r, s) that a named twist joins, or None when its arc
+    is figure-only; the twist is the half twist band_generator(r, s, n)."""
     kind = tag[0]
     if kind == "p":
-        return BraidWord(n, (4 * d + 2 * tag[1] - 1,))
+        return 4 * d + 2 * tag[1] - 1, 4 * d + 2 * tag[1]
     if kind == "q":
-        return BraidWord(n, (4 * d - 2 * tag[1] + 1,))
+        return 4 * d - 2 * tag[1] + 1, 4 * d - 2 * tag[1] + 2
     if kind == "a":
-        return band_generator(4 * d + 1, 4 * d + 2 * tag[2] - 1, n)
+        return 4 * d + 1, 4 * d + 2 * tag[2] - 1
     if kind == "c":
-        return band_generator(4 * d + 2, 4 * d + 2 * tag[2], n)
+        return 4 * d + 2, 4 * d + 2 * tag[2]
     if kind == "b":
-        return band_generator(4 * d - 2 * tag[2] + 1, 4 * d - 1, n)
+        return 4 * d - 2 * tag[2] + 1, 4 * d - 1
     if kind == "d":
-        return band_generator(4 * d - 2 * tag[2] + 2, 4 * d, n)
+        return 4 * d - 2 * tag[2] + 2, 4 * d
     if kind in ("u", "u'", "u''"):
         i, j = tag[1], tag[2]
         lo = 4 * d - 2 * j + (1 if kind == "u'" else 2)
         hi = 4 * d + 2 * i - (0 if kind == "u''" else 1)
-        return band_generator(lo, hi, n)
+        return lo, hi
     if kind == "s":
         return None  # arc routing is figure-only; no textual word
     raise ValueError(f"unknown twist tag {tag!r}")
 
 
-def factor_word(factor: BmfFactor, b, d):
-    base = twist_word(factor.twist, b, d)
-    if base is None:
-        return None
-    word = base ** factor.exponent
-    for tag, power in factor.conjugator:
-        g = twist_word(tag, b, d)
-        if g is None:
-            return None
-        gp = g**power
-        word = gp.inverse() * word * gp
-    return word
+def twist_word(tag, b, d):
+    """Braid word of a named twist, or None when the arc is figure-only."""
+    arc = twist_arc(tag, b, d)
+    return None if arc is None else band_generator(*arc, 4 * (b + d))
 
 
 def realize_s4_trivial_action(factor: BmfFactor, tau) -> str:
     """'trivial' iff the Hurwitz action of the factor's braid word fixes
-    the covering-monodromy factorization; 'skipped' when the twist has no
-    textual arc."""
-    word = factor_word(factor, tau.b, tau.d)
-    if word is None:
+    the covering-monodromy factorization; 'skipped' when the twist or a
+    conjugator twist has no textual arc.
+
+    The word is G^-1 H^e G, H the factor's half twist and G the product of
+    its conjugator's twist powers, and it fixes f exactly when H^e fixes
+    f G^-1.  So only G^-1 is acted (2 letters for every factor
+    `generate_bmf` builds, none for an unconjugated one), and
+    `half_twist_fixes` answers for H^e from two slots of f G^-1.
+    """
+    b, d = tau.b, tau.d
+    arc = twist_arc(factor.twist, b, d)
+    if arc is None:
         return "skipped"
-    out = act_word(tau.factors, word)
-    return "trivial" if out == tau.factors else "nontrivial"
+    f = tau.factors
+    if factor.conjugator:
+        g = BraidWord(4 * (b + d), ())
+        for tag, power in factor.conjugator:
+            word = twist_word(tag, b, d)
+            if word is None:
+                return "skipped"
+            g = g * word**power
+        f = act_word(f, g.inverse())
+    return "trivial" if half_twist_fixes(f, *arc, factor.exponent) else "nontrivial"
 
 
 # ---------------------------------------------------------------------------

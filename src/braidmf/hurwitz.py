@@ -21,25 +21,37 @@ undoes it.
 A move word touches only the slots from its smallest index to one past
 its largest.  When every element in that window is a Perm of degree 4,
 `act_moves` runs the window on indices into `symmetric_group(4)` with
-two 24x24 tables derived from `hurwitz_move` on first use; a slot whose
+two 24x24 move tables derived from `hurwitz_move` on first use (with the
+product and inverse tables, from Perm products); a slot whose
 value changed comes back as the canonical Perm of that tuple, the other
 slots come back as given, and a word that leaves every slot where it
 started gives back the input tuple itself.  Every other move word goes
 through `hurwitz_move` once per move.
 
-`act_word` remembers the one tuple it last acted on.  A first act on a
-tuple takes the windowed path of `act_moves`, so it converts no more
+`act_word` and `half_twist_fixes` remember the one tuple they last read.
+A first read of a tuple takes the windowed path, so it converts no more
 than its window.  When the same tuple object comes back, all its slots
-are converted to S4 indices once, and that act and every later one on it
-walk a copy of that index list: no window to find, no Perm to check or
-convert.  So many words acting on one factorization, as the braid words
-of all the factors of a factorization on the covering monodromy tau0,
-each pay for their letters and a copy and comparison of m ints.
+are converted to S4 indices once, and that read and every later one on
+it use that index list: no window to find, no Perm to check or convert.
+So many words acting on one factorization each pay for their letters and
+a copy and comparison of m ints.
+
+`half_twist_fixes(f, r, s, e)` says whether H^e fixes f, H the half
+twist `band_generator(r, s, len(f))`, without walking H's 2(s-r)-1
+letters.  H carries f_s down to slot r+1 as c f_s c^-1, c = f_{r+1} ...
+f_{s-1}, applies sigma_r there and carries it back, so H^e changes only
+slots r and s, and fixes f exactly when sigma_1^e fixes the pair
+(f_r, c f_s c^-1).  On the remembered tuple c is P_r^-1 P_{s-1}, from
+its prefix products P_k = f_1 ... f_k, computed on the first such call,
+so a call costs O(|e|) lookups; on a first read c is multiplied out over
+the window.  The BMF factors on the covering monodromy tau0 are checked
+this way (`bmf.realize_s4_trivial_action`).
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 
 from .perm import Perm, Record, symmetric_group
 
@@ -71,38 +83,82 @@ def hurwitz_move(f, k):
     return f[: i - 1] + pair + f[i + 1 :]
 
 
-# The tuple act_word last acted on, and from its second act on the S4
-# indices of its slots ([] when a slot is not a degree-4 Perm).  One pair,
-# replaced whole, so a tuple is never read with another tuple's indices.
-_last = (None, None)
+# The tuple act_word or half_twist_fixes last read; from its second read
+# on, the S4 indices of its slots ([] when a slot is not a degree-4 Perm);
+# and once half_twist_fixes reads it with its indices, its prefix
+# products.  One triple, replaced whole, so a tuple is never read with
+# another tuple's indices or products.
+_last = (None, None, None)
+
+
+def _recall(f):
+    """The S4 indices of f when f is the tuple read last, converted on its
+    second read; None on a first read, which makes f the tuple read last
+    (a list is never remembered)."""
+    global _last
+    last, indices, _ = _last
+    if f is not last:
+        _last = (f if type(f) is tuple else None), None, None
+        return None
+    if indices is None:
+        indices = _s4_indices(f)
+        _last = f, indices, None
+    return indices
 
 
 def act_word(f, word):
     """Apply a braid word to a factorization, letters left-to-right.
 
     sigma_i acts as the forward move at i, sigma_i^{-1} as the inverse.
-    A second act on the tuple acted on last walks its remembered S4
-    indices (see the module docstring); the result is the same.
+    A second act on the tuple read last walks its remembered S4 indices
+    (see the module docstring); the result is the same.
     """
-    global _last
     if word.strands != len(f):
         raise ValueError(
             f"word on {word.strands} strands cannot act on length-{len(f)} factorization"
         )
     moves = word.letters
-    last, indices = _last
-    if f is not last:  # a first act, or a list: the windowed path
-        _last = (f if type(f) is tuple else None), None
-        return act_moves(f, moves)
-    if indices is None:
-        indices = _s4_indices(f)
-        _last = f, indices
-    if not indices:
+    indices = _recall(f)
+    if not indices:  # a first read, a list or a non-S4 slot: the windowed path
         return act_moves(f, moves)
     # a word's letters lie in 1 .. strands - 1, so every move's slots lie
     # in f: the walk needs no window, which would cost two passes over
     # the letters
     return _act_moves_s4(f, indices, moves, 0)
+
+
+def half_twist_fixes(f, r, s, e):
+    """Whether band_generator(r, s, len(f)) ** e fixes the factorization f,
+    read only at slots r .. s (see the module docstring).
+
+    Raises ValueError unless 1 <= r < s <= len(f), or when a slot from r
+    to s is not a degree-4 Perm.  H^e fixes f exactly when H^-e does (the
+    elements fixing f form a group), so only |e| is used.
+    """
+    global _last
+    if not 1 <= r < s <= len(f):
+        raise ValueError(f"need 1 <= r < s <= {len(f)}, got r={r}, s={s}")
+    _, fwd, _, mul, inv = _s4_tables()
+    indices = _recall(f)
+    if indices:
+        prefix = _last[2]
+        if prefix is None:  # P_0 = id (index 0), P_k = P_{k-1} f_k
+            prefix = list(accumulate(indices, lambda p, y: mul[p][y], initial=0))
+            _last = f, indices, prefix
+        a, x = indices[r - 1], indices[s - 1]
+        c = mul[inv[prefix[r]]][prefix[s - 1]]
+    else:
+        window = _s4_indices(f[r - 1 : s])
+        if not window:
+            raise ValueError(f"slots {r}..{s} are not all degree-4 Perms")
+        a, x = window[0], window[-1]
+        c = 0
+        for y in window[1:-1]:
+            c = mul[c][y]
+    pair = start = (a, mul[mul[c][x]][inv[c]])  # (f_r, c f_s c^-1)
+    for _ in range(abs(e)):
+        pair = fwd[pair[0]][pair[1]], pair[0]
+    return pair == start
 
 
 def act_moves(f, moves):
@@ -127,17 +183,20 @@ def act_moves(f, moves):
 
 @functools.cache
 def _s4_tables():
-    """(index, fwd, bwd) on S4 = symmetric_group(4): index maps images to
-    positions in S4; fwd[a][b] = a b a^-1, the first slot after the forward
-    move on (a, b); bwd[b][a] = b^-1 a b, the second slot after the inverse
-    move, as row fwd[b] inverted."""
+    """(index, fwd, bwd, mul, inv) on S4 = symmetric_group(4), whose
+    position 0 is the identity: index maps images to positions in S4;
+    fwd[a][b] = a b a^-1, the first slot after the forward move on (a, b);
+    bwd[b][a] = b^-1 a b, the second slot after the inverse move, as row
+    fwd[b] inverted; mul[a][b] = a b and inv[a] = a^-1."""
     s4 = symmetric_group(4)
     index = {x.images: i for i, x in enumerate(s4)}
     fwd = tuple(
         tuple(index[hurwitz_move((x, y), 1)[0].images] for y in s4) for x in s4
     )
     bwd = tuple(tuple(sorted(range(24), key=row.__getitem__)) for row in fwd)
-    return index, fwd, bwd
+    mul = tuple(tuple(index[(x * y).images] for y in s4) for x in s4)
+    inv = tuple(row.index(0) for row in mul)
+    return index, fwd, bwd, mul, inv
 
 
 def _s4_indices(window):
@@ -153,7 +212,7 @@ def _act_moves_s4(f, start, moves, lo):
     """act_moves on the slots lo .. lo + len(start) - 1 of f, degree-4
     Perms whose positions in symmetric_group(4) are the list `start`,
     through the S4 tables; every move's slots lie among them."""
-    _, fwd, bwd = _s4_tables()
+    _, fwd, bwd, _, _ = _s4_tables()
     s = start.copy()
     for k in moves:  # f slot j is window slot j - lo
         if k > 0:  # slots k-1, k: (a, b) -> (a b a^-1, a)

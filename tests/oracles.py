@@ -33,6 +33,11 @@ from scratch.
 `choice`, as `s4orbit.random_action_word` drew it before its one
 `getrandbits` loop.
 
+`factor_word` is the whole braid word of a BMF factor, its twist's power
+conjugated by each conjugator twist's power in turn, as
+`bmf.realize_s4_trivial_action` built and walked it before it acted by
+the conjugator alone and read the half twist's two end slots.
+
 `all_windows` lists the 16 snake window states as Perm tuples, and
 `embed_window` puts one into tau0(b, d) by list assignment: the windows
 `s4orbit.snake_table` builds from its row bits are checked against them.
@@ -43,6 +48,7 @@ from itertools import repeat
 
 import numpy as np
 
+from braidmf.bmf import twist_word
 from braidmf.braid import ArtinAuto, FreeWord, _reduce, artin_rep
 from braidmf.f2sym import F2Operator, _images
 from braidmf.hurwitz import (
@@ -122,6 +128,23 @@ def reduce_power(letters, k):
 def choice_action_word(rng, gens, max_len=16):
     """Random word of at most max_len entries of gens."""
     return [rng.choice(gens) for _ in range(rng.randrange(max_len + 1))]
+
+
+def factor_word(factor, b, d):
+    """The braid word G^-1 X G of a BmfFactor on 4(b+d) strands, X its
+    twist's power and G the product of its conjugator's twist powers, or
+    None when an arc is figure-only."""
+    base = twist_word(factor.twist, b, d)
+    if base is None:
+        return None
+    word = base**factor.exponent
+    for tag, power in factor.conjugator:
+        g = twist_word(tag, b, d)
+        if g is None:
+            return None
+        gp = g**power
+        word = gp.inverse() * word * gp
+    return word
 
 
 def all_windows():

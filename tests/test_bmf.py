@@ -15,7 +15,6 @@ from braidmf.bmf import (
     distinguishable,
     factor_census,
     factor_count,
-    factor_word,
     generate_bmf,
     realize_s4_trivial_action,
     stable_profile,
@@ -25,9 +24,10 @@ from braidmf.bmf import (
     twist_word,
 )
 from braidmf.braid import BraidWord, braid_equal, word_permutation
-from braidmf.hurwitz import act_moves, hurwitz_move, product
-from braidmf.perm import Perm, _indented_json
-from braidmf.s4orbit import tau0
+from braidmf.hurwitz import act_moves, act_word, hurwitz_move, product
+from braidmf.perm import Perm, _indented_json, symmetric_group
+from braidmf.s4orbit import TauFactorization, in_hat_orbit, tau0
+from oracles import factor_word
 
 
 def test_params_flags():
@@ -270,40 +270,100 @@ def test_g_side_mirrors_f_side():
         assert g_side and g_side == f_side
 
 
+def _generic_verdict(factor, tau):
+    # the whole factor word, one hurwitz_move per letter on fresh Perms
+    word = factor_word(factor, tau.b, tau.d)
+    if word is None:
+        return "skipped"
+    generic = tuple(Perm(x.images) for x in tau.factors)
+    for k in word.letters:
+        generic = hurwitz_move(generic, k)
+    assert act_moves(tau.factors, word.letters) == generic
+    return "trivial" if generic == tau.factors else "nontrivial"
+
+
 def test_realize_matches_generic_action():
-    # realize runs the S4 index tables: the first word on the window it
-    # touches, the later words on the indices of the whole tuple, which
-    # act_word converts once; the oracle is one hurwitz_move per letter on
-    # fresh Perms over every slot.  b != d splits the strands unequally
-    # between the D and B pairs, and tau0 after a Hurwitz word is a
-    # factorization that some factors move
+    # realize acts by the conjugator and reads the half twist's two end
+    # slots, through the tuple it read last; the oracle walks the whole
+    # factor word.  b != d splits the strands unequally between the D and
+    # B pairs; tau0 after a Hurwitz word, a random S4 tuple outside O-hat
+    # and random transposition tuples are factorizations that some factors
+    # move (on the last, acting by G instead of G^-1 changes some
+    # verdicts).  Each tau is read factor after factor, then the taus
+    # alternate, then tau0 alternates with an equal but distinct tuple,
+    # and last its factors come as a list
     grid = (
         (1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3),
         (2, 5, 3, 1), (4, 2, 2, 6),
     )
     rng = random.Random(29)
+    s4 = symmetric_group(4)
+    transpositions = [x for x in s4 if x.is_transposition()]
     verdicts = set()
     for abcd in grid:
         p = SurfaceParams(*abcd)
         ref = tau0(p.b, p.d)
         n = ref.length
         scramble = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(3)]
-        for tau in (ref, ref.with_factors(act_moves(ref.factors, scramble))):
-            for factor in dict.fromkeys(generate_bmf(p).factors):
-                word = factor_word(factor, p.b, p.d)
-                verdict = realize_s4_trivial_action(factor, tau)
-                verdicts.add(verdict)
-                if word is None:
-                    assert verdict == "skipped"
-                    continue
-                generic = tuple(Perm(x.images) for x in tau.factors)
-                for k in word.letters:
-                    generic = hurwitz_move(generic, k)
-                assert act_moves(tau.factors, word.letters) == generic
-                assert verdict == (
-                    "trivial" if generic == tau.factors else "nontrivial"
-                )
+        wild = ref.with_factors(rng.choice(s4) for _ in range(n))
+        assert not in_hat_orbit(wild)
+        taus = (
+            ref,
+            ref.with_factors(act_moves(ref.factors, scramble)),
+            wild,
+            *(ref.with_factors(rng.choices(transpositions, k=n)) for _ in range(3)),
+        )
+        factors = list(dict.fromkeys(generate_bmf(p).factors))
+        want = {
+            (t, f): _generic_verdict(f, tau)
+            for t, tau in enumerate(taus)
+            for f in factors
+        }
+        verdicts.update(want.values())
+        for t, tau in enumerate(taus):
+            assert [realize_s4_trivial_action(f, tau) for f in factors] == [
+                want[t, f] for f in factors
+            ]
+        for f in factors:
+            for t, tau in enumerate(taus):
+                assert realize_s4_trivial_action(f, tau) == want[t, f]
+        same = ref.with_factors(list(ref.factors))
+        assert same.factors == ref.factors and same.factors is not ref.factors
+        for f in factors:
+            for tau in (ref, same, same, ref):
+                assert realize_s4_trivial_action(f, tau) == want[0, f]
+        listed = TauFactorization(p.b, p.d, list(ref.factors))
+        assert [realize_s4_trivial_action(f, listed) for f in factors] == [
+            want[0, f] for f in factors
+        ]
     assert verdicts == {"skipped", "trivial", "nontrivial"}
+
+
+def test_realize_acts_only_the_conjugator(monkeypatch):
+    # At a=b=c=d=24 realize acts 2 letters (the inverse conjugator) for
+    # each conjugated factor and nothing for an unconjugated one: the half
+    # twist is read from two slots, so the cost does not grow with its span
+    from braidmf import bmf
+
+    acted = []
+
+    def spy(f, word):
+        acted.append(len(word.letters))
+        return act_word(f, word)
+
+    monkeypatch.setattr(bmf, "act_word", spy)
+    p = SurfaceParams(24, 24, 24, 24)
+    tau = tau0(p.b, p.d)
+    conjugated = 0
+    for factor in dict.fromkeys(generate_bmf(p).factors):
+        acted.clear()
+        verdict = realize_s4_trivial_action(factor, tau)
+        if factor.conjugator and verdict != "skipped":
+            assert acted == [2]
+            conjugated += 1
+        else:
+            assert acted == []
+    assert conjugated == (2 * p.b - 1) + (2 * p.d - 1)  # c_{1,i} and d_{1,j}
 
 
 def test_factor_count_closed_form():

@@ -11,12 +11,13 @@ import pytest
 
 from braidmf import hurwitz
 from braidmf.bmf import cusp_cluster_factorization
-from braidmf.braid import BraidWord, FreeWord
+from braidmf.braid import BraidWord, FreeWord, band_generator
 from braidmf.f2sym import form_from_edges, transvection
 from braidmf.hurwitz import (
     SearchResult,
     act_moves,
     act_word,
+    half_twist_fixes,
     hurwitz_move,
     orbit_search,
     product,
@@ -547,7 +548,7 @@ def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, patte
         return s4_indices(window)
 
     monkeypatch.setattr(hurwitz, "_s4_indices", spy)
-    monkeypatch.setattr(hurwitz, "_last", (None, None))
+    monkeypatch.setattr(hurwitz, "_last", (None, None, None))
     rng = random.Random(pattern)
     s4 = symmetric_group(4)
     m = 9
@@ -582,6 +583,57 @@ def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, patte
         converted.clear()
         assert act_word(list(tuples["f"]), w) == _chained(tuples["f"], w.letters)
         assert converted == [max(map(abs, w.letters)) - min(map(abs, w.letters)) + 2]
+
+
+def test_half_twist_fixes_matches_the_word():
+    # H^e, H = band_generator(r, s, m), fixes f exactly when acting its
+    # letters gives f back.  A random tuple is fixed by few twists, one of
+    # two repeated elements by many.  Each tuple is read as a list (the
+    # product over the window r .. s on every call) and then as a tuple
+    # (windowed on the first call, from the remembered prefix products on
+    # every later one)
+    rng = random.Random(45)
+    s4 = symmetric_group(4)
+    seen = set()
+    for m in range(2, 10):
+        arcs = [
+            (r, s, e)
+            for r in range(1, m)
+            for s in range(r + 1, m + 1)
+            for e in (1, -1, 2, -2, 3, -3)
+        ]
+        for _ in range(3):
+            x, y = rng.sample(s4, 2)
+            for f in (
+                _fresh(_random_fact(rng, m=m, n=4)),
+                _fresh(rng.choice((x, y)) for _ in range(m)),
+            ):
+                want = {
+                    (r, s, e): act_moves(f, (band_generator(r, s, m) ** e).letters) == f
+                    for r, s, e in arcs
+                }
+                for g in (list(f), f):
+                    assert {k: half_twist_fixes(g, *k) for k in arcs} == want
+                seen.update((fixed, s == r + 1) for (r, s, _), fixed in want.items())
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_half_twist_fixes_refuses_bad_arcs_and_non_s4_slots(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_last", (None, None, None))
+    f = _fresh(_random_fact(random.Random(3), m=5, n=4))
+    for g in (f, f, list(f)):  # a first read, a remembered read, a list
+        for r, s in ((0, 2), (-1, 2), (-3, -1), (2, 2), (3, 2), (4, 6), (0, 5)):
+            with pytest.raises(ValueError, match="need 1 <= r < s <= 5"):
+                half_twist_fixes(g, r, s, 1)
+    # a degree-5 Perm at slot 3 is read by the arcs over it, not by others
+    five = f[:2] + (Perm((1, 0, 2, 3, 4)),) + f[3:]
+    for g in (five, five, list(five)):
+        for r, s in ((1, 4), (3, 5), (2, 3)):
+            with pytest.raises(ValueError, match=f"slots {r}..{s} are not all"):
+                half_twist_fixes(g, r, s, 2)
+        for r, s in ((1, 2), (4, 5)):
+            moves = (band_generator(r, s, 5) ** 2).letters
+            assert half_twist_fixes(g, r, s, 2) == (act_moves(five, moves) == five)
 
 
 def test_snake_via_word_matches_generic_action():
