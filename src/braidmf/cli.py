@@ -333,11 +333,14 @@ def hurwitz_act(args):
         dumped = [e.to_json() for e in act_moves(elements, moves)]
     else:
         # braid factors can grow exponentially in the moves: each move is
-        # checked against the letter cap as it is made
+        # checked against the letter cap as it is made; a move changes only
+        # slots |k|-1 and |k| (0-based), so only they change the count
         out, cap = elements, braid.LETTER_CAP
+        letters = sum(map(len, out))
         for k in moves:
-            out = hurwitz_move(out, k)
-            letters = sum(map(len, out))
+            new, i = hurwitz_move(out, k), abs(k)
+            letters += len(new[i - 1]) + len(new[i]) - len(out[i - 1]) - len(out[i])
+            out = new
             if letters > cap:
                 raise RuntimeError(
                     f"acted factors of {letters} letters exceed cap {cap}"

@@ -28,24 +28,19 @@ slots come back as given, and a word that leaves every slot where it
 started gives back the input tuple itself.  Every other move word goes
 through `hurwitz_move` once per move.
 
-`act_word` and `half_twist_fixes` remember the one tuple they last read.
-A first read of a tuple takes the windowed path, so it converts no more
-than its window.  When the same tuple object comes back, all its slots
-are converted to S4 indices once, and that read and every later one on
-it use that index list: no window to find, no Perm to check or convert.
-So many words acting on one factorization each pay for their letters and
-a copy and comparison of m ints.
-
 `half_twist_fixes(f, r, s, e)` says whether H^e fixes f, H the half
 twist `band_generator(r, s, len(f))`, without walking H's 2(s-r)-1
 letters.  H carries f_s down to slot r+1 as c f_s c^-1, c = f_{r+1} ...
 f_{s-1}, applies sigma_r there and carries it back, so H^e changes only
 slots r and s, and fixes f exactly when sigma_1^e fixes the pair
-(f_r, c f_s c^-1).  On the remembered tuple c is P_r^-1 P_{s-1}, from
-its prefix products P_k = f_1 ... f_k, computed on the first such call,
-so a call costs O(|e|) lookups; on a first read c is multiplied out over
-the window.  The BMF factors on the covering monodromy tau0 are checked
-this way (`bmf.realize_s4_trivial_action`).
+(f_r, c f_s c^-1).  Every slot it needs comes from the prefix products
+P_k = f_1 ... f_k in S4: f_r = P_{r-1}^-1 P_r, f_s likewise and
+c = P_r^-1 P_{s-1}.  It remembers the prefix products of the one tuple
+it last read (never a list), computed from the whole tuple on the first
+read of that tuple object, so a later call on it costs O(|e|) lookups.
+The BMF factors on the covering monodromy tau0 are checked this way
+(`bmf.realize_s4_trivial_action`): every BMF conjugator fixes tau0, so
+acting one gives back tau0 itself, and one memo serves a whole verdict.
 """
 
 from __future__ import annotations
@@ -83,78 +78,48 @@ def hurwitz_move(f, k):
     return f[: i - 1] + pair + f[i + 1 :]
 
 
-# The tuple act_word or half_twist_fixes last read; from its second read
-# on, the S4 indices of its slots ([] when a slot is not a degree-4 Perm);
-# and once half_twist_fixes reads it with its indices, its prefix
-# products.  One triple, replaced whole, so a tuple is never read with
-# another tuple's indices or products.
-_last = (None, None, None)
-
-
-def _recall(f):
-    """The S4 indices of f when f is the tuple read last, converted on its
-    second read; None on a first read, which makes f the tuple read last
-    (a list is never remembered)."""
-    global _last
-    last, indices, _ = _last
-    if f is not last:
-        _last = (f if type(f) is tuple else None), None, None
-        return None
-    if indices is None:
-        indices = _s4_indices(f)
-        _last = f, indices, None
-    return indices
+# The tuple half_twist_fixes last read and the prefix products of its S4
+# indices, replaced whole, so a tuple is never read with another tuple's
+# products.
+_last = (None, None)
 
 
 def act_word(f, word):
     """Apply a braid word to a factorization, letters left-to-right.
 
     sigma_i acts as the forward move at i, sigma_i^{-1} as the inverse.
-    A second act on the tuple read last walks its remembered S4 indices
-    (see the module docstring); the result is the same.
     """
     if word.strands != len(f):
         raise ValueError(
             f"word on {word.strands} strands cannot act on length-{len(f)} factorization"
         )
-    moves = word.letters
-    indices = _recall(f)
-    if not indices:  # a first read, a list or a non-S4 slot: the windowed path
-        return act_moves(f, moves)
-    # a word's letters lie in 1 .. strands - 1, so every move's slots lie
-    # in f: the walk needs no window, which would cost two passes over
-    # the letters
-    return _act_moves_s4(f, indices, moves, 0)
+    return act_moves(f, word.letters)
 
 
 def half_twist_fixes(f, r, s, e):
-    """Whether band_generator(r, s, len(f)) ** e fixes the factorization f,
-    read only at slots r .. s (see the module docstring).
+    """Whether band_generator(r, s, len(f)) ** e fixes the factorization f
+    (see the module docstring).
 
-    Raises ValueError unless 1 <= r < s <= len(f), or when a slot from r
-    to s is not a degree-4 Perm.  H^e fixes f exactly when H^-e does (the
+    Raises ValueError unless 1 <= r < s <= len(f), and then when a slot of
+    f is not a degree-4 Perm.  H^e fixes f exactly when H^-e does (the
     elements fixing f form a group), so only |e| is used.
     """
     global _last
     if not 1 <= r < s <= len(f):
         raise ValueError(f"need 1 <= r < s <= {len(f)}, got r={r}, s={s}")
     _, fwd, _, mul, inv = _s4_tables()
-    indices = _recall(f)
-    if indices:
-        prefix = _last[2]
-        if prefix is None:  # P_0 = id (index 0), P_k = P_{k-1} f_k
-            prefix = list(accumulate(indices, lambda p, y: mul[p][y], initial=0))
-            _last = f, indices, prefix
-        a, x = indices[r - 1], indices[s - 1]
-        c = mul[inv[prefix[r]]][prefix[s - 1]]
-    else:
-        window = _s4_indices(f[r - 1 : s])
-        if not window:
-            raise ValueError(f"slots {r}..{s} are not all degree-4 Perms")
-        a, x = window[0], window[-1]
-        c = 0
-        for y in window[1:-1]:
-            c = mul[c][y]
+    last, prefix = _last
+    if f is not last:
+        indices = _s4_indices(f)
+        if not indices:
+            raise ValueError("a slot of the factorization is not a degree-4 Perm")
+        # P_0 = id (index 0), P_k = P_{k-1} f_k
+        prefix = list(accumulate(indices, lambda p, y: mul[p][y], initial=0))
+        if type(f) is tuple:
+            _last = f, prefix
+    a = mul[inv[prefix[r - 1]]][prefix[r]]
+    x = mul[inv[prefix[s - 1]]][prefix[s]]
+    c = mul[inv[prefix[r]]][prefix[s - 1]]
     pair = start = (a, mul[mul[c][x]][inv[c]])  # (f_r, c f_s c^-1)
     for _ in range(abs(e)):
         pair = fwd[pair[0]][pair[1]], pair[0]

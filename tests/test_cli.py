@@ -497,6 +497,47 @@ def test_hurwitz_act_letter_cap_is_read_when_it_runs(tmp_path, capsys,
     assert json.loads(capsys.readouterr().out)["elements"] == [[1], [2], [1]]
 
 
+def test_hurwitz_act_running_letter_count_matches_a_full_resum(
+    tmp_path, capsys, monkeypatch
+):
+    # the count kept move by move stops at the same move, with the same
+    # count, as summing every factor after each move, at caps either side
+    # of the counts the moves reach
+    from braidmf.braid import BraidWord
+    from braidmf.hurwitz import hurwitz_move
+
+    rng = random.Random(46)
+    path = tmp_path / "fact.json"
+    codes = set()
+    for _ in range(60):
+        m = rng.randint(2, 5)
+        words = [[rng.choice((1, -1)) * rng.randint(1, 3)
+                  for _ in range(rng.randint(0, 3))] for _ in range(m)]
+        moves = [rng.choice((1, -1)) * rng.randint(1, m - 1)
+                 for _ in range(rng.randint(1, 10))]
+        path.write_text(json.dumps(
+            {"group": "braid", "strands": 4, "elements": words}
+        ))
+        f, totals = tuple(BraidWord(4, w) for w in words), []
+        for k in moves:
+            f = hurwitz_move(f, k)
+            totals.append(sum(map(len, f)))
+        cap = rng.randint(min(totals) - 1, max(totals))
+        over = [t for t in totals if t > cap]
+        monkeypatch.setattr("braidmf.braid.LETTER_CAP", cap)
+        code = main(["hurwitz", "act", "--file", str(path),
+                     "--moves=" + ",".join(map(str, moves))])
+        out, err = capsys.readouterr()
+        codes.add(code)
+        if over:
+            assert (code, out) == (3, "")
+            assert err == f"error: acted factors of {over[0]} letters exceed cap {cap}\n"
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["elements"] == [list(w.letters) for w in f]
+    assert codes == {0, 3}
+
+
 @pytest.mark.parametrize("sub", ["act", "search"])
 def test_factorization_file_must_be_an_object(tmp_path, capsys, sub):
     path = tmp_path / "fact.json"

@@ -507,7 +507,7 @@ def test_windowed_act_moves_matches_chained_moves():
         assert str(exc.value) == want
 
 
-def _remembered_case(rng, m):
+def _repeat_case(rng, m):
     # two S4 tuples, one equal to the first but a distinct object, and one
     # whose slot 0 is a degree-5 Perm; words on slots 1 .. m-1 of m strands,
     # some random, some a power sigma_i^24, which fixes every S4 pair
@@ -533,11 +533,9 @@ def _remembered_case(rng, m):
     "mixed mixed mixed f f",
 ])
 def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, pattern):
-    # act_word remembers the tuple it last acted on: a first act on a tuple
-    # converts only its window to S4 indices, the second act on the same
-    # object converts the whole tuple once, and later acts convert nothing.
-    # An equal but distinct tuple is a new tuple; a tuple with a non-S4
-    # slot keeps the windowed path.  The oracle is one hurwitz_move per
+    # act_word keeps no tuple between calls: every act, on a tuple acted on
+    # before or not, and on a list, converts only the window of slots its
+    # letters span to S4 indices.  The oracle is one hurwitz_move per
     # letter; the result is the input itself when it is equal to it, and
     # otherwise changes only slots the letters span, into canonical Perms
     converted = []
@@ -548,16 +546,12 @@ def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, patte
         return s4_indices(window)
 
     monkeypatch.setattr(hurwitz, "_s4_indices", spy)
-    monkeypatch.setattr(hurwitz, "_last", (None, None, None))
     rng = random.Random(pattern)
     s4 = symmetric_group(4)
-    m = 9
-    tuples, word = _remembered_case(rng, m)
-    last, count, kept, changed = None, 0, 0, 0
+    tuples, word = _repeat_case(rng, 9)
+    kept = changed = 0
     for name in pattern.split():
         h, w = tuples[name], word()
-        count = count + 1 if name == last else 1
-        last = name
         converted.clear()
         out = act_word(h, w)
         assert out == _chained(h, w.letters)
@@ -569,15 +563,8 @@ def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, patte
             if y is not x:
                 assert lo <= j < hi and y is s4[s4.index(y)] and y != x
                 changed += 1
-        if count == 1:
-            want = [hi - lo]
-        elif name == "mixed":
-            want = [m] * (count == 2) + [hi - lo]
-        else:
-            want = [m] * (count == 2)
-        assert converted == want, (name, count)
+        assert converted == [hi - lo], name
     assert kept > 0 and changed > 0
-    # a list is never remembered: each act is a first act
     for _ in range(3):
         w = word()
         converted.clear()
@@ -585,13 +572,17 @@ def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, patte
         assert converted == [max(map(abs, w.letters)) - min(map(abs, w.letters)) + 2]
 
 
+def _twist_fixes(f, r, s, e):
+    # the oracle of half_twist_fixes: H^e's letters, one hurwitz_move each
+    return _chained(f, (band_generator(r, s, len(f)) ** e).letters) == tuple(f)
+
+
 def test_half_twist_fixes_matches_the_word():
     # H^e, H = band_generator(r, s, m), fixes f exactly when acting its
     # letters gives f back.  A random tuple is fixed by few twists, one of
-    # two repeated elements by many.  Each tuple is read as a list (the
-    # product over the window r .. s on every call) and then as a tuple
-    # (windowed on the first call, from the remembered prefix products on
-    # every later one)
+    # two repeated elements by many.  Each tuple is read as a list (its
+    # prefix products computed on every call) and then as a tuple (computed
+    # on the first call and remembered for every later one)
     rng = random.Random(45)
     s4 = symmetric_group(4)
     seen = set()
@@ -619,21 +610,81 @@ def test_half_twist_fixes_matches_the_word():
 
 
 def test_half_twist_fixes_refuses_bad_arcs_and_non_s4_slots(monkeypatch):
-    monkeypatch.setattr(hurwitz, "_last", (None, None, None))
+    monkeypatch.setattr(hurwitz, "_last", (None, None))
     f = _fresh(_random_fact(random.Random(3), m=5, n=4))
-    for g in (f, f, list(f)):  # a first read, a remembered read, a list
-        for r, s in ((0, 2), (-1, 2), (-3, -1), (2, 2), (3, 2), (4, 6), (0, 5)):
+    # a degree-5 Perm at slot 3, and a braid at slot 5
+    five = f[:2] + (Perm((1, 0, 2, 3, 4)),) + f[3:]
+    braid = f[:4] + (BraidWord(5, (1,)),)
+    bad_arcs = ((0, 2), (-1, 2), (-3, -1), (2, 2), (3, 2), (4, 6), (0, 5))
+    # the arc is checked before any slot is read: on the remembered tuple,
+    # a list, and tuples with a non-S4 slot
+    assert half_twist_fixes(f, 1, 2, 2) == _twist_fixes(f, 1, 2, 2)
+    for g in (f, list(f), five, list(five), braid):
+        for r, s in bad_arcs:
             with pytest.raises(ValueError, match="need 1 <= r < s <= 5"):
                 half_twist_fixes(g, r, s, 1)
-    # a degree-5 Perm at slot 3 is read by the arcs over it, not by others
-    five = f[:2] + (Perm((1, 0, 2, 3, 4)),) + f[3:]
-    for g in (five, five, list(five)):
-        for r, s in ((1, 4), (3, 5), (2, 3)):
-            with pytest.raises(ValueError, match=f"slots {r}..{s} are not all"):
+    # a non-S4 slot anywhere is refused, by arcs over it or not, and the
+    # refused tuple does not replace the remembered one
+    for g in (five, five, list(five), braid):
+        for r, s in ((1, 4), (3, 5), (2, 3), (1, 2), (4, 5)):
+            with pytest.raises(ValueError, match="not a degree-4 Perm"):
                 half_twist_fixes(g, r, s, 2)
-        for r, s in ((1, 2), (4, 5)):
-            moves = (band_generator(r, s, 5) ** 2).letters
-            assert half_twist_fixes(g, r, s, 2) == (act_moves(five, moves) == five)
+    assert hurwitz._last[0] is f
+
+
+def test_half_twist_fixes_reads_each_tuple_object_once(monkeypatch):
+    # the prefix products are computed from the whole tuple on the first
+    # read of a tuple object and kept until another tuple is read; an equal
+    # but distinct tuple is another tuple, and a list is read whole on every
+    # call.  Every answer matches the twist's letters, so tuples A, B, A
+    # each get their own
+    converted = []
+    s4_indices = hurwitz._s4_indices
+
+    def spy(window):
+        converted.append(len(window))
+        return s4_indices(window)
+
+    monkeypatch.setattr(hurwitz, "_s4_indices", spy)
+    monkeypatch.setattr(hurwitz, "_last", (None, None))
+    rng = random.Random(46)
+    s4 = symmetric_group(4)
+    m = 7
+    x, y = rng.sample(s4, 2)
+    a = _fresh([x] * m)  # fixed by every twist power
+    b = _fresh(rng.choice((x, y)) for _ in range(m))
+    tuples = {"a": a, "b": b, "same": _fresh(a), "list": list(b)}
+    arcs = [(r, s, e) for r in range(1, m) for s in range(r + 1, m + 1)
+            for e in (1, -1, 2, 3)]
+    answers, last = set(), None
+    for pattern in ("a a b a", "b same same a", "b list list b a b"):
+        for name in pattern.split():
+            g = tuples[name]
+            converted.clear()
+            got = {k: half_twist_fixes(g, *k) for k in arcs}
+            assert got == {k: _twist_fixes(g, *k) for k in arcs}, name
+            answers.add(frozenset(got.items()))
+            if name == "list":  # read whole on every call
+                assert converted == [m] * len(arcs)
+            else:
+                assert converted == [m] * (name != last), (pattern, name)
+                last = name
+    assert len(answers) == 2
+
+
+def test_half_twist_fixes_reads_a_mutated_list_fresh():
+    # a list is never remembered: mutated between two calls, it is read
+    # as it now stands
+    s4 = symmetric_group(4)
+    x, y = s4[5], s4[17]
+    g = [x] * 6
+    for r, s in ((1, 2), (2, 5), (3, 6)):
+        assert half_twist_fixes(g, r, s, 1)
+        g[r - 1] = y
+        assert not _twist_fixes(g, r, s, 1)
+        assert not half_twist_fixes(g, r, s, 1)
+        g[r - 1] = x
+        assert half_twist_fixes(g, r, s, 1)
 
 
 def test_snake_via_word_matches_generic_action():
