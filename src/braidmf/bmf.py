@@ -7,9 +7,11 @@ distinguishes surfaces with matching classical invariants.
 Each factor is a half twist on an arc (`twist_arc`), to a power, maybe
 conjugated.  `realize_s4_trivial_action` checks that a factor fixes a
 covering-monodromy factorization without building the factor's braid
-word: it acts by the inverse conjugator alone and reads the half twist's
-two end slots through `hurwitz.half_twist_fixes`, so a factor costs the
-same whatever its arc's span.
+word: it acts the conjugator's twist powers, inverted and in reverse
+order, and reads the half twist's two end slots from the S4 prefix
+products through `hurwitz.half_twist_fixes`, so a factor costs the same
+whatever its arc's span.  When the act leaves the factorization as it
+was, the prefix products are the ones its `TauFactorization` keeps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .braid import BraidWord, band_generator
-from .hurwitz import act_moves, act_word, half_twist_fixes
+from .hurwitz import act_moves, act_word, half_twist_fixes, s4_prefix
 from .perm import Record, _indented_json, _json_str
 
 GEOM_BY_EXP = {1: "tangency", 2: "pos_node", -2: "neg_node", 3: "cusp"}
@@ -375,25 +377,25 @@ def realize_s4_trivial_action(factor: BmfFactor, tau) -> str:
     conjugator twist has no textual arc.
 
     The word is G^-1 H^e G, H the factor's half twist and G the product of
-    its conjugator's twist powers, and it fixes f exactly when H^e fixes
-    f G^-1.  So only G^-1 is acted (2 letters for every factor
-    `generate_bmf` builds, none for an unconjugated one), and
-    `half_twist_fixes` answers for H^e from two slots of f G^-1.
+    its conjugator's twist powers g_1 ... g_k, and it fixes f exactly when
+    H^e fixes f G^-1.  So only G^-1 = g_k^-1 ... g_1^-1 is acted, one entry
+    at a time (2 letters for every factor `generate_bmf` builds, none for
+    an unconjugated one), and `half_twist_fixes` answers for H^e from the
+    prefix products of f G^-1: tau's own when the act gives its factors
+    back, as every BMF conjugator does on tau0.
     """
     b, d = tau.b, tau.d
     arc = twist_arc(factor.twist, b, d)
     if arc is None:
         return "skipped"
     f = tau.factors
-    if factor.conjugator:
-        g = BraidWord(4 * (b + d), ())
-        for tag, power in factor.conjugator:
-            word = twist_word(tag, b, d)
-            if word is None:
-                return "skipped"
-            g = g * word**power
-        f = act_word(f, g.inverse())
-    return "trivial" if half_twist_fixes(f, *arc, factor.exponent) else "nontrivial"
+    for tag, power in reversed(factor.conjugator):
+        word = twist_word(tag, b, d)
+        if word is None:
+            return "skipped"
+        f = act_word(f, word**-power)
+    prefix = tau.s4_prefix if f is tau.factors else s4_prefix(f)
+    return "trivial" if half_twist_fixes(prefix, *arc, factor.exponent) else "nontrivial"
 
 
 # ---------------------------------------------------------------------------

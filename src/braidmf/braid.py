@@ -11,7 +11,9 @@ benchmark tracer hooks artin_rep and counts its LetterCapExceeded.
 There is one word class: a braid word on n strands is a free word of
 rank n-1 in sigma_1, ..., sigma_{n-1}, so BraidWord subclasses FreeWord
 and adds only its strand count and repr.  Words are freely reduced when
-built, and compose left-to-right, like everything else in this package.
+built, and compose left-to-right, like everything else in this package:
+a product cancels only at its seam, and a power reduces its copies of
+the word (of its inverse, for a negative power) as one letter sequence.
 """
 
 from __future__ import annotations
@@ -92,18 +94,8 @@ class FreeWord:
         return self._of(self.rank, _join(self.letters, other.letters))
 
     def __pow__(self, k):
-        # split the reduced word as w = P C P^-1, P the longest prefix that
-        # cancels against the reversed suffix: the core C is then nonempty
-        # and cyclically reduced, so w^k = P C^k P^-1 is reduced as it stands
-        if k < 0:
-            return self.inverse() ** (-k)
-        w = self.letters
-        if not (w and k):
-            return self._of(self.rank, ())
-        p = 0
-        while w[p] == -w[-1 - p]:
-            p += 1
-        return self._of(self.rank, w[:p] + w[p : len(w) - p] * k + w[len(w) - p :])
+        letters = self.letters if k >= 0 else _inverse(self.letters)
+        return self._of(self.rank, _reduce(letters * abs(k)))
 
     def inverse(self):
         return self._of(self.rank, _inverse(self.letters))

@@ -28,19 +28,17 @@ slots come back as given, and a word that leaves every slot where it
 started gives back the input tuple itself.  Every other move word goes
 through `hurwitz_move` once per move.
 
-`half_twist_fixes(f, r, s, e)` says whether H^e fixes f, H the half
-twist `band_generator(r, s, len(f))`, without walking H's 2(s-r)-1
-letters.  H carries f_s down to slot r+1 as c f_s c^-1, c = f_{r+1} ...
-f_{s-1}, applies sigma_r there and carries it back, so H^e changes only
-slots r and s, and fixes f exactly when sigma_1^e fixes the pair
-(f_r, c f_s c^-1).  Every slot it needs comes from the prefix products
-P_k = f_1 ... f_k in S4: f_r = P_{r-1}^-1 P_r, f_s likewise and
-c = P_r^-1 P_{s-1}.  It remembers the prefix products of the one tuple
-it last read (never a list), computed from the whole tuple on the first
-read of that tuple object, so a later call on it costs O(|e|) lookups.
-The BMF factors on the covering monodromy tau0 are checked this way
-(`bmf.realize_s4_trivial_action`): every BMF conjugator fixes tau0, so
-acting one gives back tau0 itself, and one memo serves a whole verdict.
+`half_twist_fixes(prefix, r, s, e)` says whether H^e fixes a tuple f of
+degree-4 Perms, H the half twist `band_generator(r, s, len(f))`, without
+walking H's 2(s-r)-1 letters.  H carries f_s down to slot r+1 as
+c f_s c^-1, c = f_{r+1} ... f_{s-1}, applies sigma_r there and carries it
+back, so H^e changes only slots r and s, and fixes f exactly when
+sigma_1^e fixes the pair (f_r, c f_s c^-1).  Every slot it needs comes
+from the prefix products P_k = f_1 ... f_k in S4, which `s4_prefix(f)`
+computes and the caller passes in: f_r = P_{r-1}^-1 P_r, f_s likewise
+and c = P_r^-1 P_{s-1}.  So a caller that keeps the prefix products of a
+tuple answers each twist on it in O(|e|) lookups; nothing here is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -78,12 +76,6 @@ def hurwitz_move(f, k):
     return f[: i - 1] + pair + f[i + 1 :]
 
 
-# The tuple half_twist_fixes last read and the prefix products of its S4
-# indices, replaced whole, so a tuple is never read with another tuple's
-# products.
-_last = (None, None)
-
-
 def act_word(f, word):
     """Apply a braid word to a factorization, letters left-to-right.
 
@@ -96,27 +88,30 @@ def act_word(f, word):
     return act_moves(f, word.letters)
 
 
-def half_twist_fixes(f, r, s, e):
-    """Whether band_generator(r, s, len(f)) ** e fixes the factorization f
-    (see the module docstring).
+def s4_prefix(f):
+    """The prefix products P_0 = id, P_k = f_1 ... f_k of a sequence of
+    degree-4 Perms, as a tuple of positions in symmetric_group(4).
 
-    Raises ValueError unless 1 <= r < s <= len(f), and then when a slot of
-    f is not a degree-4 Perm.  H^e fixes f exactly when H^-e does (the
-    elements fixing f form a group), so only |e| is used.
+    Raises ValueError when a slot of f is not a degree-4 Perm.
     """
-    global _last
-    if not 1 <= r < s <= len(f):
-        raise ValueError(f"need 1 <= r < s <= {len(f)}, got r={r}, s={s}")
+    indices = _s4_indices(f)
+    if len(indices) != len(f):
+        raise ValueError("a slot of the factorization is not a degree-4 Perm")
+    mul = _s4_tables()[3]
+    return tuple(accumulate(indices, lambda p, y: mul[p][y], initial=0))
+
+
+def half_twist_fixes(prefix, r, s, e):
+    """Whether band_generator(r, s, m) ** e fixes the m-slot factorization
+    f whose `s4_prefix` is prefix (see the module docstring).
+
+    Raises ValueError unless 1 <= r < s <= m.  H^e fixes f exactly when
+    H^-e does (the elements fixing f form a group), so only |e| is used.
+    """
+    m = len(prefix) - 1
+    if not 1 <= r < s <= m:
+        raise ValueError(f"need 1 <= r < s <= {m}, got r={r}, s={s}")
     _, fwd, _, mul, inv = _s4_tables()
-    last, prefix = _last
-    if f is not last:
-        indices = _s4_indices(f)
-        if not indices:
-            raise ValueError("a slot of the factorization is not a degree-4 Perm")
-        # P_0 = id (index 0), P_k = P_{k-1} f_k
-        prefix = list(accumulate(indices, lambda p, y: mul[p][y], initial=0))
-        if type(f) is tuple:
-            _last = f, prefix
     a = mul[inv[prefix[r - 1]]][prefix[r]]
     x = mul[inv[prefix[s - 1]]][prefix[s]]
     c = mul[inv[prefix[r]]][prefix[s - 1]]

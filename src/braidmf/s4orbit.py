@@ -48,7 +48,7 @@ import itertools
 from types import MappingProxyType
 
 from .braid import BraidWord
-from .hurwitz import act_moves, act_word, product
+from .hurwitz import act_moves, act_word, product, s4_prefix
 from .perm import Perm, Record
 
 T12 = Perm.transposition(1, 2, 4)
@@ -62,11 +62,13 @@ B_VALUES = (T13, T24)
 
 
 class TauFactorization(Record):
-    """A length-4(b+d) transposition factorization in the orbit superset."""
+    """A length-4(b+d) transposition factorization in the orbit superset;
+    its factors are kept as a tuple."""
 
-    __slots__ = ("b", "d", "factors")
+    _fields = ("b", "d", "factors")
 
     def __init__(self, b, d, factors):
+        factors = tuple(factors)
         if len(factors) != 4 * (b + d):
             raise ValueError(f"expected {4 * (b + d)} factors, got {len(factors)}")
         super().__init__(b, d, factors)
@@ -79,8 +81,13 @@ class TauFactorization(Record):
     def boundary(self):
         return 4 * self.d
 
+    @functools.cached_property
+    def s4_prefix(self):
+        """`hurwitz.s4_prefix` of the factors, computed on first use."""
+        return s4_prefix(self.factors)
+
     def with_factors(self, factors):
-        return TauFactorization(self.b, self.d, tuple(factors))
+        return TauFactorization(self.b, self.d, factors)
 
 
 # `verify s7` at its default 10,000 trials takes 0.6-0.8 s at 100,000

@@ -25,10 +25,6 @@ of a form's Gram matrix by its own row elimination.
 ran on numpy uint8 column matrices: it yields a stabilizer chain's
 elements in the order `group_closure` must keep.
 
-`reduce_power` is the power of a free or braid word as `FreeWord.__pow__`
-built it before the P C^k P^-1 split: k copies of the letters, reduced
-from scratch.
-
 `choice_action_word` is the random word drawn through `randrange` and
 `choice`, as `s4orbit.random_action_word` drew it before its one
 `getrandbits` loop.
@@ -38,18 +34,26 @@ conjugated by each conjugator twist's power in turn, as
 `bmf.realize_s4_trivial_action` built and walked it before it acted by
 the conjugator alone and read the half twist's two end slots.
 
+`inverse_conjugator` is the inverse of a BMF factor's conjugator as one
+braid word, as realize acted it before it acted one entry at a time.
+
+`cusp_fixed_sheets` tallies the cusps of a BMF by the sheet their local
+3-cycle fixes, read with Perm products from each cusp's pair of
+transpositions on the conjugated tau0; it pins a finding about the
+generator (ROADMAP item 31), not a claim of the paper.
+
 `all_windows` lists the 16 snake window states as Perm tuples, and
 `embed_window` puts one into tau0(b, d) by list assignment: the windows
 `s4orbit.snake_table` builds from its row bits are checked against them.
 """
 
-from collections import deque
+from collections import Counter, deque
 from itertools import repeat
 
 import numpy as np
 
-from braidmf.bmf import twist_word
-from braidmf.braid import ArtinAuto, FreeWord, _reduce, artin_rep
+from braidmf.bmf import generate_bmf, twist_arc, twist_word
+from braidmf.braid import ArtinAuto, BraidWord, FreeWord, artin_rep
 from braidmf.f2sym import F2Operator, _images
 from braidmf.hurwitz import (
     SearchResult,
@@ -117,14 +121,6 @@ def form_rank(form):
     return len(kept)
 
 
-def reduce_power(letters, k):
-    """The letters of w**k for a word with these reduced letters: the
-    letters of w^-1 stand in for a negative k."""
-    if k < 0:
-        letters, k = tuple(-x for x in reversed(letters)), -k
-    return _reduce(tuple(letters) * k)
-
-
 def choice_action_word(rng, gens, max_len=16):
     """Random word of at most max_len entries of gens."""
     return [rng.choice(gens) for _ in range(rng.randrange(max_len + 1))]
@@ -145,6 +141,40 @@ def factor_word(factor, b, d):
         gp = g**power
         word = gp.inverse() * word * gp
     return word
+
+
+def inverse_conjugator(factor, b, d):
+    """G^-1, G the product of a BMF factor's conjugator twist powers, as
+    one braid word on 4(b+d) strands; every twist must have an arc."""
+    g = BraidWord(4 * (b + d), ())
+    for tag, power in factor.conjugator:
+        g = g * twist_word(tag, b, d) ** power
+    return g.inverse()
+
+
+def cusp_fixed_sheets(p):
+    """Sheet (1..4) -> the number of cusps of generate_bmf(p) whose local
+    3-cycle fixes it.  A cusp G^-1 H^3 G, H the half twist on its arc
+    (r, s), reads the pair (f_r, c f_s c^-1), c = f_{r+1} ... f_{s-1}, of
+    f = tau0(b, d) after G^-1, one hurwitz_move per letter; the pair's
+    product is a 3-cycle.  A distinct factor counts once per block
+    holding it."""
+    b, d = p.b, p.d
+    cusps = Counter()
+    for blk in generate_bmf(p).blocks:
+        cusps.update(f for f in blk.factors if f.exponent == 3)
+    tally = Counter()
+    for factor, count in cusps.items():
+        f = tau0(b, d).factors
+        for k in inverse_conjugator(factor, b, d).letters:
+            f = hurwitz_move(f, k)
+        r, s = twist_arc(factor.twist, b, d)
+        x = f[s - 1]
+        for y in reversed(f[r : s - 1]):
+            x = y * x * y.inverse()
+        (sheet,) = [i + 1 for i, j in enumerate((f[r - 1] * x).images) if i == j]
+        tally[sheet] += count
+    return tally
 
 
 def all_windows():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from braidmf.bmf import (
     stable_profile,
     surface_counts,
     tangent_cluster_factorization,
+    twist_arc,
     twist_str,
     twist_word,
 )
@@ -27,7 +29,7 @@ from braidmf.braid import BraidWord, braid_equal, word_permutation
 from braidmf.hurwitz import act_moves, act_word, hurwitz_move, product
 from braidmf.perm import Perm, _indented_json, symmetric_group
 from braidmf.s4orbit import TauFactorization, in_hat_orbit, tau0
-from oracles import factor_word
+from oracles import cusp_fixed_sheets, factor_word, inverse_conjugator
 
 
 def test_params_flags():
@@ -282,37 +284,45 @@ def _generic_verdict(factor, tau):
     return "trivial" if generic == tau.factors else "nontrivial"
 
 
-def test_realize_matches_generic_action():
-    # realize acts by the conjugator and reads the half twist's two end
-    # slots, through the tuple it read last; the oracle walks the whole
-    # factor word.  b != d splits the strands unequally between the D and
-    # B pairs; tau0 after a Hurwitz word, a random S4 tuple outside O-hat
-    # and random transposition tuples are factorizations that some factors
-    # move (on the last, acting by G instead of G^-1 changes some
-    # verdicts).  Each tau is read factor after factor, then the taus
-    # alternate, then tau0 alternates with an equal but distinct tuple,
-    # and last its factors come as a list
-    grid = (
-        (1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3),
-        (2, 5, 3, 1), (4, 2, 2, 6),
-    )
-    rng = random.Random(29)
+_REALIZE_GRID = (
+    (1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 2), (3, 3, 3, 3),
+    (2, 5, 3, 1), (4, 2, 2, 6),
+)
+
+
+def _realize_taus(rng, p):
+    # tau0(b, d), tau0 after a Hurwitz word, a random S4 tuple outside
+    # O-hat and three random transposition tuples: factorizations that
+    # some factors move
     s4 = symmetric_group(4)
     transpositions = [x for x in s4 if x.is_transposition()]
+    ref = tau0(p.b, p.d)
+    n = ref.length
+    scramble = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(3)]
+    wild = ref.with_factors(rng.choice(s4) for _ in range(n))
+    assert not in_hat_orbit(wild)
+    return (
+        ref,
+        ref.with_factors(act_moves(ref.factors, scramble)),
+        wild,
+        *(ref.with_factors(rng.choices(transpositions, k=n)) for _ in range(3)),
+    )
+
+
+def test_realize_matches_generic_action():
+    # realize acts by the conjugator and reads the half twist's two end
+    # slots from the prefix products of the factorization the act gives;
+    # the oracle walks the whole factor word.  b != d splits the strands
+    # unequally between the D and B pairs; on the last taus, acting by G
+    # instead of G^-1 changes some verdicts.  Each tau is read factor after
+    # factor, then the taus alternate, then tau0 alternates with an equal
+    # but distinct record, and last one built from a list of its factors
+    rng = random.Random(29)
     verdicts = set()
-    for abcd in grid:
+    for abcd in _REALIZE_GRID:
         p = SurfaceParams(*abcd)
-        ref = tau0(p.b, p.d)
-        n = ref.length
-        scramble = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(3)]
-        wild = ref.with_factors(rng.choice(s4) for _ in range(n))
-        assert not in_hat_orbit(wild)
-        taus = (
-            ref,
-            ref.with_factors(act_moves(ref.factors, scramble)),
-            wild,
-            *(ref.with_factors(rng.choices(transpositions, k=n)) for _ in range(3)),
-        )
+        taus = _realize_taus(rng, p)
+        ref = taus[0]
         factors = list(dict.fromkeys(generate_bmf(p).factors))
         want = {
             (t, f): _generic_verdict(f, tau)
@@ -333,10 +343,77 @@ def test_realize_matches_generic_action():
             for tau in (ref, same, same, ref):
                 assert realize_s4_trivial_action(f, tau) == want[0, f]
         listed = TauFactorization(p.b, p.d, list(ref.factors))
+        assert type(listed.factors) is tuple
         assert [realize_s4_trivial_action(f, listed) for f in factors] == [
             want[0, f] for f in factors
         ]
     assert verdicts == {"skipped", "trivial", "nontrivial"}
+
+
+def test_realize_acts_multi_entry_conjugators_in_reverse():
+    # generated factors have at most one conjugator entry; these have 2 or
+    # 3 random ones, so acting the entries in the given order, or by G
+    # instead of G^-1, changes some verdicts.  An s twist among them makes
+    # the factor skipped
+    rng = random.Random(31)
+    seen = Counter()
+    for abcd in _REALIZE_GRID:
+        p = SurfaceParams(*abcd)
+        taus = _realize_taus(rng, p)
+        bases = list(dict.fromkeys(
+            (f.twist, f.exponent) for f in generate_bmf(p).factors
+        ))
+        tags = [t for t, _ in bases] + [("p", 1), ("q", 1)]
+        for _ in range(40):
+            twist, exponent = rng.choice(bases)
+            conjugator = tuple(
+                (rng.choice(tags), rng.choice((-2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(2, 3))
+            )
+            factor = BmfFactor(twist, exponent, conjugator)
+            for tau in taus:
+                want = _generic_verdict(factor, tau)
+                assert realize_s4_trivial_action(factor, tau) == want
+                seen[want] += 1
+    assert set(seen) == {"skipped", "trivial", "nontrivial"}
+    assert min(seen.values()) >= 30, seen
+
+
+def test_realize_computes_one_prefix_per_tau(monkeypatch):
+    # the S4 prefix products of a TauFactorization's factors are computed
+    # once, across factors and across repeated verdicts; a conjugator that
+    # moves the factorization gets fresh ones for the tuple its act gives
+    from braidmf import bmf, hurwitz, s4orbit
+
+    computed = []
+
+    def spy(f):
+        computed.append(f)
+        return hurwitz.s4_prefix(f)
+
+    monkeypatch.setattr(bmf, "s4_prefix", spy)
+    monkeypatch.setattr(s4orbit, "s4_prefix", spy)
+    p = SurfaceParams(3, 2, 2, 3)
+    factors = list(dict.fromkeys(generate_bmf(p).factors))
+    ref = tau0(p.b, p.d)
+    rng = random.Random(30)
+    transpositions = [x for x in symmetric_group(4) if x.is_transposition()]
+    wild = ref.with_factors(rng.choices(transpositions, k=ref.length))
+    # the tuples the conjugated factors with a textual arc act wild to
+    acted = [
+        act_word(wild.factors, inverse_conjugator(f, p.b, p.d))
+        for f in factors
+        if f.conjugator and twist_arc(f.twist, p.b, p.d)
+    ]
+    fresh = [g for g in acted if g != wild.factors]
+    assert fresh and len(fresh) < len(acted)
+    for tau, moved in ((TauFactorization(p.b, p.d, ref.factors), []), (wild, fresh)):
+        computed.clear()
+        for _ in range(3):
+            for f in factors:
+                realize_s4_trivial_action(f, tau)
+        assert [g for g in computed if g is tau.factors] == [tau.factors]
+        assert [g for g in computed if g is not tau.factors] == moved * 3
 
 
 def test_realize_acts_only_the_conjugator(monkeypatch):
@@ -364,6 +441,46 @@ def test_realize_acts_only_the_conjugator(monkeypatch):
         else:
             assert acted == []
     assert conjugated == (2 * p.b - 1) + (2 * p.d - 1)  # c_{1,i} and d_{1,j}
+
+
+# Tallies of the cusps of a surface by the sheet each cusp's 3-cycle fixes
+# on the conjugated tau0 (tests/oracles.py::cusp_fixed_sheets).  The two
+# tests below pin a finding about the generator (ROADMAP item 31), not a
+# claim of the paper: a surface and its swap (a,b,c,d) -> (c,d,a,b), which
+# distinguishable calls trivially equivalent, can have tallies that no
+# relabelling of the sheets matches, though realize calls every cusp trivial.
+
+
+def test_cusp_fixed_sheets_of_a_surface_and_its_swap():
+    tallies = {
+        (1, 2, 3, 2): {1: 32, 2: 32, 3: 28, 4: 4},
+        (3, 2, 1, 2): {1: 32, 2: 32, 3: 20, 4: 12},
+        (1, 1, 1, 1): {1: 8, 2: 8, 3: 6, 4: 2},
+    }
+    for abcd, want in tallies.items():
+        p = SurfaceParams(*abcd)
+        assert cusp_fixed_sheets(p) == want
+        assert sum(want.values()) == surface_counts(p).k
+    p = SurfaceParams(1, 2, 3, 2)
+    assert distinguishable(p, p.swapped()) == "trivially_equivalent"
+
+
+def test_abc_cusp_tallies_differ_from_the_swap_exactly_when_a_ne_c():
+    # abc-surfaces (b = d) in 1..3^3: the sorted tallies of a surface and
+    # its swap differ, so no relabelling matches them, for 18 of the 27
+    surfaces = [
+        SurfaceParams(a, b, c, b) for a, b, c in itertools.product(range(1, 4), repeat=3)
+    ]
+    differ = []
+    for p in surfaces:
+        pair = [cusp_fixed_sheets(q) for q in (p, p.swapped())]
+        if len({tuple(sorted(t[i] for i in range(1, 5))) for t in pair}) == 2:
+            differ.append(p)
+        tau = tau0(p.b, p.d)
+        blocks = generate_bmf(p).blocks
+        cusps = {f for blk in blocks for f in blk.factors if f.exponent == 3}
+        assert {realize_s4_trivial_action(f, tau) for f in cusps} == {"trivial"}
+    assert len(differ) == 18 and differ == [p for p in surfaces if p.a != p.c]
 
 
 def test_factor_count_closed_form():

@@ -21,6 +21,7 @@ from braidmf.hurwitz import (
     hurwitz_move,
     orbit_search,
     product,
+    s4_prefix,
 )
 from braidmf.perm import Perm, symmetric_group
 from oracles import element_keyed_search, one_sided_search
@@ -469,9 +470,25 @@ def _window_moves(rng, first, last, n):
     return [rng.choice((1, -1)) * rng.randint(first, last) for _ in range(n)]
 
 
-def test_windowed_act_moves_matches_chained_moves():
+def test_windowed_act_moves_matches_chained_moves(monkeypatch):
+    # act_moves keeps no tuple between calls: every act, on a tuple acted
+    # on before or not, and on a list, converts only the window of slots
+    # its moves span, min|k|-1 .. max|k| (0-based), to S4 indices.  The
+    # oracle is one hurwitz_move per move; the result is the input itself
+    # exactly when it is equal to it (bmf's realize relies on this), and
+    # otherwise changes only window slots, into canonical Perms.  A power
+    # sigma_i^24 fixes every S4 pair, so act_word gives the tuple back
+    converted = []
+    s4_indices = hurwitz._s4_indices
+
+    def spy(window):
+        converted.append(len(window))
+        return s4_indices(window)
+
+    monkeypatch.setattr(hurwitz, "_s4_indices", spy)
     rng = random.Random(23)
     s4 = symmetric_group(4)
+    kept = changed = 0
     for m in [*range(2, 41), *(rng.randint(2, 40) for _ in range(80))]:
         f = _fresh(_random_fact(rng, m=m, n=4))
         first = rng.randint(1, m - 1)
@@ -479,19 +496,30 @@ def test_windowed_act_moves_matches_chained_moves():
         cases = [
             [],
             [rng.choice((first, -first))],
+            [rng.choice((first, -first))] * 24,
             _window_moves(rng, first, last, rng.randint(1, 30)),
             _window_moves(rng, 1, rng.randint(1, m - 1), rng.randint(1, 30)),
             _window_moves(rng, rng.randint(1, m - 1), m - 1, rng.randint(1, 30)),
         ]
         for moves in cases:
-            out = act_moves(f, moves)
-            assert out == _chained(f, moves)
             lo = min(map(abs, moves), default=m) - 1
             hi = max(map(abs, moves), default=0) + 1
+            for h in (list(f), f):
+                converted.clear()
+                out = act_moves(h, moves)
+                assert out == _chained(f, moves)
+                assert (out is h) == (out == h)
+                assert converted == ([hi - lo] if moves else [])
+            kept += out is f
             for j, (x, y) in enumerate(zip(f, out)):
                 if y is not x:  # a changed slot lies in the window
                     assert lo <= j < hi and y is s4[s4.index(y)]
                     assert y != x
+                    changed += 1
+        converted.clear()
+        assert act_word(f, BraidWord(m, cases[2])) is f
+        assert converted == [2]
+    assert kept > 0 and changed > 0
     # the first out-of-range move is the one named, on either path
     f = _fresh(_random_fact(random.Random(5), m=5, n=4))
     mixed = f[:4] + (BraidWord(4, (1,)),)
@@ -507,71 +535,6 @@ def test_windowed_act_moves_matches_chained_moves():
         assert str(exc.value) == want
 
 
-def _repeat_case(rng, m):
-    # two S4 tuples, one equal to the first but a distinct object, and one
-    # whose slot 0 is a degree-5 Perm; words on slots 1 .. m-1 of m strands,
-    # some random, some a power sigma_i^24, which fixes every S4 pair
-    f = _fresh(_random_fact(rng, m=m, n=4))
-    g = _fresh(_random_fact(rng, m=m, n=4))
-    tuples = {"f": f, "g": g, "same": _fresh(f)}
-    tuples["mixed"] = (rng.choice(symmetric_group(5)),) + g[1:]
-
-    def word():  # nonempty once freely reduced
-        if rng.random() < 0.3:
-            return BraidWord(m, [rng.choice((1, -1)) * rng.randint(2, m - 1)] * 24)
-        w = BraidWord(m, _window_moves(rng, 2, m - 1, rng.randint(1, 12)))
-        return w if w.letters else word()
-
-    return tuples, word
-
-
-@pytest.mark.parametrize("pattern", [
-    " ".join("f" * 12),
-    " ".join("fg" * 6),
-    "f f g g f f g g f f",
-    "f f same same f same",
-    "mixed mixed mixed f f",
-])
-def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, pattern):
-    # act_word keeps no tuple between calls: every act, on a tuple acted on
-    # before or not, and on a list, converts only the window of slots its
-    # letters span to S4 indices.  The oracle is one hurwitz_move per
-    # letter; the result is the input itself when it is equal to it, and
-    # otherwise changes only slots the letters span, into canonical Perms
-    converted = []
-    s4_indices = hurwitz._s4_indices
-
-    def spy(window):
-        converted.append(len(window))
-        return s4_indices(window)
-
-    monkeypatch.setattr(hurwitz, "_s4_indices", spy)
-    rng = random.Random(pattern)
-    s4 = symmetric_group(4)
-    tuples, word = _repeat_case(rng, 9)
-    kept = changed = 0
-    for name in pattern.split():
-        h, w = tuples[name], word()
-        converted.clear()
-        out = act_word(h, w)
-        assert out == _chained(h, w.letters)
-        assert (out is h) == (out == h)
-        kept += out is h
-        lo = min(map(abs, w.letters)) - 1
-        hi = max(map(abs, w.letters)) + 1
-        for j, (x, y) in enumerate(zip(h, out)):
-            if y is not x:
-                assert lo <= j < hi and y is s4[s4.index(y)] and y != x
-                changed += 1
-        assert converted == [hi - lo], name
-    assert kept > 0 and changed > 0
-    for _ in range(3):
-        w = word()
-        converted.clear()
-        assert act_word(list(tuples["f"]), w) == _chained(tuples["f"], w.letters)
-        assert converted == [max(map(abs, w.letters)) - min(map(abs, w.letters)) + 2]
-
-
 def _twist_fixes(f, r, s, e):
     # the oracle of half_twist_fixes: H^e's letters, one hurwitz_move each
     return _chained(f, (band_generator(r, s, len(f)) ** e).letters) == tuple(f)
@@ -580,9 +543,9 @@ def _twist_fixes(f, r, s, e):
 def test_half_twist_fixes_matches_the_word():
     # H^e, H = band_generator(r, s, m), fixes f exactly when acting its
     # letters gives f back.  A random tuple is fixed by few twists, one of
-    # two repeated elements by many.  Each tuple is read as a list (its
-    # prefix products computed on every call) and then as a tuple (computed
-    # on the first call and remembered for every later one)
+    # two repeated elements by many.  half_twist_fixes reads only the
+    # prefix products it is given, computed once per tuple, from the tuple
+    # or from a list of its slots alike
     rng = random.Random(45)
     s4 = symmetric_group(4)
     seen = set()
@@ -603,88 +566,44 @@ def test_half_twist_fixes_matches_the_word():
                     (r, s, e): act_moves(f, (band_generator(r, s, m) ** e).letters) == f
                     for r, s, e in arcs
                 }
-                for g in (list(f), f):
-                    assert {k: half_twist_fixes(g, *k) for k in arcs} == want
+                prefix = s4_prefix(f)
+                assert s4_prefix(list(f)) == prefix and len(prefix) == m + 1
+                assert {k: half_twist_fixes(prefix, *k) for k in arcs} == want
                 seen.update((fixed, s == r + 1) for (r, s, _), fixed in want.items())
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_half_twist_fixes_refuses_bad_arcs_and_non_s4_slots(monkeypatch):
-    monkeypatch.setattr(hurwitz, "_last", (None, None))
+def test_s4_prefix_is_the_running_product():
+    # P_0 is the identity, position 0 of symmetric_group(4), and P_k the
+    # Perm product f_1 ... f_k
+    s4 = symmetric_group(4)
+    f = _fresh(_random_fact(random.Random(47), m=7, n=4))
+    prefix = s4_prefix(f)
+    assert type(prefix) is tuple and prefix[0] == 0 and s4[0] == Perm.identity(4)
+    assert [s4[i] for i in prefix[1:]] == [product(f[:k]) for k in range(1, 8)]
+    assert s4_prefix(()) == (0,)
+
+
+def test_s4_prefix_refuses_non_s4_slots():
     f = _fresh(_random_fact(random.Random(3), m=5, n=4))
     # a degree-5 Perm at slot 3, and a braid at slot 5
     five = f[:2] + (Perm((1, 0, 2, 3, 4)),) + f[3:]
     braid = f[:4] + (BraidWord(5, (1,)),)
-    bad_arcs = ((0, 2), (-1, 2), (-3, -1), (2, 2), (3, 2), (4, 6), (0, 5))
-    # the arc is checked before any slot is read: on the remembered tuple,
-    # a list, and tuples with a non-S4 slot
-    assert half_twist_fixes(f, 1, 2, 2) == _twist_fixes(f, 1, 2, 2)
-    for g in (f, list(f), five, list(five), braid):
-        for r, s in bad_arcs:
-            with pytest.raises(ValueError, match="need 1 <= r < s <= 5"):
-                half_twist_fixes(g, r, s, 1)
-    # a non-S4 slot anywhere is refused, by arcs over it or not, and the
-    # refused tuple does not replace the remembered one
-    for g in (five, five, list(five), braid):
-        for r, s in ((1, 4), (3, 5), (2, 3), (1, 2), (4, 5)):
-            with pytest.raises(ValueError, match="not a degree-4 Perm"):
-                half_twist_fixes(g, r, s, 2)
-    assert hurwitz._last[0] is f
+    for g in (five, list(five), braid, list(braid), (BraidWord(2, ()),)):
+        with pytest.raises(ValueError) as exc:
+            s4_prefix(g)
+        assert str(exc.value) == "a slot of the factorization is not a degree-4 Perm"
 
 
-def test_half_twist_fixes_reads_each_tuple_object_once(monkeypatch):
-    # the prefix products are computed from the whole tuple on the first
-    # read of a tuple object and kept until another tuple is read; an equal
-    # but distinct tuple is another tuple, and a list is read whole on every
-    # call.  Every answer matches the twist's letters, so tuples A, B, A
-    # each get their own
-    converted = []
-    s4_indices = hurwitz._s4_indices
-
-    def spy(window):
-        converted.append(len(window))
-        return s4_indices(window)
-
-    monkeypatch.setattr(hurwitz, "_s4_indices", spy)
-    monkeypatch.setattr(hurwitz, "_last", (None, None))
-    rng = random.Random(46)
-    s4 = symmetric_group(4)
-    m = 7
-    x, y = rng.sample(s4, 2)
-    a = _fresh([x] * m)  # fixed by every twist power
-    b = _fresh(rng.choice((x, y)) for _ in range(m))
-    tuples = {"a": a, "b": b, "same": _fresh(a), "list": list(b)}
-    arcs = [(r, s, e) for r in range(1, m) for s in range(r + 1, m + 1)
-            for e in (1, -1, 2, 3)]
-    answers, last = set(), None
-    for pattern in ("a a b a", "b same same a", "b list list b a b"):
-        for name in pattern.split():
-            g = tuples[name]
-            converted.clear()
-            got = {k: half_twist_fixes(g, *k) for k in arcs}
-            assert got == {k: _twist_fixes(g, *k) for k in arcs}, name
-            answers.add(frozenset(got.items()))
-            if name == "list":  # read whole on every call
-                assert converted == [m] * len(arcs)
-            else:
-                assert converted == [m] * (name != last), (pattern, name)
-                last = name
-    assert len(answers) == 2
-
-
-def test_half_twist_fixes_reads_a_mutated_list_fresh():
-    # a list is never remembered: mutated between two calls, it is read
-    # as it now stands
-    s4 = symmetric_group(4)
-    x, y = s4[5], s4[17]
-    g = [x] * 6
-    for r, s in ((1, 2), (2, 5), (3, 6)):
-        assert half_twist_fixes(g, r, s, 1)
-        g[r - 1] = y
-        assert not _twist_fixes(g, r, s, 1)
-        assert not half_twist_fixes(g, r, s, 1)
-        g[r - 1] = x
-        assert half_twist_fixes(g, r, s, 1)
+def test_half_twist_fixes_refuses_bad_arcs():
+    f = _fresh(_random_fact(random.Random(3), m=5, n=4))
+    prefix = s4_prefix(f)
+    assert half_twist_fixes(prefix, 1, 2, 2) == _twist_fixes(f, 1, 2, 2)
+    assert half_twist_fixes(prefix, 1, 5, 1) == _twist_fixes(f, 1, 5, 1)
+    for r, s in ((0, 2), (-1, 2), (-3, -1), (2, 2), (3, 2), (4, 6), (0, 5)):
+        with pytest.raises(ValueError) as exc:
+            half_twist_fixes(prefix, r, s, 1)
+        assert str(exc.value) == f"need 1 <= r < s <= 5, got r={r}, s={s}"
 
 
 def test_snake_via_word_matches_generic_action():

@@ -10,7 +10,8 @@ code in the package, unless TEST_ONLY gives the reason it stays; so is a
 parameter default that only tests override, unless NEVER_OVERRIDDEN gives
 the reason.  And an absolute import in src/braidmf of a module outside the
 standard library is a runtime dependency come back: the package installs
-with none.
+with none.  A `global` or `nonlocal` statement in src/braidmf is state a
+function keeps between calls: a cache belongs to the record it describes.
 
 The checks read the source with `ast` and import nothing.
 """
@@ -75,6 +76,16 @@ def test_the_package_imports_only_the_standard_library():
                 if m.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_the_package_rebinds_no_outer_name():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in DIRS["src/braidmf"].items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert found == []
 
 
 def _definitions(tree):

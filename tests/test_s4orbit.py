@@ -24,6 +24,7 @@ from braidmf.s4orbit import (
     TRIVIAL,
     WINDOW_DERIVATIONS,
     HatBits,
+    TauFactorization,
     apply_action_word,
     apply_generator,
     change_positions,
@@ -74,6 +75,24 @@ def test_tau0_and_snake_word_are_built_once():
     assert snake_word(3, 20) is w
     with pytest.raises(AttributeError):
         w.letters = ()
+
+
+def test_tau_factorization_keeps_a_tuple_and_its_prefix():
+    # factors are stored as a tuple whatever sequence comes in, and the S4
+    # prefix products are computed on first use and kept with the record;
+    # a new record from with_factors computes its own
+    ref = tau0(2, 1)
+    for given in (list(ref.factors), iter(ref.factors), ref.factors):
+        f = TauFactorization(2, 1, given)
+        assert type(f.factors) is tuple and f == ref
+        assert "s4_prefix" not in vars(f)
+        assert f.s4_prefix == hurwitz.s4_prefix(ref.factors)
+        assert f.s4_prefix is f.s4_prefix
+    moved = ref.with_factors(x for x in reversed(ref.factors))
+    assert type(moved.factors) is tuple and "s4_prefix" not in vars(moved)
+    assert moved.s4_prefix == hurwitz.s4_prefix(moved.factors) != ref.s4_prefix
+    with pytest.raises(ValueError, match="expected 12 factors, got 11"):
+        TauFactorization(2, 1, iter(ref.factors[1:]))
 
 
 def test_invariant_m_reference_values():
