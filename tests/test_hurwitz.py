@@ -535,6 +535,72 @@ def test_windowed_act_moves_matches_chained_moves(monkeypatch):
         assert str(exc.value) == want
 
 
+def _repeat_case(rng, m):
+    # two S4 tuples, one equal to the first but a distinct object, and one
+    # whose slot 0 is a degree-5 Perm; words on slots 1 .. m-1 of m strands,
+    # some random, some a power sigma_i^24, which fixes every S4 pair
+    f = _fresh(_random_fact(rng, m=m, n=4))
+    g = _fresh(_random_fact(rng, m=m, n=4))
+    tuples = {"f": f, "g": g, "same": _fresh(f)}
+    tuples["mixed"] = (rng.choice(symmetric_group(5)),) + g[1:]
+
+    def word():  # nonempty once freely reduced
+        if rng.random() < 0.3:
+            return BraidWord(m, [rng.choice((1, -1)) * rng.randint(2, m - 1)] * 24)
+        w = BraidWord(m, _window_moves(rng, 2, m - 1, rng.randint(1, 12)))
+        return w if w.letters else word()
+
+    return tuples, word
+
+
+@pytest.mark.parametrize("pattern", [
+    " ".join("f" * 12),
+    " ".join("fg" * 6),
+    "f f g g f f g g f f",
+    "f f same same f same",
+    "mixed mixed mixed f f",
+])
+def test_act_word_on_a_remembered_tuple_matches_chained_moves(monkeypatch, pattern):
+    # act_word remembers no tuple between calls: acted on in sequence, the
+    # same tuple, an equal copy and a tuple with a degree-5 slot outside
+    # the window each convert only the window of slots the letters span
+    # to S4 indices, as a list does.  The oracle is one hurwitz_move per
+    # letter; the result is the input itself when it is equal to it, and
+    # otherwise changes only slots the letters span, into canonical Perms
+    converted = []
+    s4_indices = hurwitz._s4_indices
+
+    def spy(window):
+        converted.append(len(window))
+        return s4_indices(window)
+
+    monkeypatch.setattr(hurwitz, "_s4_indices", spy)
+    rng = random.Random(pattern)
+    s4 = symmetric_group(4)
+    tuples, word = _repeat_case(rng, 9)
+    kept = changed = 0
+    for name in pattern.split():
+        h, w = tuples[name], word()
+        converted.clear()
+        out = act_word(h, w)
+        assert out == _chained(h, w.letters)
+        assert (out is h) == (out == h)
+        kept += out is h
+        lo = min(map(abs, w.letters)) - 1
+        hi = max(map(abs, w.letters)) + 1
+        for j, (x, y) in enumerate(zip(h, out)):
+            if y is not x:
+                assert lo <= j < hi and y is s4[s4.index(y)] and y != x
+                changed += 1
+        assert converted == [hi - lo], name
+    assert kept > 0 and changed > 0
+    for _ in range(3):
+        w = word()
+        converted.clear()
+        assert act_word(list(tuples["f"]), w) == _chained(tuples["f"], w.letters)
+        assert converted == [max(map(abs, w.letters)) - min(map(abs, w.letters)) + 2]
+
+
 def _twist_fixes(f, r, s, e):
     # the oracle of half_twist_fixes: H^e's letters, one hurwitz_move each
     return _chained(f, (band_generator(r, s, len(f)) ** e).letters) == tuple(f)
